@@ -29,7 +29,6 @@ from .dynamics import (
     PropagationResult,
     SystemAnalysis,
     analyze_system,
-    decompose_system,
     project_generator,
     propagate,
 )

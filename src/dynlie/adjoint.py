@@ -138,16 +138,16 @@ def killing_orthonormalize(basis, tol=TOL_KILLING, rank_tol=TOL_RANK):
     orthonormal with respect to -K instead of the HS pairing.  Computed
     as E (-K)^{-1/2} through the symmetric eigendecomposition of the
     Gram matrix, which leaves an already Killing-orthonormal basis
-    untouched.  Requires a semisimple input (negative definite K).
+    untouched.  The same eigendecomposition decides semisimplicity: an
+    input whose -K has an eigenvalue at or below ``tol * max(largest, 1)``
+    (degenerate or indefinite Killing form, or an empty span) raises
+    NotSemisimpleError.
     """
-    if not is_semisimple(basis, tol, rank_tol):
-        raise NotSemisimpleError(
-            "Killing form is degenerate; input is not semisimple")
     gram = killing_gram(basis, rank_tol)
     w, q = np.linalg.eigh(-gram)
-    if w.min() <= tol * max(w.max(), 1.0):
+    if not w.size or w.min() <= tol * max(w.max(), 1.0):
         raise NotSemisimpleError(
-            "Killing form is not negative definite on this span")
+            "Killing form is not negative definite; input is not semisimple")
     inv_sqrt = (q / np.sqrt(w)) @ q.T
     mats = basis.mats if isinstance(basis, LieBasis) else np.asarray(basis)
     return np.einsum("bi,ijk->bjk", inv_sqrt, mats)

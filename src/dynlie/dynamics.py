@@ -22,7 +22,7 @@ from .linalg import (
     LieBasis,
     TOL_EIG,
     TOL_RANK,
-    _vec,
+    bracket_residual,
     expm_skew,
     member_coords,
 )
@@ -144,13 +144,6 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
                           ideals=ideal_set, decomposition=decomposition)
 
 
-def decompose_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
-                     splitting_coeffs=None):
-    """Commuting-component decomposition of the system's dynamical algebra."""
-    return analyze_system(system, tol, eig_tol, pivots,
-                          splitting_coeffs).decomposition
-
-
 def project_generator(decomp, system, u, tol=TOL_RANK):
     """Pieces of -i H(u) along each component, in component order.
 
@@ -211,30 +204,26 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
 
 
 def structure_residuals(analysis, tol=TOL_RANK):
-    """Numerical residuals behind each structural claim, for reporting."""
+    """Numerical residuals behind each structural claim, for reporting.
+
+    Residuals a stage checks are read from its result (Levi, primary and
+    ideals); only ``radical_abelian``, ``cartan_abelian``,
+    ``splitting_real_parts`` and ``adapted_reconstruction`` are computed.
+    """
     res = {}
     levi = analysis.levi
     basis = analysis.closure.basis
-    res["radical_commutes_with_algebra"] = _worst_bracket(levi.radical, basis)
-    res["radical_abelian"] = _worst_bracket(levi.radical, levi.radical)
+    res["radical_commutes_with_algebra"] = levi.commutation_residual
+    res["radical_abelian"] = bracket_residual(levi.radical, levi.radical)
     if analysis.cartan is not None:
         cart = analysis.cartan.cartan
-        res["cartan_abelian"] = _worst_bracket(cart, cart)
+        res["cartan_abelian"] = bracket_residual(cart, cart)
     if analysis.primary is not None:
-        worst = 0.0
-        for a in analysis.primary.cartan.mats:
-            for _, comp in analysis.primary.components:
-                worst = max(worst, _invariance_residual(a, comp))
-        res["component_invariance"] = worst
+        res["component_invariance"] = analysis.primary.invariance_residual
         res["splitting_real_parts"] = _splitting_real_part(
             analysis, tol)
     if analysis.ideals is not None:
-        ideals = analysis.ideals.ideals
-        worst = 0.0
-        for i in range(len(ideals)):
-            for j in range(i + 1, len(ideals)):
-                worst = max(worst, _worst_bracket(ideals[i], ideals[j]))
-        res["ideals_commute"] = worst
+        res["ideals_commute"] = analysis.ideals.commutation_residual
     recon = 0.0
     for x in basis.mats:
         coords = member_coords(analysis.decomposition.adapted, x, tol)
@@ -246,23 +235,6 @@ def structure_residuals(analysis, tol=TOL_RANK):
         recon = max(recon, float(np.linalg.norm(back - x)))
     res["adapted_reconstruction"] = recon
     return res
-
-
-def _worst_bracket(a, b):
-    if a.dim == 0 or b.dim == 0:
-        return 0.0
-    worst = 0.0
-    for x in a.mats:
-        br = x @ b.mats - b.mats @ x
-        worst = max(worst, float(np.linalg.norm(br, axis=(1, 2)).max()))
-    return worst
-
-
-def _invariance_residual(x, comp):
-    br = x @ comp.mats - comp.mats @ x
-    bv = _vec(br)
-    resid = bv - (bv @ comp.vecs.T) @ comp.vecs
-    return float(np.linalg.norm(resid, axis=1).max())
 
 
 def _splitting_real_part(analysis, tol):

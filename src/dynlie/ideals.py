@@ -11,13 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import is_semisimple, killing_orthonormalize
-from .errors import DecompositionError
+from .adjoint import killing_orthonormalize
+from .errors import DecompositionError, NotSemisimpleError
 from .linalg import (
-    LieBasis,
     TOL_KILLING,
     TOL_RANK,
-    _vec,
+    bracket_residual,
     commutator,
     coords_strict,
     empty_basis,
@@ -46,64 +45,54 @@ def minimal_ideal(semisimple, seed, tol=TOL_RANK):
     return w
 
 
-def _same_span(a, b, tol):
-    if a.dim != b.dim:
-        return False
-    return all(member_coords(b, x, tol) is not None for x in a.mats)
-
-
 @dataclass(frozen=True)
 class IdealSet:
     """Distinct simple ideals plus the component -> ideal index map."""
 
     ideals: tuple   # (LieBasis, ...)
     origin: tuple   # origin[j] = ideal index generated by component j
+    commutation_residual: float  # worst ||[x, y]||_F across distinct ideals
+    invariance_residual: float   # worst part of [s, x] outside x's ideal
 
 
 def simple_decompose(semisimple, primary, tol=TOL_RANK):
     """Simple-ideal decomposition of S from its primary components.
 
-    Components generating the same ideal are merged.  Verifies that the
-    ideal dimensions add up to dim S, that distinct ideals commute, and
-    that each ideal is genuinely ad-S-invariant.
+    A component already inside a known ideal belongs to it: minimal
+    ideals of a semisimple algebra are simple, so any component inside
+    one generates all of it.  Verifies that the ideal dimensions add up
+    to dim S, that distinct ideals commute, and that each ideal is
+    genuinely ad-S-invariant; both residuals (at 1e-8) are stored on the
+    result.
     """
     ideals = []
     origin = []
     for _, comp in primary.components:
-        ideal = minimal_ideal(semisimple, comp, tol)
         for k, known in enumerate(ideals):
-            if _same_span(ideal, known, tol):
+            if all(member_coords(known, x, tol) is not None for x in comp.mats):
                 origin.append(k)
                 break
         else:
             origin.append(len(ideals))
-            ideals.append(ideal)
+            ideals.append(minimal_ideal(semisimple, comp, tol))
     total = sum(i.dim for i in ideals)
     if total != semisimple.dim:
         raise DecompositionError(
             f"simple ideals cover dim {total} of {semisimple.dim}")
-    worst_cross = 0.0
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            for x in ideals[i].mats:
-                br = x @ ideals[j].mats - ideals[j].mats @ x
-                worst_cross = max(worst_cross,
-                                  float(np.linalg.norm(br, axis=(1, 2)).max()))
+    worst_cross = max((bracket_residual(ideals[i], ideals[j])
+                       for i in range(len(ideals))
+                       for j in range(i + 1, len(ideals))), default=0.0)
     if worst_cross > 1e-8:
         raise DecompositionError(
             f"ideals fail to commute, residual {worst_cross:.3e}")
-    worst_inv = 0.0
-    for ideal in ideals:
-        for s in semisimple.mats:
-            br = s @ ideal.mats - ideal.mats @ s
-            bv = _vec(br)
-            resid = bv - (bv @ ideal.vecs.T) @ ideal.vecs
-            worst_inv = max(worst_inv,
-                            float(np.linalg.norm(resid, axis=1).max()))
+    worst_inv = max((bracket_residual(semisimple, ideal, ideal)
+                     for ideal in ideals), default=0.0)
     if worst_inv > 1e-8:
         raise DecompositionError(
             f"an ideal is not ad-invariant, residual {worst_inv:.3e}")
-    return IdealSet(ideals=tuple(ideals), origin=tuple(origin))
+    return IdealSet(ideals=tuple(ideals), origin=tuple(origin),
+                    commutation_residual=worst_cross,
+                    invariance_residual=worst_inv)
 
 
 def recognize_su2(ideal, tol=TOL_RANK, killing_tol=TOL_KILLING):
@@ -115,9 +104,10 @@ def recognize_su2(ideal, tol=TOL_RANK, killing_tol=TOL_KILLING):
     """
     if ideal.dim != 3:
         return None
-    if not is_semisimple(ideal, killing_tol, tol):
+    try:
+        frame = math.sqrt(2.0) * killing_orthonormalize(ideal, killing_tol, tol)
+    except NotSemisimpleError:
         return None
-    frame = math.sqrt(2.0) * killing_orthonormalize(ideal, killing_tol, tol)
     e1, e2, e3 = frame
     if hs_inner(commutator(e1, e2), e3) < 0.0:
         e3 = -e3

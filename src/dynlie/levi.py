@@ -9,11 +9,10 @@ for the derived algebra.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .adjoint import _brackets_and_coords
 from .errors import DecompositionError
-from .linalg import LieBasis, TOL_RANK, empty_basis, extend_basis, from_coords, nullspace
+from .linalg import (LieBasis, TOL_RANK, bracket_residual, empty_basis,
+                     extend_basis, from_coords, nullspace)
 
 
 def center(basis, tol=TOL_RANK):
@@ -22,9 +21,19 @@ def center(basis, tol=TOL_RANK):
     Solves the stacked linear system sum_i c_i <e_k, [e_i, e_j]> = 0 by
     SVD.  Requires a bracket-closed input (NotClosedError otherwise).
     """
-    if basis.dim == 0:
-        return basis
-    coords = _brackets_and_coords(basis, tol)[1]
+    return _center(basis, _brackets_and_coords(basis, tol)[1], tol)
+
+
+def derived_algebra(basis, tol=TOL_RANK):
+    """Orthonormal basis of span{[e_i, e_j]}, the derived algebra [L, L].
+
+    The closure check rides along: brackets leaving the span raise
+    NotClosedError.  Candidate order is lexicographic in (i, j), i < j.
+    """
+    return _derived(basis, _brackets_and_coords(basis, tol)[0], tol)
+
+
+def _center(basis, coords, tol):
     d = basis.dim
     # rows indexed by (j, k), columns by the combination coefficient i
     system = coords.reshape(d, d * d).T
@@ -34,15 +43,7 @@ def center(basis, tol=TOL_RANK):
     return LieBasis(basis.n, from_coords(basis, rows))
 
 
-def derived_algebra(basis, tol=TOL_RANK):
-    """Orthonormal basis of span{[e_i, e_j]}, the derived algebra [L, L].
-
-    The closure check rides along: brackets leaving the span raise
-    NotClosedError.  Candidate order is lexicographic in (i, j), i < j.
-    """
-    if basis.dim == 0:
-        return basis
-    brackets = _brackets_and_coords(basis, tol)[0]
+def _derived(basis, brackets, tol):
     d = basis.dim
     pairs = [brackets[i, j] for i in range(d) for j in range(i + 1, d)]
     return extend_basis(empty_basis(basis.n), pairs, tol)
@@ -59,6 +60,7 @@ class LeviResult:
     radical: LieBasis
     semisimple: LieBasis
     radical_lines: tuple
+    commutation_residual: float  # worst ||[r, e]||_F, r radical, e in L
 
     @property
     def dim(self):
@@ -68,13 +70,15 @@ class LeviResult:
 def levi_decompose(basis, tol=TOL_RANK):
     """Split a bracket-closed algebra into center plus derived algebra.
 
-    Verifies that the two pieces really decompose the input: dimensions
-    must add up to dim L, the combined span must be all of L, and every
-    radical element must commute with the whole algebra (residual at
-    1e-8).  Inconsistent rank decisions raise DecompositionError.
+    Both pieces come from one bracket tensor.  Verifies that they really
+    decompose the input: dimensions must add up to dim L, the combined
+    span must be all of L, and every radical element must commute with
+    the whole algebra (residual at 1e-8, stored on the result).
+    Inconsistent rank decisions raise DecompositionError.
     """
-    rad = center(basis, tol)
-    semi = derived_algebra(basis, tol)
+    brackets, coords = _brackets_and_coords(basis, tol)
+    rad = _center(basis, coords, tol)
+    semi = _derived(basis, brackets, tol)
     if rad.dim + semi.dim != basis.dim:
         raise DecompositionError(
             f"center (dim {rad.dim}) and derived algebra (dim {semi.dim}) "
@@ -83,13 +87,10 @@ def levi_decompose(basis, tol=TOL_RANK):
     if combined.dim != basis.dim:
         raise DecompositionError(
             "center and derived algebra overlap; rank thresholds inconsistent")
-    if rad.dim and basis.dim:
-        worst = max(
-            float(np.linalg.norm(r @ basis.mats - basis.mats @ r, axis=(1, 2)).max())
-            for r in rad.mats
-        )
-        if worst > 1e-8:
-            raise DecompositionError(
-                f"radical fails to commute with the algebra, residual {worst:.3e}")
+    worst = bracket_residual(rad, basis)
+    if worst > 1e-8:
+        raise DecompositionError(
+            f"radical fails to commute with the algebra, residual {worst:.3e}")
     lines = tuple(LieBasis(basis.n, rad.mats[i : i + 1]) for i in range(rad.dim))
-    return LeviResult(radical=rad, semisimple=semi, radical_lines=lines)
+    return LeviResult(radical=rad, semisimple=semi, radical_lines=lines,
+                      commutation_residual=worst)

@@ -23,22 +23,35 @@ TOL_KILLING = 1e-6
 TOL_EIG = 1e-6
 
 
+def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
+    """Validate ``mat`` as Hermitian and return its exact Hermitian part.
+
+    Round-off up to ``tol * max(1, ||mat||_F)`` is forgiven and projected
+    away via (M + M^H)/2; anything further off raises ValueError, as do
+    non-square shapes and non-finite entries.  With ``skew`` the same
+    test runs for skew-Hermiticity and returns (M - M^H)/2.
+    """
+    a = np.array(mat, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} has non-finite entries")
+    adj = a.conj().T
+    part, off = (a - adj, a + adj) if skew else (a + adj, a - adj)
+    defect = np.linalg.norm(off)
+    if defect > tol * max(1.0, np.linalg.norm(a)):
+        raise ValueError(f"{what} is not {'skew-' if skew else ''}Hermitian "
+                         f"at tolerance {tol:g}: defect {defect:.3e}")
+    return part / 2.0
+
+
 def skew_hermitian(mat, tol=TOL_HERM):
     """Validate ``mat`` as skew-Hermitian and return its exact skew part.
 
     Round-off up to ``tol * max(1, ||mat||_F)`` is forgiven and projected
     away via (M - M^H)/2; anything further off raises ValueError.
     """
-    a = np.array(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    defect = np.linalg.norm(a + a.conj().T)
-    if defect > tol * max(1.0, np.linalg.norm(a)):
-        raise ValueError(
-            f"matrix is not skew-Hermitian: ||A + A^H||_F = {defect:.3e}")
-    return (a - a.conj().T) / 2.0
+    return hermitian_part(mat, tol, skew=True)
 
 
 def commutator(a, b):
@@ -146,7 +159,9 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     Modified Gram-Schmidt with one re-orthogonalization pass.  A candidate
     is accepted when its orthogonal residual exceeds
     ``tol * max(1, ||candidate||_F)``; dependent candidates are dropped
-    silently and acceptance order follows candidate order.  Returns a new
+    silently and acceptance order follows candidate order.  An accepted
+    residual R is replaced by its exact skew part (R - R^H)/2, so noise
+    amplified in a small residual cannot leave u(n).  Returns a new
     basis, the input is never mutated.
     """
     n = basis.n
@@ -163,14 +178,36 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
         for _ in range(2):
             for r in rows:
                 w -= (r @ w) * r
-        resid = np.linalg.norm(w)
-        if resid > tol * scale:
-            w /= resid
-            rows.append(w)
-            kept.append(_unvec(w, n))
+        if np.linalg.norm(w) > tol * scale:
+            m = _unvec(w, n)
+            m = (m - m.conj().T) / 2.0
+            m /= np.linalg.norm(m)
+            rows.append(_vec(m))
+            kept.append(m)
     if not kept:
         return LieBasis(n)
     return LieBasis(n, np.stack(kept))
+
+
+def bracket_residual(a, b, span=None):
+    """Worst ||[x, e]||_F over x in basis ``a`` and e in basis ``b``.
+
+    With ``span`` (a LieBasis), the worst norm of the part of [x, e]
+    orthogonal to span(``span``) instead: zero exactly when ad_x maps
+    span(b) into span(span).  Empty inputs give 0.0.
+    """
+    if a.dim == 0 or b.dim == 0:
+        return 0.0
+    worst = 0.0
+    for x in a.mats:
+        br = x @ b.mats - b.mats @ x
+        if span is None:
+            norms = np.linalg.norm(br, axis=(1, 2))
+        else:
+            bv = _vec(br)
+            norms = np.linalg.norm(bv - (bv @ span.vecs.T) @ span.vecs, axis=1)
+        worst = max(worst, float(norms.max()))
+    return worst
 
 
 def member_coords(basis, x, tol=TOL_RANK):
@@ -224,7 +261,9 @@ def nullspace(mat, tol=TOL_RANK):
     cols = m.shape[1]
     if m.shape[0] == 0 or cols == 0:
         return np.eye(cols)
-    _, s, vh = np.linalg.svd(m)
+    # Full V is needed only for wide matrices; the full U of a tall one
+    # (center's d^2 x d system) would be d^2 x d^2.
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)
     smax = s[0] if s.size else 0.0
     cut = tol * max(smax, 1.0)
     svals = np.zeros(cols)

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import hermitian_part
+
 _PAULI = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
     "y": np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex),
@@ -29,18 +31,6 @@ def kron(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def _check_hermitian(mat, name, tol=1e-10):
-    m = np.array(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
-    defect = np.linalg.norm(m - m.conj().T)
-    if defect > tol * max(1.0, np.linalg.norm(m)):
-        raise ValueError(f"{name} is not Hermitian: ||H - H^H||_F = {defect:.3e}")
-    return (m + m.conj().T) / 2.0
-
-
 @dataclass(frozen=True)
 class ControlSystem:
     """Bilinear control system i dX/dt = (H0 + sum_k u_k Hk) X.
@@ -57,12 +47,12 @@ class ControlSystem:
 
     def __post_init__(self):
         n = int(self.dim)
-        drift = _check_hermitian(self.drift, "drift")
+        drift = hermitian_part(self.drift, what="drift")
         if drift.shape != (n, n):
             raise ValueError(f"drift shape {drift.shape} does not match dim {n}")
         controls = []
         for k, c in enumerate(self.controls):
-            h = _check_hermitian(c, f"control {k}")
+            h = hermitian_part(c, what=f"control {k}")
             if h.shape != (n, n):
                 raise ValueError(
                     f"control {k} shape {h.shape} does not match dim {n}")

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint_matrix, is_semisimple
-from .errors import DecompositionError, NotSemisimpleError, SplittingSearchError
+from .adjoint import adjoint_matrix
+from .errors import DecompositionError, SplittingSearchError
 from .linalg import (
     LieBasis,
     TOL_EIG,
-    TOL_KILLING,
     TOL_RANK,
-    _vec,
+    bracket_residual,
     coords_strict,
     from_coords,
     nullspace,
@@ -53,6 +52,7 @@ class PrimaryResult:
     cartan: LieBasis
     splitting: SplittingElement
     components: tuple  # ((frequency, LieBasis), ...) frequencies decreasing
+    invariance_residual: float  # worst part of [a, v] outside v's component
 
 
 def _coefficient_candidates(m, c_max, rng_seed=0):
@@ -133,15 +133,14 @@ def _splitting_candidates(semisimple, cartan, tol, eig_tol, coeffs=None):
 
 
 def find_splitting_element(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
-                           coeffs=None, killing_tol=TOL_KILLING):
+                           coeffs=None):
     """First splitting element in the deterministic candidate order.
 
     ``coeffs`` restricts the search to explicit coefficient vectors over
     the Cartan basis (raising SplittingSearchError if none of them
     splits), which is how tests and the CLI pin a particular choice.
+    Like :func:`primary_decompose`, it does not re-test semisimplicity.
     """
-    if not is_semisimple(semisimple, killing_tol, tol):
-        raise NotSemisimpleError("splitting element needs a semisimple algebra")
     for element, _ in _splitting_candidates(semisimple, cartan, tol, eig_tol,
                                             coeffs):
         return element
@@ -151,16 +150,17 @@ def find_splitting_element(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
 
 
 def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
-                      coeffs=None, killing_tol=TOL_KILLING):
+                      coeffs=None):
     """Split S into the Cartan algebra plus 2-dimensional components.
 
     Components are the real nullspaces of ad_X^2 + a_j^2 for the
     splitting element X, ordered by strictly decreasing frequency a_j.
     A candidate whose eigenspaces come out with the wrong dimension is
-    abandoned and the search moves to the next one.
+    abandoned and the search moves to the next one.  The Cartan-invariance
+    residual of the components (at 1e-8) is stored on the result.  S is
+    not re-tested for semisimplicity, which ``cartan_subalgebra`` checked;
+    a non-semisimple S has no splitting element (SplittingSearchError).
     """
-    if not is_semisimple(semisimple, killing_tol, tol):
-        raise NotSemisimpleError("primary decomposition needs a semisimple algebra")
     failures = 0
     for element, ad in _splitting_candidates(semisimple, cartan, tol, eig_tol,
                                              coeffs):
@@ -180,28 +180,25 @@ def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
             if failures > 25:
                 break
             continue
-        result = PrimaryResult(cartan=cartan, splitting=element,
-                               components=tuple(comps))
-        _check_primary(semisimple, result, tol)
-        return result
+        return PrimaryResult(cartan=cartan, splitting=element,
+                             components=tuple(comps),
+                             invariance_residual=_check_primary(
+                                 semisimple, cartan, comps))
     raise SplittingSearchError(
         "primary decomposition failed: no candidate produced clean "
         "2-dimensional eigenspaces")
 
 
-def _check_primary(semisimple, result, tol):
-    total = result.cartan.dim + sum(v.dim for _, v in result.components)
+def _check_primary(semisimple, cartan, comps):
+    """Cover and Cartan-invariance checks; returns the invariance residual."""
+    total = cartan.dim + sum(v.dim for _, v in comps)
     if total != semisimple.dim:
         raise DecompositionError(
             f"primary components cover dim {total} of {semisimple.dim}")
-    worst = 0.0
-    for a in result.cartan.mats:
-        for _, comp in result.components:
-            br = a @ comp.mats - comp.mats @ a
-            bv = _vec(br)
-            resid = bv - (bv @ comp.vecs.T) @ comp.vecs
-            worst = max(worst, float(np.linalg.norm(resid, axis=1).max()))
+    worst = max((bracket_residual(cartan, comp, comp) for _, comp in comps),
+                default=0.0)
     if worst > 1e-8:
         raise DecompositionError(
             f"components are not ad-invariant under the Cartan algebra "
             f"(residual {worst:.3e})")
+    return worst

@@ -14,6 +14,17 @@ def random_skew(rng, n):
     return (a - a.conj().T) / 2.0
 
 
+def dense_terms(key, n, count=2):
+    """Dense random Hermitian terms [H0, H1, ...] drawn from
+    ``default_rng(key)``, each (A + A^H)/2 of a complex Gaussian A."""
+    rng = np.random.default_rng(key)
+    terms = []
+    for _ in range(count):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        terms.append((a + a.conj().T) / 2.0)
+    return terms
+
+
 def vec(mats):
     m = np.asarray(mats, dtype=complex)
     flat = m.reshape(m.shape[:-2] + (m.shape[-1] * m.shape[-2],))

@@ -6,6 +6,8 @@ import pytest
 from dynlie.cli import main
 from dynlie.fileio import loads_report, pairs_to_matrix, matrix_to_pairs
 
+from helpers import dense_terms
+
 
 def write_two_spin_spec(tmp_path):
     path = tmp_path / "spec.json"
@@ -163,6 +165,19 @@ class TestDecompose:
         }))
         assert run(["decompose", str(spec)]) == 2
 
+    @pytest.mark.parametrize("defect, code", [(1e-9, 0), (1e-7, 2)])
+    def test_spec_hermitian_tolerance(self, tmp_path, defect, code):
+        # Spec files are held to 1e-8, looser than ControlSystem's 1e-10.
+        sx = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+        sy = np.array([[0, 0.5j], [-0.5j, 0]])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "dim": 2,
+            "drift": matrix_to_pairs(sx + defect * np.array([[0, 1], [0, 0]])),
+            "controls": [matrix_to_pairs(sy)],
+        }))
+        assert run(["decompose", str(spec)]) == code
+
 
 class TestSimulate:
     def test_two_segment_run(self, tmp_path):
@@ -198,6 +213,23 @@ class TestSimulate:
         assert doc["final_time"] == 0.0
         np.testing.assert_allclose(pairs_to_matrix(doc["total"]),
                                    np.eye(4), atol=0)
+
+    def test_dense_u3_draw(self, tmp_path):
+        # This draw's closure basis used to leave u(3) by 1e-9, and the
+        # ValueError from expm_skew escaped as a traceback.
+        drift, ctrl = dense_terms([7, 3, 793], 3)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "dim": 3, "drift": matrix_to_pairs(drift),
+            "controls": [matrix_to_pairs(ctrl)]}))
+        sched = write_schedule(tmp_path, [
+            {"duration": 0.5, "u": [1.0]}, {"duration": 1.0, "u": [-0.7]}])
+        out = tmp_path / "prop.json"
+        assert run(["simulate", str(spec), sched, "--out", str(out)]) == 0
+        doc = loads_report(out.read_text())
+        assert doc["factorization_error"] <= 1e-8
+        assert [f["kind"] for f in doc["factors"]] == ["simple",
+                                                        "radical-line"]
 
     def test_wrong_control_arity(self, tmp_path):
         spec = write_two_spin_spec(tmp_path)

@@ -7,9 +7,9 @@ from dynlie import (
     ControlSchedule,
     analyze_system,
     control_system,
-    decompose_system,
     generator,
     hamiltonian,
+    kron,
     pauli,
     project_generator,
     propagate,
@@ -23,7 +23,7 @@ from dynlie.dynamics import (
 )
 from dynlie.errors import NotInSpanError
 
-from helpers import span_contains
+from helpers import dense_terms, span_contains
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
@@ -84,6 +84,21 @@ class TestAnalyzeSystem:
         assert res
         for name, value in res.items():
             assert value <= 1e-8, name
+
+    def test_structure_residuals_read_from_stages(self, two_spin_decomp):
+        # u(3) draw: su(3) plus a radical line, so the Levi residual is live.
+        drift, ctrl = dense_terms([7, 3, 793], 3)
+        for analysis in (two_spin_decomp[1],
+                         analyze_system(control_system(drift, [ctrl]))):
+            res = structure_residuals(analysis)
+            assert (res["radical_commutes_with_algebra"]
+                    == analysis.levi.commutation_residual)
+            assert (res["component_invariance"]
+                    == analysis.primary.invariance_residual)
+            assert res["ideals_commute"] == analysis.ideals.commutation_residual
+        assert analysis.levi.radical.dim == 1
+        assert 0.0 < analysis.levi.commutation_residual <= 1e-8
+        assert analysis.ideals.invariance_residual <= 1e-8
 
     def test_su2_flags(self, two_spin_decomp):
         _, analysis = two_spin_decomp
@@ -237,9 +252,52 @@ class TestPropagate:
     def test_radical_line_propagation(self):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         sys = control_system(SX)
-        decomp = decompose_system(sys)
+        decomp = analyze_system(sys).decomposition
         sched = ControlSchedule(((2.0, ()),))
         result = propagate(decomp, sys, sched)
         np.testing.assert_allclose(
             result.total, scipy_linalg.expm(-2j * SX), atol=1e-12)
         assert result.factorization_error < 1e-12
+
+
+class TestRandomDrawRegressions:
+    """Fixed random draws on which the pipeline used to fail."""
+
+    def test_pauli_string_su4(self):
+        # Components already inside a found ideal used to grow it again,
+        # which ended in "simple ideals cover dim 31 of 15".
+        def strings(*terms):
+            return sum(c * kron(pauli(a), pauli(b)) for (a, b), c in terms)
+        drift = strings(("zy", 0.8626653406413143), ("xz", -0.5813716229468491),
+                        ("zz", -1.443886285802562))
+        ctrl = strings(("yx", 0.7929463596782029), ("zx", -1.0415569247493681))
+        analysis = analyze_system(control_system(drift, [ctrl]))
+        assert analysis.closure.dim == 15
+        assert analysis.verdict == CONTROLLABLE_SU
+        assert [b.dim for b in analysis.ideals.ideals] == [15]
+        assert analysis.levi.radical.dim == 0
+
+    def test_dense_u6(self):
+        # Gram-Schmidt noise used to push basis elements out of u(6) and
+        # the minimal ideals past dim S ("cover dim 107 of 35").
+        drift, ctrl = dense_terms([7, 6, 0], 6)
+        analysis = analyze_system(control_system(drift, [ctrl]))
+        assert analysis.closure.dim == 36
+        assert [b.dim for b in analysis.ideals.ideals] == [35]
+        assert len(analysis.levi.radical_lines) == 1
+
+    def test_dense_u3_propagates(self):
+        # The closure basis used to carry a 1e-9 skew defect, which
+        # expm_skew rejected as "matrix is not skew-Hermitian".
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        drift, ctrl = dense_terms([7, 3, 793], 3)
+        sys = control_system(drift, [ctrl])
+        decomp = analyze_system(sys).decomposition
+        assert [kind for kind, _ in decomp.components] == [
+            KIND_SIMPLE, KIND_RADICAL]
+        sched = ControlSchedule(((0.5, [1.0]), (1.0, [-0.7])))
+        result = propagate(decomp, sys, sched)
+        expected = (scipy_linalg.expm(-1j * (drift - 0.7 * ctrl))
+                    @ scipy_linalg.expm(-0.5j * (drift + ctrl)))
+        np.testing.assert_allclose(result.total, expected, atol=1e-10)
+        assert result.factorization_error < 1e-10

@@ -49,6 +49,12 @@ class TestCanonicalJson:
         assert back["y"] == 1.0 / 3.0
         assert back["z"] == [1e-300, 2.0 ** 53]
 
+    def test_negative_zero_round_trips(self):
+        # "-0" would read back as the integer 0 and print as "0".
+        doc = {"x": -0.0, "m": [[-0.0, 1.5], [0.0, -0.0]]}
+        text = dumps_report(doc)
+        assert dumps_report(loads_report(text)) == text
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps_report({"x": float("nan")})

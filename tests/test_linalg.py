@@ -15,11 +15,17 @@ from dynlie import (
     kron,
     skew_hermitian,
 )
-from dynlie.linalg import coords_strict, frobenius, project_span
+from dynlie.linalg import (
+    bracket_residual,
+    coords_strict,
+    frobenius,
+    hermitian_part,
+    project_span,
+)
 from dynlie.errors import NotInSpanError
 
 from conftest import SX, SY, SZ, I2
-from helpers import random_skew
+from helpers import dense_terms, random_skew
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
@@ -101,7 +107,61 @@ class TestSkewHermitian:
             skew_hermitian(bad)
 
 
+class TestHermitianPart:
+    def test_accepts_round_off_and_symmetrizes(self):
+        h = SX + 1e-12 * np.array([[0, 1], [0, 0]])
+        out = hermitian_part(h)
+        assert np.array_equal(out, out.conj().T)
+        np.testing.assert_allclose(out, SX, atol=1e-12)
+
+    def test_tolerance_is_settable(self):
+        h = SX + 1e-9 * np.array([[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="drift"):
+            hermitian_part(h, what="drift")
+        hermitian_part(h, tol=1e-8)
+
+    def test_skew_branch_matches_skew_hermitian(self, rng):
+        a = random_skew(rng, 3) + 1e-14 * np.eye(3)
+        assert np.array_equal(hermitian_part(a, skew=True), skew_hermitian(a))
+        with pytest.raises(ValueError):
+            hermitian_part(a)
+
+
+class TestBracketResidual:
+    def test_matches_pairwise_loop(self, rng):
+        a = extend_basis(empty_basis(3), [random_skew(rng, 3) for _ in range(2)])
+        b = extend_basis(empty_basis(3), [random_skew(rng, 3) for _ in range(3)])
+        expected = max(np.linalg.norm(commutator(x, e))
+                       for x in a.mats for e in b.mats)
+        assert bracket_residual(a, b) == pytest.approx(expected, rel=1e-12)
+
+    def test_part_outside_span(self):
+        su2 = extend_basis(empty_basis(2), [IX, IY, IZ])
+        line = extend_basis(empty_basis(2), [IX])
+        assert bracket_residual(su2, su2, su2) < 1e-15
+        # For the HS-normalized e_k = sqrt(2) i s_k, [e_z, e_x] = sqrt(2) e_y
+        # lies wholly outside span{e_x}.
+        assert bracket_residual(su2, line, line) == pytest.approx(np.sqrt(2.0))
+
+    def test_empty_is_zero(self):
+        su2 = extend_basis(empty_basis(2), [IX, IY, IZ])
+        assert bracket_residual(empty_basis(2), su2) == 0.0
+        assert bracket_residual(su2, empty_basis(2)) == 0.0
+
+
 class TestExtendBasis:
+    def test_output_is_exactly_skew_hermitian(self, rng):
+        # The dense u(3) draw's closure used to carry a 1e-9 skew defect
+        # from Gram-Schmidt noise amplified in small residuals.
+        gens = [1j * h for h in dense_terms([7, 3, 793], 3)]
+        cands = gens + [commutator(gens[0], gens[1])]
+        cands += [commutator(c, g) for c in list(cands) for g in gens]
+        cands += [random_skew(rng, 3) for _ in range(12)]
+        basis = extend_basis(empty_basis(3), cands)
+        assert basis.dim == 9
+        for m in basis.mats:
+            assert np.array_equal(m + m.conj().T, np.zeros((3, 3)))
+
     def test_collinear_candidates_collapse(self):
         basis = extend_basis(empty_basis(2), [IX, 2 * IX, IY])
         assert basis.dim == 2

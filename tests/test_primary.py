@@ -175,6 +175,16 @@ class TestPrimaryDecompose:
                 assert abs(block[1, 1]) < 1e-8
                 assert abs(block[0, 1] + block[1, 0]) < 1e-8
 
+    def test_non_semisimple_input_has_no_splitting_element(self, su2):
+        # u(2) with a one-dimensional "Cartan" algebra: the central
+        # direction keeps a second zero eigenvalue in every ad_X, so no
+        # candidate splits.  Semisimplicity itself is checked only by
+        # cartan_subalgebra.
+        u2 = extend_basis(su2, [1j * np.eye(2)])
+        cartan = extend_basis(empty_basis(2), [IZ])
+        with pytest.raises(SplittingSearchError):
+            primary_decompose(u2, cartan)
+
     def test_random_semisimple_parts(self, rng):
         for _ in range(8):
             n = int(rng.integers(2, 5))
