@@ -6,8 +6,16 @@ value projects onto the pieces, and the full propagator factors into a
 commuting product of per-piece propagators.  For piecewise-constant
 schedules each factor is an exact product of matrix exponentials, so the
 factorization error stays at numerical noise.
+
+Propagation is batched: H(u) is affine in u, so the adapted coordinates
+of the drift and control terms are computed once, and a chunk of
+segments gets all its coordinates from one matmul.  Each simple ideal,
+and the unfactored reference, then costs one stacked eigendecomposition
+per chunk; a radical line commutes with everything and costs one
+eigendecomposition for the whole schedule.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,22 +23,32 @@ import numpy as np
 from .adjoint import adjoint_matrix
 from .cartan import CartanResult, cartan_subalgebra
 from .closure import ClosureResult, generate_closure, is_controllable
-from .errors import LieAlgebraError, NotInSpanError, StageFailure
+from .errors import (
+    DecompositionError,
+    LieAlgebraError,
+    NotInSpanError,
+    StageFailure,
+)
 from .ideals import IdealSet, recognize_su2, simple_decompose
 from .levi import LeviResult, levi_decompose
 from .linalg import (
     LieBasis,
     TOL_EIG,
     TOL_RANK,
+    _unvec,
+    _vec,
     bracket_residual,
     expm_skew,
     member_coords,
 )
-from .models import generator
 from .primary import PrimaryResult, primary_decompose
 
 KIND_SIMPLE = "simple"
 KIND_RADICAL = "radical-line"
+
+# Segments per stacked exponential in ``propagate``.  Larger chunks run no
+# faster and hold proportionally larger (CHUNK, n, n) stacks in memory.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -49,7 +67,10 @@ class ComponentDecomposition:
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise-constant control schedule: (duration, u) segments."""
+    """Piecewise-constant control schedule: (duration, u) segments.
+
+    Durations must be positive and finite, control values finite.
+    """
 
     segments: tuple
 
@@ -58,14 +79,20 @@ class ControlSchedule:
         for seg in self.segments:
             dur, u = seg
             dur = float(dur)
-            if not dur > 0.0:
-                raise ValueError(f"segment durations must be positive, got {dur}")
+            if not 0.0 < dur < math.inf:
+                raise ValueError(
+                    f"segment durations must be positive and finite, got {dur}")
             cleaned.append((dur, np.asarray(u, dtype=float)))
+        # One vectorized test: a check per segment would cost more than
+        # building the schedule.
+        if cleaned and not np.isfinite(
+                np.concatenate([u for _, u in cleaned], axis=None)).all():
+            raise ValueError("control values must be finite")
         object.__setattr__(self, "segments", tuple(cleaned))
 
     @property
     def total_time(self):
-        return sum(d for d, _ in self.segments)
+        return sum((d for d, _ in self.segments), 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,8 +158,12 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
     components = tuple([(KIND_SIMPLE, b) for b in simple_bases]
                        + [(KIND_RADICAL, line) for line in levi.radical_lines])
     mats = [b.mats for _, b in components]
-    adapted = (LieBasis(closure.basis.n, np.concatenate(mats)) if mats
-               else LieBasis(closure.basis.n))
+    try:
+        adapted = (LieBasis(closure.basis.n, np.concatenate(mats)) if mats
+                   else LieBasis(closure.basis.n))
+    except ValueError as err:
+        raise StageFailure("assembly", DecompositionError(
+            f"components are not mutually orthogonal: {err}")) from err
     if adapted.dim != closure.basis.dim:
         raise StageFailure("assembly", NotInSpanError(
             "adapted basis does not span the full algebra"))
@@ -144,25 +175,74 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
                           ideals=ideal_set, decomposition=decomposition)
 
 
+def _term_coords(decomp, system):
+    """The generator's terms -i H0, -i H1, ... as real row vectors, with
+    their adapted coordinates and their parts outside the algebra.
+
+    H(u) is affine in u, so the generator of the control row [1, u] has
+    that row times each of the three as its vector, coordinates and
+    residual.
+    """
+    terms = _vec(-1j * np.stack((system.drift,) + system.controls))
+    coords = terms @ decomp.adapted.vecs.T
+    return terms, coords, terms - coords @ decomp.adapted.vecs
+
+
+def _control_rows(system, us):
+    """Rows [1, u] for the control vectors ``us``, one value per control."""
+    rows = np.ones((len(us), system.n_controls + 1))
+    for row, u in zip(rows, us):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (system.n_controls,):
+            raise ValueError(f"expected {system.n_controls} control values, "
+                             f"got shape {u.shape}")
+        row[1:] = u
+    return rows
+
+
+def _generator_coords(terms, rows, tol):
+    """Generator vectors and adapted coordinates of the control ``rows``.
+
+    Raises NotInSpanError when some generator g leaves the algebra, i.e.
+    its residual exceeds ``tol * max(1, ||g||_F)``.
+    """
+    term_vecs, term_coords, term_resid = terms
+    gvecs = rows @ term_vecs
+    resid = np.linalg.norm(rows @ term_resid, axis=1)
+    if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(gvecs, axis=1))):
+        raise NotInSpanError(
+            "generator leaves the dynamical algebra; controls inconsistent "
+            "with the decomposition")
+    return gvecs, rows @ term_coords
+
+
+def _component_slices(decomp):
+    """Column range of each component in the adapted coordinates."""
+    ends = np.cumsum([basis.dim for _, basis in decomp.components])
+    return [slice(end - basis.dim, end)
+            for end, (_, basis) in zip(ends, decomp.components)]
+
+
+def _ordered_product(stack):
+    """stack[-1] @ ... @ stack[0], by pairwise halving."""
+    while len(stack) > 1:
+        even = len(stack) - len(stack) % 2
+        stack = np.concatenate([stack[1:even:2] @ stack[0:even:2],
+                                stack[even:]])
+    return stack[0]
+
+
 def project_generator(decomp, system, u, tol=TOL_RANK):
     """Pieces of -i H(u) along each component, in component order.
 
     The sum of the pieces reconstructs the generator (that is exactly the
     orthogonal projection onto the adapted basis, which must contain it).
     """
-    g = generator(system, u)
-    coords = member_coords(decomp.adapted, g, tol)
-    if coords is None:
-        raise NotInSpanError(
-            "generator leaves the dynamical algebra; controls inconsistent "
-            "with the decomposition")
-    pieces = []
-    offset = 0
-    for _, basis in decomp.components:
-        block = coords[offset:offset + basis.dim]
-        pieces.append(np.einsum("i,inm->nm", block, basis.mats))
-        offset += basis.dim
-    return pieces
+    _, coords = _generator_coords(_term_coords(decomp, system),
+                                  _control_rows(system, [u]), tol)
+    return [_unvec(coords[0, cols] @ basis.vecs, system.dim)
+            for cols, (_, basis) in zip(_component_slices(decomp),
+                                        decomp.components)]
 
 
 def propagate(decomp, system, schedule, tol=TOL_RANK):
@@ -173,21 +253,45 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     the unfactored generator.  Factors are reported in component order;
     the factorization error compares the total against the product taken
     radical lines first, then simple ideals.
+
+    Cost model: segments run in chunks of ``CHUNK``.  Per chunk, one
+    matmul gives every segment's coordinates, and each simple ideal and
+    the unfactored reference take one stacked ``expm_skew`` (one batched
+    ``eigh``) and a pairwise product.  A radical line commutes with
+    everything, so its coordinate is summed over the whole schedule and
+    exponentiated once: one ``eigh`` per line in total.
     """
     n = system.dim
-    k = len(decomp.components)
-    factors = [np.eye(n, dtype=complex) for _ in range(k)]
+    comps = decomp.components
+    k = len(comps)
+    cols = _component_slices(decomp)
+    simple = [c for c, (kind, _) in enumerate(comps) if kind == KIND_SIMPLE]
+    lines = [c for c, (kind, _) in enumerate(comps) if kind == KIND_RADICAL]
+    line_cols = [cols[c].start for c in lines]
+    terms = _term_coords(decomp, system)
+    durs = np.array([dur for dur, _ in schedule.segments])
+    rows = _control_rows(system, [u for _, u in schedule.segments])
+    factors = [np.eye(n, dtype=complex) for _ in comps]
     total = np.eye(n, dtype=complex)
-    elapsed = 0.0
-    for dur, u in schedule.segments:
-        pieces = project_generator(decomp, system, u, tol)
-        for c in range(k):
-            factors[c] = expm_skew(pieces[c], dur) @ factors[c]
-        total = expm_skew(generator(system, u), dur) @ total
-        elapsed += dur
-    ordered = [f for (kind, _), f in zip(decomp.components, factors)
+    angles = np.zeros(len(lines))
+    for start in range(0, len(durs), CHUNK):
+        chunk = slice(start, start + CHUNK)
+        gvecs, coords = _generator_coords(terms, rows[chunk], tol)
+        for c in simple:
+            pieces = _unvec(coords[:, cols[c]] @ comps[c][1].vecs, n)
+            factors[c] = (_ordered_product(expm_skew(pieces, durs[chunk]))
+                          @ factors[c])
+        angles += durs[chunk] @ coords[:, line_cols]
+        total = (_ordered_product(expm_skew(_unvec(gvecs, n), durs[chunk]))
+                 @ total)
+    # Skipped for an empty schedule, whose factors stay exact identities.
+    if lines and len(durs):
+        line_mats = np.stack([comps[c][1].mats[0] for c in lines])
+        for c, f in zip(lines, expm_skew(line_mats, angles)):
+            factors[c] = f
+    ordered = [f for (kind, _), f in zip(comps, factors)
                if kind == KIND_RADICAL]
-    ordered += [f for (kind, _), f in zip(decomp.components, factors)
+    ordered += [f for (kind, _), f in zip(comps, factors)
                 if kind == KIND_SIMPLE]
     product = np.eye(n, dtype=complex)
     for f in ordered:
@@ -199,7 +303,8 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
             worst_comm = max(worst_comm, float(np.linalg.norm(
                 factors[i] @ factors[j] - factors[j] @ factors[i])))
     return PropagationResult(total=total, factors=tuple(factors),
-                             times=elapsed, factorization_error=fact_err,
+                             times=schedule.total_time,
+                             factorization_error=fact_err,
                              commutation_residual=worst_comm)
 
 

@@ -29,19 +29,24 @@ def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
     Round-off up to ``tol * max(1, ||mat||_F)`` is forgiven and projected
     away via (M + M^H)/2; anything further off raises ValueError, as do
     non-square shapes and non-finite entries.  With ``skew`` the same
-    test runs for skew-Hermiticity and returns (M - M^H)/2.
+    test runs for skew-Hermiticity and returns (M - M^H)/2.  A stack of
+    shape (..., n, n) is validated matrix by matrix, each against its
+    own norm; the error names the index of the first one that fails.
     """
     a = np.array(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} has non-finite entries")
-    adj = a.conj().T
+    adj = np.swapaxes(a.conj(), -1, -2)
     part, off = (a - adj, a + adj) if skew else (a + adj, a - adj)
-    defect = np.linalg.norm(off)
-    if defect > tol * max(1.0, np.linalg.norm(a)):
-        raise ValueError(f"{what} is not {'skew-' if skew else ''}Hermitian "
-                         f"at tolerance {tol:g}: defect {defect:.3e}")
+    defect = np.linalg.norm(off, axis=(-2, -1))
+    over = defect > tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(over):
+        idx = np.unravel_index(np.argmax(over), over.shape)
+        where = f"{what} {list(map(int, idx))}" if idx else what
+        raise ValueError(f"{where} is not {'skew-' if skew else ''}Hermitian "
+                         f"at tolerance {tol:g}: defect {defect[idx]:.3e}")
     return part / 2.0
 
 
@@ -49,7 +54,8 @@ def skew_hermitian(mat, tol=TOL_HERM):
     """Validate ``mat`` as skew-Hermitian and return its exact skew part.
 
     Round-off up to ``tol * max(1, ||mat||_F)`` is forgiven and projected
-    away via (M - M^H)/2; anything further off raises ValueError.
+    away via (M - M^H)/2; anything further off raises ValueError.  Takes
+    stacks (..., n, n) like :func:`hermitian_part`.
     """
     return hermitian_part(mat, tol, skew=True)
 
@@ -276,10 +282,12 @@ def expm_skew(a, t=1.0, tol=TOL_HERM):
 
     Diagonalizes the Hermitian matrix i*a and exponentiates the phases,
     so the result is a product of unitaries rather than a Pade or
-    squaring approximation.  np.linalg.LinAlgError propagates if the
-    eigensolver fails to converge.
+    squaring approximation.  ``a`` may be a stack (..., n, n), with ``t``
+    broadcast against the stack shape, one time per matrix; the stack is
+    then diagonalized by one batched ``eigh``.  np.linalg.LinAlgError
+    propagates if the eigensolver fails to converge.
     """
     a = skew_hermitian(a, tol)
     w, v = np.linalg.eigh(1j * a)
-    phases = np.exp(-1j * t * w)
-    return (v * phases) @ v.conj().T
+    phases = np.exp(-1j * np.asarray(t)[..., None] * w)
+    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

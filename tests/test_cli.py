@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dynlie.fileio import loads_report, pairs_to_matrix, matrix_to_pairs
 
 from helpers import dense_terms
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 def write_two_spin_spec(tmp_path):
     path = tmp_path / "spec.json"
@@ -165,6 +167,18 @@ class TestDecompose:
         }))
         assert run(["decompose", str(spec)]) == 2
 
+    def test_overlapping_components_exit_3(self, tmp_path, capsys):
+        # This draw's 35-dimensional ideal overlaps the radical line by
+        # more than 1e-9; assembling the adapted basis used to raise a
+        # bare ValueError and end in a traceback.
+        drift, ctrl = dense_terms([7, 6, 1], 6)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "dim": 6, "drift": matrix_to_pairs(drift),
+            "controls": [matrix_to_pairs(ctrl)]}))
+        assert run(["decompose", str(spec)]) == 3
+        assert "stage 'assembly'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("defect, code", [(1e-9, 0), (1e-7, 2)])
     def test_spec_hermitian_tolerance(self, tmp_path, defect, code):
         # Spec files are held to 1e-8, looser than ControlSystem's 1e-10.
@@ -242,6 +256,53 @@ class TestSimulate:
         sched = write_schedule(tmp_path, [
             {"duration": -0.5, "u": [1.0, 0.0]}])
         assert run(["simulate", spec, sched]) == 2
+
+    @pytest.mark.parametrize("segment", [
+        '{"duration": 1e400, "u": [1.0, 0.0]}',
+        '{"duration": NaN, "u": [1.0, 0.0]}',
+        '{"duration": 0.5, "u": [1e400, 0.0]}',
+        '{"duration": 0.5, "u": [1.0, NaN]}'])
+    def test_non_finite_schedule_values(self, tmp_path, capsys, segment):
+        # An infinite duration used to end in a NaN propagator and a
+        # traceback from the report writer.
+        spec = write_two_spin_spec(tmp_path)
+        sched = tmp_path / "schedule.json"
+        sched.write_text('{"segments": [' + segment + "]}")
+        assert run(["simulate", spec, str(sched)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_matches_reference_report(self, tmp_path):
+        # The reference was written by the one-segment-at-a-time
+        # propagation; the chunked one may differ only in rounding.
+        spec = write_two_spin_spec(tmp_path)
+        out = tmp_path / "prop.json"
+        assert run(["simulate", spec,
+                    os.path.join(DATA, "two_spin_schedule_40seg.json"),
+                    "--out", str(out)]) == 0
+        with open(os.path.join(DATA, "two_spin_simulate_40seg.json")) as fh:
+            want = loads_report(fh.read())
+        assert_same_report(loads_report(out.read_text()), want, 1e-12)
+
+
+def assert_same_report(got, want, atol, path="report"):
+    """Equal structure and non-numeric fields; numbers within ``atol``.
+
+    Reports print whole floats without a point, so JSON reads some of
+    them back as ints: numbers are compared by value, whatever their type.
+    """
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_same_report(got[key], want[key], atol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, atol, f"{path}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+        assert abs(got - want) <= atol, f"{path}: {got} vs {want}"
+    else:
+        assert got == want, path
 
 
 class TestDemo:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from dynlie.dynamics import (
     su2_flags,
 )
 from dynlie.errors import NotInSpanError
+from dynlie.linalg import expm_skew, member_coords
 
 from helpers import dense_terms, span_contains
 
@@ -175,6 +178,15 @@ class TestControlSchedule:
     def test_empty_schedule_allowed(self):
         assert ControlSchedule(()).total_time == 0.0
 
+    @pytest.mark.parametrize("segment", [
+        (np.inf, (1.0, 0.0)), (np.nan, (1.0, 0.0)),
+        (0.5, (np.inf, 0.0)), (0.5, (1.0, np.nan))])
+    def test_rejects_non_finite(self, segment):
+        # An infinite duration used to pass "not dur > 0" and propagate
+        # to a NaN propagator.
+        with pytest.raises(ValueError, match="finite"):
+            ControlSchedule(((0.3, (0.0, 0.0)), segment))
+
 
 class TestPropagate:
     def test_single_segment_matches_expm(self, two_spin_decomp):
@@ -258,6 +270,105 @@ class TestPropagate:
         np.testing.assert_allclose(
             result.total, scipy_linalg.expm(-2j * SX), atol=1e-12)
         assert result.factorization_error < 1e-12
+
+
+def site(axis, i, k):
+    ops = [np.eye(2)] * k
+    ops[i] = pauli(axis)
+    return reduce(np.kron, ops)
+
+
+def ising_x(k):
+    """ZZ chain of k spins with a global X drive."""
+    drift = sum(site("z", i, k) @ site("z", i + 1, k) for i in range(k - 1))
+    return control_system(drift, [sum(site("x", i, k) for i in range(k))])
+
+
+def three_qubit():
+    """su(2) on the first spin plus two radical lines."""
+    drift = site("z", 0, 3) + 0.7 * site("z", 1, 3) + 0.3 * site("z", 2, 3)
+    return control_system(drift, [site("x", 0, 3) + 0.6 * site("z", 2, 3)])
+
+
+def random_schedule(rng, n_controls, count):
+    return ControlSchedule(tuple(
+        (float(rng.uniform(0.05, 1.0)), rng.uniform(-2, 2, size=n_controls))
+        for _ in range(count)))
+
+
+def loop_reference(decomp, system, schedule):
+    """Total and factors as a loop of single-matrix expm_skew calls, with
+    every segment's generator projected on its own."""
+    n = system.dim
+    factors = [np.eye(n, dtype=complex) for _ in decomp.components]
+    total = np.eye(n, dtype=complex)
+    for dur, u in schedule.segments:
+        g = generator(system, u)
+        coords = member_coords(decomp.adapted, g)
+        offset = 0
+        for c, (_, basis) in enumerate(decomp.components):
+            piece = np.einsum("i,inm->nm", coords[offset:offset + basis.dim],
+                              basis.mats)
+            factors[c] = expm_skew(piece, dur) @ factors[c]
+            offset += basis.dim
+        total = expm_skew(g, dur) @ total
+    return total, factors
+
+
+def assert_matches_loop(decomp, system, schedule, atol):
+    result = propagate(decomp, system, schedule)
+    total, factors = loop_reference(decomp, system, schedule)
+    np.testing.assert_allclose(result.total, total, atol=atol)
+    assert len(result.factors) == len(factors)
+    for got, want in zip(result.factors, factors):
+        np.testing.assert_allclose(got, want, atol=atol)
+    assert result.factorization_error < atol
+    assert result.times == pytest.approx(schedule.total_time)
+
+
+class TestBatchedPropagate:
+    """propagate runs segments in stacked chunks; it must agree with the
+    one-segment-at-a-time loop."""
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("make", [two_spin_system, three_qubit],
+                             ids=["two-spin", "three-qubit"])
+    def test_chunk_edges(self, make, count):
+        sys = make()
+        sched = random_schedule(np.random.default_rng(count),
+                                sys.n_controls, count)
+        assert_matches_loop(analyze_system(sys).decomposition, sys, sched,
+                            1e-12)
+
+    @pytest.mark.parametrize("make", [three_qubit, lambda: ising_x(3)],
+                             ids=["three-qubit", "ising-x-3"])
+    def test_thousand_segments(self, make):
+        sys = make()
+        decomp = analyze_system(sys).decomposition
+        assert [kind for kind, _ in decomp.components][-1] == KIND_RADICAL
+        sched = random_schedule(np.random.default_rng(1000), 1, 1000)
+        assert_matches_loop(decomp, sys, sched, 1e-10)
+
+    def test_segment_leaving_algebra_raises(self, two_spin_decomp):
+        # A third control outside the algebra is harmless at zero; the one
+        # segment that switches it on, in the second chunk, must fail.
+        sys, analysis = two_spin_decomp
+        bigger = control_system(sys.drift, list(sys.controls)
+                                + [np.kron(SZ, np.eye(2))])
+        segs = [(0.1, (0.5, -0.5, 0.0))] * 129
+        propagate(analysis.decomposition, bigger, ControlSchedule(tuple(segs)))
+        segs[70] = (0.1, (0.5, -0.5, 1.0))
+        with pytest.raises(NotInSpanError):
+            propagate(analysis.decomposition, bigger,
+                      ControlSchedule(tuple(segs)))
+
+    def test_wrong_control_count_raises(self, two_spin_decomp):
+        sys, analysis = two_spin_decomp
+        sched = ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (1.0,))))
+        with pytest.raises(ValueError, match="2 control values"):
+            propagate(analysis.decomposition, sys, sched)
+        with pytest.raises(ValueError, match="2 control values"):
+            project_generator(analysis.decomposition, sys, (1.0,))
 
 
 class TestRandomDrawRegressions:

@@ -120,6 +120,18 @@ class TestHermitianPart:
             hermitian_part(h, what="drift")
         hermitian_part(h, tol=1e-8)
 
+    def test_stack_validated_per_matrix(self):
+        # A 1e-9 defect is round-off next to a 1e6 matrix but not on a
+        # unit one: each matrix is held to its own norm, not the stack's.
+        kick = np.array([[0, 1], [0, 0]])
+        big = 1e6 * SX + 1e-9 * kick
+        small = SX + 1e-9 * kick
+        hermitian_part(big)
+        out = hermitian_part(np.stack([big, SX]))
+        assert np.array_equal(out, np.swapaxes(out.conj(), -1, -2))
+        with pytest.raises(ValueError, match=r"drift \[1\] is not Hermitian"):
+            hermitian_part(np.stack([big, small]), what="drift")
+
     def test_skew_branch_matches_skew_hermitian(self, rng):
         a = random_skew(rng, 3) + 1e-14 * np.eye(3)
         assert np.array_equal(hermitian_part(a, skew=True), skew_hermitian(a))
@@ -294,3 +306,23 @@ class TestExpmSkew:
             expm_skew(a, t=s + t),
             expm_skew(a, t=s) @ expm_skew(a, t=t),
             atol=1e-10)
+
+    def test_stack_matches_single_calls(self, rng):
+        for n in (2, 4, 16):
+            stack = np.stack([random_skew(rng, n) for _ in range(7)])
+            times = rng.uniform(-3, 3, size=7)
+            out = expm_skew(stack, t=times)
+            assert out.shape == (7, n, n)
+            for a, t, u in zip(stack, times, out):
+                np.testing.assert_allclose(u, expm_skew(a, t=t), atol=1e-14)
+
+    def test_stack_shares_scalar_time(self, rng):
+        stack = np.stack([random_skew(rng, 3) for _ in range(4)])
+        for a, u in zip(stack, expm_skew(stack, t=0.8)):
+            np.testing.assert_allclose(u, expm_skew(a, t=0.8), atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [SX, np.array([[0, np.nan], [np.nan, 0]])])
+    def test_stack_rejects_one_bad_matrix(self, rng, bad):
+        stack = np.stack([random_skew(rng, 2), random_skew(rng, 2), bad])
+        with pytest.raises(ValueError, match="skew-Hermitian|non-finite"):
+            expm_skew(stack, t=np.ones(3))
