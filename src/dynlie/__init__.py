@@ -41,8 +41,8 @@ from .errors import (
     SplittingSearchError,
     StageFailure,
 )
-from .ideals import IdealSet, minimal_ideal, recognize_su2, simple_decompose
-from .levi import LeviResult, center, derived_algebra, levi_decompose
+from .ideals import IdealSet, recognize_su2, simple_decompose
+from .levi import LeviResult, levi_decompose
 from .linalg import (
     LieBasis,
     TOL_EIG,
@@ -53,11 +53,9 @@ from .linalg import (
     empty_basis,
     expm_skew,
     extend_basis,
-    frobenius,
     from_coords,
     hs_inner,
     member_coords,
-    project_span,
     nullspace,
     skew_hermitian,
 )
@@ -73,7 +71,6 @@ from .models import (
 from .primary import (
     PrimaryResult,
     SplittingElement,
-    find_splitting_element,
     primary_decompose,
 )
 

@@ -18,6 +18,8 @@ from .linalg import (
     TOL_KILLING,
     TOL_RANK,
     _vec,
+    brackets,
+    span_coords,
 )
 
 
@@ -32,12 +34,10 @@ def adjoint_matrix(basis, x, tol=TOL_RANK):
     if x.shape != (basis.n, basis.n):
         raise ValueError(
             f"element shape {x.shape} does not match ambient {(basis.n, basis.n)}")
-    brackets = x @ basis.mats - basis.mats @ x
-    bv = _vec(brackets)
-    coords = bv @ basis.vecs.T
-    resid = bv - coords @ basis.vecs
-    scale = np.maximum(1.0, np.linalg.norm(bv, axis=1))
-    worst = (np.linalg.norm(resid, axis=1) / scale).max() if basis.dim else 0.0
+    br = brackets(x[None], basis.mats)[0]
+    coords, resid = span_coords(basis, br)
+    scale = np.maximum(1.0, np.linalg.norm(br, axis=(1, 2)))
+    worst = (resid / scale).max() if basis.dim else 0.0
     if worst > tol:
         raise NotInSpanError(
             f"[x, e_j] leaves the span, worst relative residual {worst:.3e}")
@@ -55,8 +55,7 @@ def adjoint_in_span(mats, x, tol=TOL_RANK):
     if mats.ndim != 3:
         raise ValueError("expected a stack of matrices")
     vecs = _vec(mats)
-    brackets = x @ mats - mats @ x
-    bv = _vec(brackets)
+    bv = _vec(brackets([x], mats)[0])
     coefs, _, rank, _ = np.linalg.lstsq(vecs.T, bv.T, rcond=None)
     if rank < len(mats):
         raise ValueError("spanning set is not linearly independent")
@@ -73,18 +72,14 @@ def _brackets_and_coords(basis, tol=TOL_RANK):
     Raises NotClosedError when some bracket leaves the span, so this
     doubles as the bracket-closure check used across the package.
     """
-    m = basis.mats
-    prod = np.einsum("iab,jbc->ijac", m, m)
-    brackets = prod - prod.transpose(1, 0, 2, 3)
-    bv = _vec(brackets)
-    coords = bv @ basis.vecs.T
-    resid = bv - coords @ basis.vecs
-    scale = np.maximum(1.0, np.linalg.norm(bv, axis=2))
-    worst = (np.linalg.norm(resid, axis=2) / scale).max() if basis.dim else 0.0
+    br = brackets(basis.mats, basis.mats)
+    coords, resid = span_coords(basis, br)
+    scale = np.maximum(1.0, np.linalg.norm(br, axis=(2, 3)))
+    worst = (resid / scale).max() if basis.dim else 0.0
     if worst > tol:
         raise NotClosedError(
             f"basis is not bracket-closed, worst relative residual {worst:.3e}")
-    return brackets, coords
+    return br, coords
 
 
 def structure_tensor(basis, tol=TOL_RANK):

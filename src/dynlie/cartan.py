@@ -17,7 +17,6 @@ from .errors import NotInSpanError, NotSemisimpleError
 from .levi import levi_decompose
 from .linalg import (
     LieBasis,
-    TOL_KILLING,
     TOL_RANK,
     coords_strict,
     empty_basis,
@@ -79,8 +78,7 @@ class CartanResult:
     pivot_elements: tuple
 
 
-def cartan_subalgebra(semisimple, pivots=None, tol=TOL_RANK,
-                      killing_tol=TOL_KILLING):
+def cartan_subalgebra(semisimple, pivots=None, tol=TOL_RANK):
     """Cartan subalgebra of a semisimple algebra by iterated centralizers.
 
     ``pivots`` optionally supplies explicit pivot elements, consumed in
@@ -89,7 +87,7 @@ def cartan_subalgebra(semisimple, pivots=None, tol=TOL_RANK,
     the working span at their turn; this is how a caller reproduces a
     particular textbook choice exactly.
     """
-    if not is_semisimple(semisimple, killing_tol, tol):
+    if not is_semisimple(semisimple, rank_tol=tol):
         raise NotSemisimpleError(
             "Cartan construction needs a semisimple algebra")
     queue = list(pivots) if pivots is not None else []

@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import (
     LieBasis,
     TOL_RANK,
-    commutator,
+    brackets,
     empty_basis,
     extend_basis,
     skew_hermitian,
@@ -72,16 +72,16 @@ def generate_closure(generators, tol=TOL_RANK):
 
     full_dim = n * n
     basis = extend_basis(empty_basis(n), normalized, tol)
-    new = list(basis.mats)
+    new = basis.mats
     depth = 0
     current_depth = 0
-    while new and basis.dim < full_dim:
+    while len(new) and basis.dim < full_dim:
         current_depth += 1
-        candidates = [commutator(x, g) for x in new for g in normalized]
         before = basis.dim
-        basis = extend_basis(basis, candidates, tol)
-        new = list(basis.mats[before:])
-        if new:
+        basis = extend_basis(
+            basis, brackets(new, normalized).reshape(-1, n, n), tol)
+        new = basis.mats[before:]
+        if len(new):
             depth = current_depth
 
     basis = _closure_sweep(basis, tol)
@@ -93,32 +93,28 @@ def _closure_sweep(basis, tol):
     # result is a genuine subalgebra even if the layered schedule lost a
     # direction to a borderline rank decision.
     while True:
-        m = basis.mats
-        if basis.dim == 0:
-            return basis
-        prod = np.einsum("iab,jbc->ijac", m, m)
-        brackets = (prod - prod.transpose(1, 0, 2, 3)).reshape(-1, basis.n, basis.n)
         before = basis.dim
-        basis = extend_basis(basis, brackets, tol)
+        if before == 0:
+            return basis
+        m = basis.mats
+        basis = extend_basis(
+            basis, brackets(m, m).reshape(-1, basis.n, basis.n), tol)
         if basis.dim == before:
             return basis
 
 
-def is_controllable(result, trace_class="detected"):
+def is_controllable(result):
     """Controllability verdict from a closure result.
 
-    detected (default): controllable-U iff the algebra is all of u(n),
-    controllable-SU iff it has dimension n^2 - 1 with every basis element
-    traceless (|tr| <= 1e-9), uncontrollable otherwise.  Passing 'u' or
-    'su' skips the branch the caller knows cannot apply.
+    controllable-U iff the algebra is all of u(n), controllable-SU iff it
+    has dimension n^2 - 1 with every basis element traceless
+    (|tr| <= 1e-9), uncontrollable otherwise.
     """
-    if trace_class not in ("detected", "u", "su"):
-        raise ValueError(f"unknown trace_class {trace_class!r}")
     basis = result.basis
     n = basis.n
-    if trace_class in ("detected", "u") and basis.dim == n * n:
+    if basis.dim == n * n:
         return CONTROLLABLE_U
-    if trace_class in ("detected", "su") and basis.dim == n * n - 1:
+    if basis.dim == n * n - 1:
         traces = np.abs(np.trace(basis.mats, axis1=1, axis2=2))
         if basis.dim == 0 or traces.max() <= 1e-9:
             return CONTROLLABLE_SU

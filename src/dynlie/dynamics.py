@@ -7,9 +7,9 @@ commuting product of per-piece propagators.  For piecewise-constant
 schedules each factor is an exact product of matrix exponentials, so the
 factorization error stays at numerical noise.
 
-Propagation is batched: H(u) is affine in u, so the adapted coordinates
-of the drift and control terms are computed once, and a chunk of
-segments gets all its coordinates from one matmul.  Each simple ideal,
+Propagation is batched: H(u) is affine in u, so a chunk of segments
+gets all its generators from one matmul against the drift and control
+terms, and their coordinates from one projection.  Each simple ideal,
 and the unfactored reference, then costs one stacked eigendecomposition
 per chunk; a radical line commutes with everything and costs one
 eigendecomposition for the whole schedule.
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint_matrix
 from .cartan import CartanResult, cartan_subalgebra
 from .closure import ClosureResult, generate_closure, is_controllable
 from .errors import (
@@ -39,7 +38,8 @@ from .linalg import (
     _vec,
     bracket_residual,
     expm_skew,
-    member_coords,
+    from_coords,
+    span_coords,
 )
 from .primary import PrimaryResult, primary_decompose
 
@@ -175,17 +175,13 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
                           ideals=ideal_set, decomposition=decomposition)
 
 
-def _term_coords(decomp, system):
-    """The generator's terms -i H0, -i H1, ... as real row vectors, with
-    their adapted coordinates and their parts outside the algebra.
+def _term_vecs(system):
+    """The generator's terms -i H0, -i H1, ... as real row vectors.
 
     H(u) is affine in u, so the generator of the control row [1, u] has
-    that row times each of the three as its vector, coordinates and
-    residual.
+    that row times them as its vector.
     """
-    terms = _vec(-1j * np.stack((system.drift,) + system.controls))
-    coords = terms @ decomp.adapted.vecs.T
-    return terms, coords, terms - coords @ decomp.adapted.vecs
+    return _vec(-1j * np.stack((system.drift,) + system.controls))
 
 
 def _control_rows(system, us):
@@ -200,20 +196,19 @@ def _control_rows(system, us):
     return rows
 
 
-def _generator_coords(terms, rows, tol):
+def _generator_coords(decomp, term_vecs, rows, tol):
     """Generator vectors and adapted coordinates of the control ``rows``.
 
     Raises NotInSpanError when some generator g leaves the algebra, i.e.
     its residual exceeds ``tol * max(1, ||g||_F)``.
     """
-    term_vecs, term_coords, term_resid = terms
     gvecs = rows @ term_vecs
-    resid = np.linalg.norm(rows @ term_resid, axis=1)
+    coords, resid = span_coords(decomp.adapted, _unvec(gvecs, decomp.full.n))
     if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(gvecs, axis=1))):
         raise NotInSpanError(
             "generator leaves the dynamical algebra; controls inconsistent "
             "with the decomposition")
-    return gvecs, rows @ term_coords
+    return gvecs, coords
 
 
 def _component_slices(decomp):
@@ -238,7 +233,7 @@ def project_generator(decomp, system, u, tol=TOL_RANK):
     The sum of the pieces reconstructs the generator (that is exactly the
     orthogonal projection onto the adapted basis, which must contain it).
     """
-    _, coords = _generator_coords(_term_coords(decomp, system),
+    _, coords = _generator_coords(decomp, _term_vecs(system),
                                   _control_rows(system, [u]), tol)
     return [_unvec(coords[0, cols] @ basis.vecs, system.dim)
             for cols, (_, basis) in zip(_component_slices(decomp),
@@ -255,9 +250,10 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     radical lines first, then simple ideals.
 
     Cost model: segments run in chunks of ``CHUNK``.  Per chunk, one
-    matmul gives every segment's coordinates, and each simple ideal and
-    the unfactored reference take one stacked ``expm_skew`` (one batched
-    ``eigh``) and a pairwise product.  A radical line commutes with
+    matmul gives every segment's generator and one projection their
+    coordinates, and each simple ideal and the unfactored reference take
+    one stacked ``expm_skew`` (one batched ``eigh``) and a pairwise
+    product.  A radical line commutes with
     everything, so its coordinate is summed over the whole schedule and
     exponentiated once: one ``eigh`` per line in total.
     """
@@ -268,7 +264,7 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     simple = [c for c, (kind, _) in enumerate(comps) if kind == KIND_SIMPLE]
     lines = [c for c, (kind, _) in enumerate(comps) if kind == KIND_RADICAL]
     line_cols = [cols[c].start for c in lines]
-    terms = _term_coords(decomp, system)
+    terms = _term_vecs(system)
     durs = np.array([dur for dur, _ in schedule.segments])
     rows = _control_rows(system, [u for _, u in schedule.segments])
     factors = [np.eye(n, dtype=complex) for _ in comps]
@@ -276,7 +272,7 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     angles = np.zeros(len(lines))
     for start in range(0, len(durs), CHUNK):
         chunk = slice(start, start + CHUNK)
-        gvecs, coords = _generator_coords(terms, rows[chunk], tol)
+        gvecs, coords = _generator_coords(decomp, terms, rows[chunk], tol)
         for c in simple:
             pieces = _unvec(coords[:, cols[c]] @ comps[c][1].vecs, n)
             factors[c] = (_ordered_product(expm_skew(pieces, durs[chunk]))
@@ -308,12 +304,12 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
                              commutation_residual=worst_comm)
 
 
-def structure_residuals(analysis, tol=TOL_RANK):
+def structure_residuals(analysis):
     """Numerical residuals behind each structural claim, for reporting.
 
-    Residuals a stage checks are read from its result (Levi, primary and
-    ideals); only ``radical_abelian``, ``cartan_abelian``,
-    ``splitting_real_parts`` and ``adapted_reconstruction`` are computed.
+    Residuals a stage checks or measures are read from its result (Levi,
+    splitting element, primary and ideals); only ``radical_abelian``,
+    ``cartan_abelian`` and ``adapted_reconstruction`` are computed.
     """
     res = {}
     levi = analysis.levi
@@ -325,28 +321,14 @@ def structure_residuals(analysis, tol=TOL_RANK):
         res["cartan_abelian"] = bracket_residual(cart, cart)
     if analysis.primary is not None:
         res["component_invariance"] = analysis.primary.invariance_residual
-        res["splitting_real_parts"] = _splitting_real_part(
-            analysis, tol)
+        res["splitting_real_parts"] = analysis.primary.splitting.real_part
     if analysis.ideals is not None:
         res["ideals_commute"] = analysis.ideals.commutation_residual
-    recon = 0.0
-    for x in basis.mats:
-        coords = member_coords(analysis.decomposition.adapted, x, tol)
-        if coords is None:
-            recon = float("inf")
-            break
-        back = np.einsum("i,inm->nm", coords,
-                         analysis.decomposition.adapted.mats)
-        recon = max(recon, float(np.linalg.norm(back - x)))
-    res["adapted_reconstruction"] = recon
+    adapted = analysis.decomposition.adapted
+    coords, _ = span_coords(adapted, basis.mats)
+    res["adapted_reconstruction"] = float(np.linalg.norm(
+        from_coords(adapted, coords) - basis.mats, axis=(1, 2)).max(initial=0.0))
     return res
-
-
-def _splitting_real_part(analysis, tol):
-    ad = adjoint_matrix(analysis.levi.semisimple,
-                        analysis.primary.splitting.element, tol)
-    eigs = np.linalg.eigvals(ad)
-    return float(np.abs(eigs.real).max()) if eigs.size else 0.0
 
 
 def su2_flags(analysis, tol=TOL_RANK):

@@ -1,9 +1,15 @@
 """Simple ideals of a compact semisimple algebra, and su(2) recognition.
 
-Each primary component generates the minimal ideal containing it; the
-distinct ideals so obtained are the simple factors of S, pairwise
-commuting and Killing-orthogonal.  Three-dimensional factors are copies
-of su(2) and can be put into a standard cyclic frame.
+Each primary component is the real root plane V_j of a pair of roots
++/- a_j.  Planes in different simple ideals commute.  Inside one ideal
+the roots are chained by non-orthogonal pairs, and for non-orthogonal
+roots b != +/- a one of a + b, a - b is again a root, so those planes do
+not commute.  The simple ideals are therefore the connected classes of
+the relation [V_j, V_l] != 0, each spanned by its planes plus their
+brackets [x_j, y_j]: nonzero multiples of the coroots, which span the
+ideal's part of the Cartan algebra (de Graaf, Lie Algebras: Theory and
+Algorithms, ch. 4).  Three-dimensional factors are copies of su(2) and
+can be put into a standard cyclic frame.
 """
 
 import math
@@ -14,35 +20,13 @@ import numpy as np
 from .adjoint import killing_orthonormalize
 from .errors import DecompositionError, NotSemisimpleError
 from .linalg import (
-    TOL_KILLING,
     TOL_RANK,
     bracket_residual,
     commutator,
-    coords_strict,
     empty_basis,
     extend_basis,
     hs_inner,
-    member_coords,
 )
-
-
-def minimal_ideal(semisimple, seed, tol=TOL_RANK):
-    """Smallest ideal of S containing the span of ``seed``.
-
-    Iterates W <- W + [S, W] until the dimension stops growing; only the
-    elements new in the previous sweep are bracketed again.  Seed
-    elements must lie inside span(S).
-    """
-    for x in seed.mats:
-        coords_strict(semisimple, x, tol, what="ideal seed element")
-    w = extend_basis(empty_basis(semisimple.n), seed.mats, tol)
-    new = list(w.mats)
-    while new:
-        candidates = [commutator(s, x) for x in new for s in semisimple.mats]
-        before = w.dim
-        w = extend_basis(w, candidates, tol)
-        new = list(w.mats[before:])
-    return w
 
 
 @dataclass(frozen=True)
@@ -50,7 +34,7 @@ class IdealSet:
     """Distinct simple ideals plus the component -> ideal index map."""
 
     ideals: tuple   # (LieBasis, ...)
-    origin: tuple   # origin[j] = ideal index generated by component j
+    origin: tuple   # origin[j] = index of the ideal containing component j
     commutation_residual: float  # worst ||[x, y]||_F across distinct ideals
     invariance_residual: float   # worst part of [s, x] outside x's ideal
 
@@ -58,23 +42,33 @@ class IdealSet:
 def simple_decompose(semisimple, primary, tol=TOL_RANK):
     """Simple-ideal decomposition of S from its primary components.
 
-    A component already inside a known ideal belongs to it: minimal
-    ideals of a semisimple algebra are simple, so any component inside
-    one generates all of it.  Verifies that the ideal dimensions add up
-    to dim S, that distinct ideals commute, and that each ideal is
+    Components are linked when their planes fail to commute (bracket
+    residual above ``tol``); each connected class spans one ideal with
+    the brackets [x_j, y_j] of its planes.  Ideals are ordered by their
+    first component.  Verifies that the ideal dimensions add up to
+    dim S, that distinct ideals commute, and that each ideal is
     genuinely ad-S-invariant; both residuals (at 1e-8) are stored on the
     result.
     """
+    planes = [comp for _, comp in primary.components]
+    origin = [None] * len(planes)
     ideals = []
-    origin = []
-    for _, comp in primary.components:
-        for k, known in enumerate(ideals):
-            if all(member_coords(known, x, tol) is not None for x in comp.mats):
-                origin.append(k)
-                break
-        else:
-            origin.append(len(ideals))
-            ideals.append(minimal_ideal(semisimple, comp, tol))
+    for first in range(len(planes)):
+        if origin[first] is not None:
+            continue
+        origin[first] = len(ideals)
+        members = [first]
+        for j in members:  # the class grows while it is walked
+            for l, plane in enumerate(planes):
+                if (origin[l] is None
+                        and bracket_residual(planes[j], plane) > tol):
+                    origin[l] = origin[first]
+                    members.append(l)
+        members.sort()
+        elements = [x for j in members for x in planes[j].mats]
+        coroots = [commutator(*planes[j].mats) for j in members]
+        ideals.append(extend_basis(empty_basis(semisimple.n),
+                                   elements + coroots, tol))
     total = sum(i.dim for i in ideals)
     if total != semisimple.dim:
         raise DecompositionError(
@@ -95,7 +89,7 @@ def simple_decompose(semisimple, primary, tol=TOL_RANK):
                     invariance_residual=worst_inv)
 
 
-def recognize_su2(ideal, tol=TOL_RANK, killing_tol=TOL_KILLING):
+def recognize_su2(ideal, tol=TOL_RANK):
     """Standard cyclic frame (E1, E2, E3) of a 3-dimensional simple ideal.
 
     Killing-orthonormalizes, rescales by sqrt(2) and fixes orientation so
@@ -105,7 +99,7 @@ def recognize_su2(ideal, tol=TOL_RANK, killing_tol=TOL_KILLING):
     if ideal.dim != 3:
         return None
     try:
-        frame = math.sqrt(2.0) * killing_orthonormalize(ideal, killing_tol, tol)
+        frame = math.sqrt(2.0) * killing_orthonormalize(ideal, rank_tol=tol)
     except NotSemisimpleError:
         return None
     e1, e2, e3 = frame

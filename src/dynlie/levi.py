@@ -9,44 +9,12 @@ for the derived algebra.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adjoint import _brackets_and_coords
 from .errors import DecompositionError
 from .linalg import (LieBasis, TOL_RANK, bracket_residual, empty_basis,
                      extend_basis, from_coords, nullspace)
-
-
-def center(basis, tol=TOL_RANK):
-    """Orthonormal basis of {x in span : [x, e_j] = 0 for all j}.
-
-    Solves the stacked linear system sum_i c_i <e_k, [e_i, e_j]> = 0 by
-    SVD.  Requires a bracket-closed input (NotClosedError otherwise).
-    """
-    return _center(basis, _brackets_and_coords(basis, tol)[1], tol)
-
-
-def derived_algebra(basis, tol=TOL_RANK):
-    """Orthonormal basis of span{[e_i, e_j]}, the derived algebra [L, L].
-
-    The closure check rides along: brackets leaving the span raise
-    NotClosedError.  Candidate order is lexicographic in (i, j), i < j.
-    """
-    return _derived(basis, _brackets_and_coords(basis, tol)[0], tol)
-
-
-def _center(basis, coords, tol):
-    d = basis.dim
-    # rows indexed by (j, k), columns by the combination coefficient i
-    system = coords.reshape(d, d * d).T
-    rows = nullspace(system, tol)
-    if rows.shape[0] == 0:
-        return empty_basis(basis.n)
-    return LieBasis(basis.n, from_coords(basis, rows))
-
-
-def _derived(basis, brackets, tol):
-    d = basis.dim
-    pairs = [brackets[i, j] for i in range(d) for j in range(i + 1, d)]
-    return extend_basis(empty_basis(basis.n), pairs, tol)
 
 
 @dataclass(frozen=True)
@@ -77,8 +45,13 @@ def levi_decompose(basis, tol=TOL_RANK):
     Inconsistent rank decisions raise DecompositionError.
     """
     brackets, coords = _brackets_and_coords(basis, tol)
-    rad = _center(basis, coords, tol)
-    semi = _derived(basis, brackets, tol)
+    d = basis.dim
+    # Center: sum_i c_i <e_k, [e_i, e_j]> = 0, rows indexed by (j, k).
+    rad = LieBasis(basis.n, from_coords(
+        basis, nullspace(coords.reshape(d, d * d).T, tol)))
+    # Derived algebra: the brackets [e_i, e_j], i < j, in lexicographic order.
+    semi = extend_basis(empty_basis(basis.n),
+                        brackets[np.triu_indices(d, 1)], tol)
     if rad.dim + semi.dim != basis.dim:
         raise DecompositionError(
             f"center (dim {rad.dim}) and derived algebra (dim {semi.dim}) "

@@ -5,8 +5,14 @@ all together), and the Hilbert-Schmidt pairing Re tr(A^H B) makes it
 Euclidean.  Everything downstream -- closures, centralizers, nullspace
 splits -- reduces to orthonormal bases of subspaces of that space, so
 this module owns the basis bookkeeping: Gram-Schmidt extension with a
-re-orthogonalization pass, membership tests, coordinate maps, and the
-exact exponential of a skew-Hermitian matrix.
+re-orthogonalization pass, the all-pairs bracket, the span projection
+behind every membership test and coordinate map, and the exact
+exponential of a skew-Hermitian matrix.
+
+A matrix is vectorized as its row-major entries with the real and
+imaginary part of each entry interleaved.  That is numpy's own memory
+layout of a complex array, so vectorizing is a zero-copy view and a
+LieBasis keeps a single array.
 
 Tolerance conventions: rank/membership decisions are relative at
 ``TOL_RANK``, skew-Hermiticity is enforced at ``TOL_HERM``, and both are
@@ -79,36 +85,33 @@ def hs_inner(a, b):
     return float(np.sum(a.conj() * b).real)
 
 
-def frobenius(a):
-    return float(np.linalg.norm(a))
-
-
 def _vec(mats):
     """Real vectorization of complex matrices, (..., n, n) -> (..., 2n^2).
 
+    Entries run in row-major order with the real and imaginary part of
+    each entry side by side, which is how numpy stores a complex array:
+    for a C-contiguous complex128 input the result is a zero-copy view.
     Isometric for the Hilbert-Schmidt pairing: Re tr(A^H B) equals the
     ordinary dot product of the vectorizations.
     """
-    m = np.asarray(mats, dtype=complex)
-    flat = m.reshape(m.shape[:-2] + (m.shape[-1] * m.shape[-2],))
-    return np.concatenate([flat.real, flat.imag], axis=-1)
+    m = np.ascontiguousarray(mats, dtype=complex)
+    return m.view(float).reshape(m.shape[:-2] + (2 * m.shape[-2] * m.shape[-1],))
 
 
 def _unvec(vecs, n):
-    """Inverse of :func:`_vec` for vectors of length 2*n*n."""
-    v = np.asarray(vecs, dtype=float)
-    half = n * n
-    re = v[..., :half]
-    im = v[..., half:]
-    return (re + 1j * im).reshape(v.shape[:-1] + (n, n))
+    """Inverse of :func:`_vec` for vectors of length 2*n*n, again a view
+    for a C-contiguous float64 input."""
+    v = np.ascontiguousarray(vecs, dtype=float)
+    return v.view(complex).reshape(v.shape[:-1] + (n, n))
 
 
 class LieBasis:
     """Ordered, HS-orthonormal basis of a real subspace of u(n).
 
     Immutable.  ``mats`` stacks the d elements as a (d, n, n) complex
-    array, ``vecs`` holds their real vectorizations as rows, so span
-    projections and coordinate maps are single matrix products.
+    array; ``vecs`` is a view of the same memory as d rows of real
+    vectorizations (see :func:`_vec`), so span projections and
+    coordinate maps are single matrix products.
     """
 
     __slots__ = ("n", "mats", "vecs")
@@ -124,13 +127,12 @@ class LieBasis:
         if m.ndim != 3 or m.shape[1:] != (n, n):
             raise ValueError(
                 f"expected a stack of {n}x{n} matrices, got shape {m.shape}")
+        m.flags.writeable = False
         v = _vec(m)
         if len(m):
             gram = v @ v.T
             if np.abs(gram - np.eye(len(m))).max() > 1e-9:
                 raise ValueError("basis elements are not orthonormal")
-        m.flags.writeable = False
-        v.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mats", m)
         object.__setattr__(self, "vecs", v)
@@ -171,8 +173,8 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     basis, the input is never mutated.
     """
     n = basis.n
-    rows = [r for r in basis.vecs]
-    kept = [m for m in basis.mats]
+    rows = list(basis.vecs)
+    kept = list(basis.mats)
     for cand in candidates:
         c = np.asarray(cand)
         if c.shape != (n, n):
@@ -195,6 +197,21 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     return LieBasis(n, np.stack(kept))
 
 
+def brackets(a, b):
+    """All brackets [a_i, b_j] of two stacks, shape (len(a), len(b), n, n)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a[:, None] @ b - b @ a[:, None]
+
+
+def span_coords(basis, mats):
+    """Coordinates of ``mats`` (..., n, n) in ``basis``, and the norms of
+    their parts orthogonal to its span."""
+    v = _vec(mats)
+    coords = v @ basis.vecs.T
+    return coords, np.linalg.norm(v - coords @ basis.vecs, axis=-1)
+
+
 def bracket_residual(a, b, span=None):
     """Worst ||[x, e]||_F over x in basis ``a`` and e in basis ``b``.
 
@@ -204,16 +221,12 @@ def bracket_residual(a, b, span=None):
     """
     if a.dim == 0 or b.dim == 0:
         return 0.0
-    worst = 0.0
-    for x in a.mats:
-        br = x @ b.mats - b.mats @ x
-        if span is None:
-            norms = np.linalg.norm(br, axis=(1, 2))
-        else:
-            bv = _vec(br)
-            norms = np.linalg.norm(bv - (bv @ span.vecs.T) @ span.vecs, axis=1)
-        worst = max(worst, float(norms.max()))
-    return worst
+    br = brackets(a.mats, b.mats)
+    if span is None:
+        norms = np.linalg.norm(_vec(br), axis=-1)
+    else:
+        norms = span_coords(span, br)[1]
+    return float(norms.max())
 
 
 def member_coords(basis, x, tol=TOL_RANK):
@@ -226,10 +239,8 @@ def member_coords(basis, x, tol=TOL_RANK):
     if x.shape != (basis.n, basis.n):
         raise ValueError(
             f"element shape {x.shape} does not match ambient {(basis.n, basis.n)}")
-    v = _vec(x)
-    coords = basis.vecs @ v
-    resid = v - basis.vecs.T @ coords
-    if np.linalg.norm(resid) > tol * max(1.0, np.linalg.norm(v)):
+    coords, resid = span_coords(basis, x)
+    if resid > tol * max(1.0, np.linalg.norm(x)):
         return None
     return coords
 
@@ -249,12 +260,6 @@ def from_coords(basis, rows):
         raise ValueError(
             f"coordinate length {rows.shape[-1]} does not match basis dim {basis.dim}")
     return np.einsum("ri,inm->rnm", rows, basis.mats)
-
-
-def project_span(basis, x):
-    """Orthogonal projection of ``x`` onto the span of ``basis``."""
-    v = _vec(np.asarray(x))
-    return _unvec(basis.vecs.T @ (basis.vecs @ v), basis.n)
 
 
 def nullspace(mat, tol=TOL_RANK):

@@ -45,6 +45,7 @@ class SplittingElement:
     coeffs: np.ndarray       # coordinates over the Cartan basis
     element: np.ndarray      # the matrix itself
     frequencies: np.ndarray  # distinct a_j > 0, strictly decreasing
+    real_part: float         # largest |Re| over the spectrum of ad_X
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,17 @@ def _coefficient_candidates(m, c_max, rng_seed=0):
 def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
     """Cluster the spectrum of ad and test the splitting condition.
 
-    Returns the decreasing array of distinct positive frequencies when
-    ad has exactly ``target_distinct`` eigenvalue clusters (zero with
-    multiplicity cartan_dim, the rest simple conjugate pairs), else None.
+    Returns the decreasing array of distinct positive frequencies and
+    the largest |Re| of the spectrum when ad has exactly
+    ``target_distinct`` eigenvalue clusters (zero with multiplicity
+    cartan_dim, the rest simple conjugate pairs), else None.
     """
     eigs = np.linalg.eigvals(ad)
     radius = float(np.abs(eigs).max()) if eigs.size else 0.0
     if radius <= 0.0:
         return None
-    if float(np.abs(eigs.real).max()) > 1e-8 * max(1.0, radius):
+    real_part = float(np.abs(eigs.real).max())
+    if real_part > 1e-8 * max(1.0, radius):
         return None
     gap = eig_tol * radius
     imag = np.sort(eigs.imag)
@@ -103,7 +106,7 @@ def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
     freqs = sorted((c[0] for c in clusters if c[0] > gap), reverse=True)
     if len(freqs) * 2 + cartan_dim != ad.shape[0]:
         return None
-    return np.array(freqs)
+    return np.array(freqs), real_part
 
 
 def _splitting_candidates(semisimple, cartan, tol, eig_tol, coeffs=None):
@@ -125,28 +128,12 @@ def _splitting_candidates(semisimple, cartan, tol, eig_tol, coeffs=None):
         candidates = _coefficient_candidates(cartan.dim, 2 * semisimple.dim)
     for c in candidates:
         ad = np.tensordot(c, ads, axes=1)
-        freqs = _split_spectrum(ad, target, cartan.dim, eig_tol)
-        if freqs is None:
+        split = _split_spectrum(ad, target, cartan.dim, eig_tol)
+        if split is None:
             continue
         element = np.einsum("j,jnm->nm", c, cartan.mats)
-        yield SplittingElement(coeffs=c, element=element, frequencies=freqs), ad
-
-
-def find_splitting_element(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
-                           coeffs=None):
-    """First splitting element in the deterministic candidate order.
-
-    ``coeffs`` restricts the search to explicit coefficient vectors over
-    the Cartan basis (raising SplittingSearchError if none of them
-    splits), which is how tests and the CLI pin a particular choice.
-    Like :func:`primary_decompose`, it does not re-test semisimplicity.
-    """
-    for element, _ in _splitting_candidates(semisimple, cartan, tol, eig_tol,
-                                            coeffs):
-        return element
-    raise SplittingSearchError(
-        "no splitting element found; spectrum stayed degenerate for every "
-        "candidate coefficient vector")
+        yield SplittingElement(coeffs=c, element=element, frequencies=split[0],
+                               real_part=split[1]), ad
 
 
 def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
@@ -157,7 +144,10 @@ def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     splitting element X, ordered by strictly decreasing frequency a_j.
     A candidate whose eigenspaces come out with the wrong dimension is
     abandoned and the search moves to the next one.  The Cartan-invariance
-    residual of the components (at 1e-8) is stored on the result.  S is
+    residual of the components (at 1e-8) is stored on the result.
+    ``coeffs`` restricts the search to explicit coefficient vectors over
+    the Cartan basis, which is how tests and the CLI pin a particular
+    choice; if none of them splits, SplittingSearchError.  S is
     not re-tested for semisimplicity, which ``cartan_subalgebra`` checked;
     a non-semisimple S has no splitting element (SplittingSearchError).
     """

@@ -18,12 +18,9 @@ from dynlie import (
     adjoint_matrix,
     analyze_system,
     cartan_subalgebra,
-    center,
     commutator,
-    derived_algebra,
     empty_basis,
     extend_basis,
-    find_splitting_element,
     from_coords,
     generate_closure,
     generator,
@@ -40,6 +37,7 @@ from dynlie import (
     two_spin_system,
 )
 from dynlie.errors import SplittingSearchError
+from dynlie.linalg import _vec
 
 from conftest import (
     AD_DRIVE_1,
@@ -56,8 +54,7 @@ def _pass(message):
 
 
 def _membership_residual(basis, x):
-    coords = basis.vecs @ np.concatenate(
-        [x.real.ravel(), x.imag.ravel()])
+    coords = basis.vecs @ _vec(x)
     rebuilt = from_coords(basis, coords[np.newaxis, :])[0]
     return float(np.linalg.norm(x - rebuilt))
 
@@ -110,8 +107,9 @@ def test_two_spin_uncontrollable_verdict():
 
 def test_two_spin_trivial_radical_and_derived():
     basis = ordered_two_spin_basis()
-    assert center(basis).dim == 0
-    assert derived_algebra(basis).dim == 6
+    levi = levi_decompose(basis)
+    assert levi.radical.dim == 0
+    assert levi.semisimple.dim == 6
     _pass("two-spin algebra has center of dim 0 and derived algebra of "
           "dim 6")
 
@@ -146,7 +144,7 @@ def test_two_spin_splitting_element_selection():
     els = two_spin_elements()
     basis = ordered_two_spin_basis()
     cartan = extend_basis(empty_basis(4), els[:2])
-    found = find_splitting_element(basis, cartan, coeffs=[[1.0, 2.0]])
+    found = primary_decompose(basis, cartan, coeffs=[[1.0, 2.0]]).splitting
     np.testing.assert_allclose(found.coeffs, [1.0, 2.0])
     ad = adjoint_matrix(basis, found.element)
     eigs = np.linalg.eigvals(ad)
@@ -157,7 +155,7 @@ def test_two_spin_splitting_element_selection():
     assert len({round(v, 6) for v in eigs.imag}) == 6 - 2 + 1
     for bad in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
         with pytest.raises(SplittingSearchError):
-            find_splitting_element(basis, cartan, coeffs=[bad])
+            primary_decompose(basis, cartan, coeffs=[bad])
     _pass("coefficients (1,2) accepted with spectrum {0, +-i, +-3i}; "
           "(1,0), (0,1), (1,1) rejected")
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from dynlie import LieBasis, dynamics, extend_basis
 from dynlie.cli import main
 from dynlie.fileio import loads_report, pairs_to_matrix, matrix_to_pairs
 
@@ -167,17 +169,50 @@ class TestDecompose:
         }))
         assert run(["decompose", str(spec)]) == 2
 
-    def test_overlapping_components_exit_3(self, tmp_path, capsys):
-        # This draw's 35-dimensional ideal overlaps the radical line by
-        # more than 1e-9; assembling the adapted basis used to raise a
-        # bare ValueError and end in a traceback.
+    def test_overlapping_components_exit_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        # An ideal that overlaps a radical line cannot join the adapted
+        # basis; assembling it used to raise a bare ValueError and end in
+        # a traceback.
+        sx = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+        sy = np.array([[0, -0.5j], [0.5j, 0]])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "dim": 2, "drift": matrix_to_pairs(sx),
+            "controls": [matrix_to_pairs(sy), matrix_to_pairs(np.eye(2))]}))
+        real = dynamics.simple_decompose
+
+        def overlapping(semisimple, primary, tol):
+            found = real(semisimple, primary, tol)
+            ideal = extend_basis(LieBasis(2, found.ideals[0].mats[:2]),
+                                 [1j * np.eye(2)])
+            return dataclasses.replace(found, ideals=(ideal,))
+
+        monkeypatch.setattr(dynamics, "simple_decompose", overlapping)
+        assert run(["decompose", str(spec)]) == 3
+        assert "stage 'assembly'" in capsys.readouterr().err
+
+    def test_dense_u6_draw(self, tmp_path, capsys):
+        # The minimal-ideal sweep made this draw's ideal overlap the
+        # radical line (exit 3, stage 'assembly').
         drift, ctrl = dense_terms([7, 6, 1], 6)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "dim": 6, "drift": matrix_to_pairs(drift),
             "controls": [matrix_to_pairs(ctrl)]}))
-        assert run(["decompose", str(spec)]) == 3
-        assert "stage 'assembly'" in capsys.readouterr().err
+        assert run(["decompose", str(spec)]) == 0
+        doc = loads_report(capsys.readouterr().out)
+        assert [c["dim"] for c in doc["components"]] == [35, 1]
+
+    def test_matches_reference_report(self, tmp_path):
+        # Written by the minimal-ideal code; the ideals from linked root
+        # planes may differ from it only in rounding.
+        spec = write_two_spin_spec(tmp_path)
+        out = tmp_path / "report.json"
+        assert run(["decompose", spec, "--out", str(out)]) == 0
+        with open(os.path.join(DATA, "two_spin_decompose.json")) as fh:
+            want = loads_report(fh.read())
+        assert_same_report(loads_report(out.read_text()), want, 1e-12)
 
     @pytest.mark.parametrize("defect, code", [(1e-9, 0), (1e-7, 2)])
     def test_spec_hermitian_tolerance(self, tmp_path, defect, code):

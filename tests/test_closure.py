@@ -121,19 +121,6 @@ class TestIsControllable:
         result = generate_closure(two_spin_els[:3])
         assert is_controllable(result) == UNCONTROLLABLE
 
-    def test_forced_unitary_class_demotes_su(self):
-        result = generate_closure([IX, IY])
-        assert is_controllable(result, trace_class="u") == UNCONTROLLABLE
-
-    def test_forced_su_class(self):
-        result = generate_closure([IX, IY])
-        assert is_controllable(result, trace_class="su") == CONTROLLABLE_SU
-
     def test_empty_algebra(self):
         result = generate_closure([np.zeros((2, 2))])
         assert is_controllable(result) == UNCONTROLLABLE
-
-    def test_unknown_trace_class_rejected(self):
-        result = generate_closure([IX, IY])
-        with pytest.raises(ValueError):
-            is_controllable(result, trace_class="so")

@@ -31,6 +31,14 @@ from helpers import dense_terms, span_contains
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
 
+def pauli_terms(*terms):
+    """One two-qubit Hamiltonian per argument, each a sum of Pauli strings
+    given as (label, coefficient); "i" in a label is the identity."""
+    one = {"i": np.eye(2), "x": SX, "y": SY, "z": SZ}
+    return [sum(c * kron(one[a], one[b]) for (a, b), c in term)
+            for term in terms]
+
+
 @pytest.fixture(scope="module")
 def two_spin_decomp():
     sys = two_spin_system()
@@ -396,6 +404,29 @@ class TestRandomDrawRegressions:
         assert analysis.closure.dim == 36
         assert [b.dim for b in analysis.ideals.ideals] == [35]
         assert len(analysis.levi.radical_lines) == 1
+
+    @pytest.mark.parametrize("terms, closure_dim, ideal_dims, lines", [
+        # Pauli-string draws default_rng([11, 417]) and ([11, 1327]).
+        (pauli_terms([("iz", -0.9658276474110534), ("zy", -0.9461358586324375),
+                      ("zi", 0.6747952767623774)],
+                     [("yz", 1.226444895767852), ("zi", 0.6530796547554807),
+                      ("ix", 0.5215808103917934)]), 10, [10], 0),
+        (pauli_terms([("ix", 0.8723879805004369), ("xy", -1.3552923192769097)],
+                     [("zx", -0.3750931780921548), ("yx", 0.33467348625323884),
+                      ("iy", 0.8966590934410454)],
+                     [("xi", -1.4992027412104578), ("zy", 0.7608659045600252)]),
+         15, [15], 0),
+        (dense_terms([7, 6, 1], 6), 36, [35], 1),
+    ], ids=["pauli-417", "pauli-1327", "dense-u6-1"])
+    def test_noisy_minimal_ideal_draws(self, terms, closure_dim, ideal_dims,
+                                       lines):
+        # The sweep W <- W + [S, W] accepted a noise residual just above
+        # tol ("cover dim 16 of 10", "16 of 15") or let the u(6) ideal
+        # overlap the radical line.
+        analysis = analyze_system(control_system(terms[0], terms[1:]))
+        assert analysis.closure.dim == closure_dim
+        assert [b.dim for b in analysis.ideals.ideals] == ideal_dims
+        assert len(analysis.levi.radical_lines) == lines
 
     def test_dense_u3_propagates(self):
         # The closure basis used to carry a 1e-9 skew defect, which

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from dynlie import (
     cartan_subalgebra,
@@ -12,12 +11,10 @@ from dynlie import (
     killing_gram,
     levi_decompose,
     member_coords,
-    minimal_ideal,
     primary_decompose,
     recognize_su2,
     simple_decompose,
 )
-from dynlie.errors import NotInSpanError
 
 from conftest import SX, SY, SZ
 from helpers import random_skew, span_contains, spans_equal
@@ -34,32 +31,36 @@ def two_spin_pipeline(two_spin_basis, two_spin_els):
 
 
 class TestMinimalIdeal:
+    """The ideal a component is assigned is the minimal ideal containing it."""
+
     def test_two_spin_components_generate_halves(self, two_spin_basis,
                                                  two_spin_els, ab):
         a_triple, b_triple = ab
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
+        ideal_set = simple_decompose(two_spin_basis, primary)
         (_, fast), (_, slow) = primary.components
-        ideal_fast = minimal_ideal(two_spin_basis, fast)
-        ideal_slow = minimal_ideal(two_spin_basis, slow)
+        ideal_fast, ideal_slow = (ideal_set.ideals[k]
+                                  for k in ideal_set.origin)
         assert ideal_fast.dim == 3
         assert ideal_slow.dim == 3
         assert spans_equal(ideal_fast.mats, a_triple)
         assert spans_equal(ideal_slow.mats, b_triple)
+        for comp, ideal in ((fast, ideal_fast), (slow, ideal_slow)):
+            for x in comp.mats:
+                assert span_contains(ideal.mats, x)
 
     def test_su2_seed_grows_to_whole(self, su2):
-        seed = extend_basis(empty_basis(2), [IX])
-        ideal = minimal_ideal(su2, seed)
-        assert ideal.dim == 3
-
-    def test_seed_outside_raises(self, su2):
-        seed = extend_basis(empty_basis(2), [1j * np.eye(2)])
-        with pytest.raises(NotInSpanError):
-            minimal_ideal(su2, seed)
+        # One root plane plus its coroot [x, y] is all of su(2).
+        cartan = extend_basis(empty_basis(2), [IZ])
+        primary = primary_decompose(su2, cartan)
+        ideal_set = simple_decompose(su2, primary)
+        assert [i.dim for i in ideal_set.ideals] == [3]
+        assert spans_equal(ideal_set.ideals[0].mats, su2.mats)
 
     def test_result_is_ad_invariant(self, two_spin_basis, two_spin_els):
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        _, comp = primary.components[0]
-        ideal = minimal_ideal(two_spin_basis, comp)
+        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal = ideal_set.ideals[ideal_set.origin[0]]
         for s in two_spin_basis.mats:
             for x in ideal.mats:
                 assert member_coords(ideal, commutator(s, x),
@@ -128,8 +129,8 @@ class TestSimpleDecompose:
         assert found_top and found_bottom
 
     def test_simple_algebra_merges_components(self, rng):
-        # All primary components of a simple algebra generate the same
-        # (whole) ideal, exercising the dedup path.
+        # The root planes of a simple algebra are all linked, so they
+        # span one ideal: the whole algebra.
         while True:
             gens = [random_skew(rng, 3) for _ in range(2)]
             gens = [g - np.trace(g) * np.eye(3) / 3 for g in gens]

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from dynlie import (
-    center,
     commutator,
-    derived_algebra,
     empty_basis,
     extend_basis,
     generate_closure,
@@ -26,14 +24,14 @@ def u2_basis():
 
 class TestCenter:
     def test_semisimple_has_trivial_center(self, two_spin_basis):
-        assert center(two_spin_basis).dim == 0
+        assert levi_decompose(two_spin_basis).radical.dim == 0
 
     def test_abelian_center_is_everything(self, two_spin_els):
         basis = extend_basis(empty_basis(4), two_spin_els[:2])
-        assert center(basis).dim == 2
+        assert levi_decompose(basis).radical.dim == 2
 
     def test_u2_center_is_identity_line(self):
-        c = center(u2_basis())
+        c = levi_decompose(u2_basis()).radical
         assert c.dim == 1
         direction = 1j * np.eye(2) / np.sqrt(2.0)
         assert abs(abs(hs_inner(c.mats[0], direction)) - 1.0) < 1e-10
@@ -54,25 +52,25 @@ class TestCenter:
             cols.append(np.concatenate(col))
         big = np.array(cols).T
         kernel = scipy_linalg.null_space(big)
-        assert kernel.shape[1] == center(basis).dim
+        assert kernel.shape[1] == levi_decompose(basis).radical.dim
 
     def test_empty(self):
-        assert center(empty_basis(2)).dim == 0
+        assert levi_decompose(empty_basis(2)).radical.dim == 0
 
 
 class TestDerivedAlgebra:
     def test_semisimple_derived_is_whole(self, two_spin_basis):
-        der = derived_algebra(two_spin_basis)
+        der = levi_decompose(two_spin_basis).semisimple
         assert der.dim == 6
         for el in two_spin_basis.mats:
             assert member_coords(der, el) is not None
 
     def test_abelian_derived_is_zero(self, two_spin_els):
         basis = extend_basis(empty_basis(4), two_spin_els[:2])
-        assert derived_algebra(basis).dim == 0
+        assert levi_decompose(basis).semisimple.dim == 0
 
     def test_u2_derived_is_traceless_part(self):
-        der = derived_algebra(u2_basis())
+        der = levi_decompose(u2_basis()).semisimple
         assert der.dim == 3
         for el in (IX, IY, IZ):
             assert member_coords(der, el) is not None

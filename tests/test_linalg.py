@@ -18,9 +18,7 @@ from dynlie import (
 from dynlie.linalg import (
     bracket_residual,
     coords_strict,
-    frobenius,
     hermitian_part,
-    project_span,
 )
 from dynlie.errors import NotInSpanError
 
@@ -80,10 +78,6 @@ class TestHsInner:
         a, b = random_skew(rng, 3), random_skew(rng, 3)
         assert hs_inner(a, b) == pytest.approx(
             np.trace(a.conj().T @ b).real, abs=1e-12)
-
-    def test_frobenius_is_sqrt_of_self_inner(self, rng):
-        a = random_skew(rng, 3)
-        assert frobenius(a) == pytest.approx(np.sqrt(hs_inner(a, a)))
 
 
 class TestSkewHermitian:
@@ -231,12 +225,6 @@ class TestMemberCoords:
         with pytest.raises(ValueError):
             member_coords(su2, np.zeros((3, 3), dtype=complex))
 
-    def test_project_span_is_idempotent(self, su2, rng):
-        x = random_skew(rng, 2)
-        p1 = project_span(su2, x)
-        p2 = project_span(su2, p1)
-        np.testing.assert_allclose(p1, p2, atol=1e-12)
-
 
 class TestLieBasis:
     def test_rejects_non_orthonormal(self):
@@ -247,6 +235,14 @@ class TestLieBasis:
     def test_arrays_read_only(self, su2):
         with pytest.raises(ValueError):
             su2.mats[0, 0, 0] = 1.0
+
+    def test_vecs_is_a_view_of_mats(self, su2):
+        # One array per basis: the real rows interleave the real and
+        # imaginary parts of the matrix entries.
+        assert np.shares_memory(su2.vecs, su2.mats)
+        assert not su2.vecs.flags.writeable
+        np.testing.assert_array_equal(su2.vecs[1, :2], [su2.mats[1, 0, 0].real,
+                                                         su2.mats[1, 0, 0].imag])
 
     def test_iteration_and_len(self, su2):
         assert len(su2) == 3

@@ -7,7 +7,6 @@ from dynlie import (
     commutator,
     empty_basis,
     extend_basis,
-    find_splitting_element,
     generate_closure,
     levi_decompose,
     member_coords,
@@ -55,7 +54,7 @@ class TestFindSplittingElement:
                                            two_spin_basis):
         cartan = two_spin_cartan(two_spin_els)
         semi = two_spin_basis
-        found = find_splitting_element(semi, cartan)
+        found = primary_decompose(semi, cartan).splitting
         np.testing.assert_allclose(found.coeffs, [1.0, 2.0])
         np.testing.assert_allclose(found.frequencies, [3.0, 1.0],
                                    atol=1e-10)
@@ -76,8 +75,7 @@ class TestFindSplittingElement:
         cartan = two_spin_cartan(two_spin_els)
         for coeffs in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             with pytest.raises(SplittingSearchError):
-                find_splitting_element(two_spin_basis, cartan,
-                                       coeffs=[coeffs])
+                primary_decompose(two_spin_basis, cartan, coeffs=[coeffs])
 
     def test_equal_weights_spectrum_collides(self):
         # Why (1, 1) fails: the sum M1 + M2 annihilates the whole slow
@@ -89,7 +87,7 @@ class TestFindSplittingElement:
 
     def test_su2(self, su2):
         cartan = extend_basis(empty_basis(2), [IZ])
-        found = find_splitting_element(su2, cartan)
+        found = primary_decompose(su2, cartan).splitting
         np.testing.assert_allclose(found.coeffs, [1.0])
         # The normalized Cartan element is sqrt(2) i sz, whose adjoint
         # rotates the orthogonal plane at sqrt(2).
@@ -103,7 +101,7 @@ class TestFindSplittingElement:
             if semi.dim == 0:
                 continue
             cartan = cartan_subalgebra(semi).cartan
-            found = find_splitting_element(semi, cartan)
+            found = primary_decompose(semi, cartan).splitting
             freqs = np.asarray(found.frequencies)
             assert np.all(freqs[:-1] > freqs[1:])
             assert np.all(freqs > 0)
