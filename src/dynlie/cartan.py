@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import adjoint_matrix, is_semisimple
-from .errors import NotInSpanError, NotSemisimpleError
+from .errors import NotSemisimpleError
 from .levi import levi_decompose
 from .linalg import (
     LieBasis,
@@ -22,7 +22,6 @@ from .linalg import (
     empty_basis,
     extend_basis,
     from_coords,
-    member_coords,
     nullspace,
 )
 
@@ -84,14 +83,15 @@ def cartan_subalgebra(semisimple, pivots=None, tol=TOL_RANK):
     ``pivots`` optionally supplies explicit pivot elements, consumed in
     order before falling back to the default rule (first basis element
     of the current working algebra).  Explicit pivots must be members of
-    the working span at their turn; this is how a caller reproduces a
+    the working span at their turn (``centralizer`` raises
+    NotInSpanError otherwise); this is how a caller reproduces a
     particular textbook choice exactly.
     """
     if not is_semisimple(semisimple, rank_tol=tol):
         raise NotSemisimpleError(
             "Cartan construction needs a semisimple algebra")
     queue = list(pivots) if pivots is not None else []
-    abelian = empty_basis(semisimple.n)
+    centers = []
     current = semisimple
     used = []
     iterations = 0
@@ -100,18 +100,17 @@ def cartan_subalgebra(semisimple, pivots=None, tol=TOL_RANK):
             raise NotSemisimpleError(
                 "Cartan iteration failed to terminate; input is likely "
                 "not semisimple at the working tolerance")
-        if queue:
-            x = np.asarray(queue.pop(0), dtype=complex)
-            if member_coords(current, x, tol) is None:
-                raise NotInSpanError(
-                    "explicit pivot is not inside the current working algebra")
-        else:
-            x = current.mats[0]
+        x = (np.asarray(queue.pop(0), dtype=complex) if queue
+             else current.mats[0])
         used.append(x)
         dee = centralizer(current, x, tol)
         split = levi_decompose(dee, tol)
-        abelian = extend_basis(abelian, split.radical.mats, tol)
+        centers.append(split.radical.mats)
         current = split.semisimple
         iterations += 1
+    # Each centralizer lies in the previous semisimple part, which is
+    # orthogonal to every center banked so far.
+    abelian = LieBasis(semisimple.n, np.concatenate(centers)
+                       if centers else None)
     return CartanResult(cartan=abelian, iterations=iterations,
                         pivot_elements=tuple(used))

@@ -16,7 +16,7 @@ eigendecomposition for the whole schedule.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,18 +155,28 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
         ideal_set = _stage("ideals", simple_decompose, levi.semisimple,
                            primary, tol)
         simple_bases = ideal_set.ideals
-    components = tuple([(KIND_SIMPLE, b) for b in simple_bases]
-                       + [(KIND_RADICAL, line) for line in levi.radical_lines])
-    mats = [b.mats for _, b in components]
+    n = closure.basis.n
+    pieces = ([(KIND_SIMPLE, b) for b in simple_bases]
+              + [(KIND_RADICAL, line) for line in levi.radical_lines])
+    mats = (np.concatenate([b.mats for _, b in pieces]) if pieces
+            else np.zeros((0, n, n), dtype=complex))
+    mats.flags.writeable = False
     try:
-        adapted = (LieBasis(closure.basis.n, np.concatenate(mats)) if mats
-                   else LieBasis(closure.basis.n))
+        adapted = LieBasis(n, mats)
     except ValueError as err:
         raise StageFailure("assembly", DecompositionError(
             f"components are not mutually orthogonal: {err}")) from err
     if adapted.dim != closure.basis.dim:
         raise StageFailure("assembly", NotInSpanError(
             "adapted basis does not span the full algebra"))
+    # The components, and the ideals reported with them, are slices of
+    # the adapted basis, so the analysis holds their matrices once.
+    ends = np.cumsum([b.dim for _, b in pieces])
+    components = tuple((kind, LieBasis(n, mats[end - b.dim : end]))
+                       for end, (kind, b) in zip(ends, pieces))
+    if ideal_set is not None:
+        ideal_set = replace(ideal_set, ideals=tuple(
+            b for _, b in components[:len(simple_bases)]))
     decomposition = ComponentDecomposition(full=closure.basis,
                                            components=components,
                                            adapted=adapted)

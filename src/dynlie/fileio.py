@@ -143,12 +143,10 @@ def system_from_doc(doc):
         raise SpecError(
             f"{len(labels)} labels given for {len(controls)} controls")
     mats = [("drift", drift)] + list(zip(labels, controls))
-    for name, m in mats:
-        if m.shape != (dim, dim):
-            raise SpecError(f"{name}: shape {m.shape} does not match dim {dim}")
     try:
         # Spec files are held to 1e-8; the symmetrized result then meets
-        # ControlSystem's tighter 1e-10 exactly.
+        # ControlSystem's tighter 1e-10 exactly, and ControlSystem checks
+        # the shapes against dim.
         drift, *controls = [hermitian_part(m, 1e-8, str(name))
                             for name, m in mats]
         return ControlSystem(dim=dim, drift=drift, controls=tuple(controls),
@@ -177,8 +175,6 @@ def load_schedule(path, n_controls):
             u = [float(v) for v in seg["u"]]
         except (TypeError, ValueError) as err:
             raise SpecError(f"segment {k}: malformed numbers") from err
-        if dur <= 0.0:
-            raise SpecError(f"segment {k}: duration must be positive")
         if len(u) != n_controls:
             raise SpecError(
                 f"segment {k}: {len(u)} control values for {n_controls} "

@@ -2,9 +2,12 @@
 
 For these algebras the radical is exactly the center and the semisimple
 part is exactly the derived algebra, so L = [L, L] (+) center(L) as an
-orthogonal direct sum.  That makes the split a pair of rank decisions:
-a nullspace for the center, a Gram-Schmidt sweep over pairwise brackets
-for the derived algebra.
+orthogonal direct sum.  The Hilbert-Schmidt pairing is ad-invariant,
+<e_k, [e_i, e_j]> = <[e_j, e_k], e_i>, so the row space of the map
+c -> ([x_c, e_j])_j is spanned by the brackets: it is [L, L], and its
+kernel is the center.  One SVD of that map therefore makes the split as
+a single rank decision, and the two parts are complementary rows of one
+orthogonal matrix.
 """
 
 from dataclasses import dataclass
@@ -13,8 +16,7 @@ import numpy as np
 
 from .adjoint import _brackets_and_coords
 from .errors import DecompositionError
-from .linalg import (LieBasis, TOL_RANK, bracket_residual, empty_basis,
-                     extend_basis, from_coords, nullspace)
+from .linalg import LieBasis, TOL_RANK, bracket_residual, from_coords
 
 
 @dataclass(frozen=True)
@@ -38,28 +40,21 @@ class LeviResult:
 def levi_decompose(basis, tol=TOL_RANK):
     """Split a bracket-closed algebra into center plus derived algebra.
 
-    Both pieces come from one bracket tensor.  Verifies that they really
-    decompose the input: dimensions must add up to dim L, the combined
-    span must be all of L, and every radical element must commute with
-    the whole algebra (residual at 1e-8, stored on the result).
-    Inconsistent rank decisions raise DecompositionError.
+    Takes one SVD of the ad map, rows indexed by (j, k) and holding
+    <e_k, [e_i, e_j]>: right singular vectors with singular values at or
+    below ``tol * max(sigma_max, 1)`` span the center, the others the
+    derived algebra.  Every radical element must commute with the whole
+    algebra (residual at 1e-8, stored on the result), else
+    DecompositionError.
     """
-    brackets, coords = _brackets_and_coords(basis, tol)
+    _, coords = _brackets_and_coords(basis, tol)
     d = basis.dim
-    # Center: sum_i c_i <e_k, [e_i, e_j]> = 0, rows indexed by (j, k).
-    rad = LieBasis(basis.n, from_coords(
-        basis, nullspace(coords.reshape(d, d * d).T, tol)))
-    # Derived algebra: the brackets [e_i, e_j], i < j, in lexicographic order.
-    semi = extend_basis(empty_basis(basis.n),
-                        brackets[np.triu_indices(d, 1)], tol)
-    if rad.dim + semi.dim != basis.dim:
-        raise DecompositionError(
-            f"center (dim {rad.dim}) and derived algebra (dim {semi.dim}) "
-            f"do not split the algebra (dim {basis.dim})")
-    combined = extend_basis(semi, rad.mats, tol)
-    if combined.dim != basis.dim:
-        raise DecompositionError(
-            "center and derived algebra overlap; rank thresholds inconsistent")
+    _, s, vh = np.linalg.svd(coords.reshape(d, d * d).T, full_matrices=False)
+    semi_dim = int(np.count_nonzero(s > tol * max(s.max(initial=0.0), 1.0)))
+    mats = from_coords(basis, vh)
+    mats.flags.writeable = False
+    semi = LieBasis(basis.n, mats[:semi_dim])
+    rad = LieBasis(basis.n, mats[semi_dim:])
     worst = bracket_residual(rad, basis)
     if worst > 1e-8:
         raise DecompositionError(

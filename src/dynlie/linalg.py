@@ -111,7 +111,9 @@ class LieBasis:
     Immutable.  ``mats`` stacks the d elements as a (d, n, n) complex
     array; ``vecs`` is a view of the same memory as d rows of real
     vectorizations (see :func:`_vec`), so span projections and
-    coordinate maps are single matrix products.
+    coordinate maps are single matrix products.  A read-only contiguous
+    complex stack (say a slice of another basis) is wrapped as it is;
+    any other input is copied.
     """
 
     __slots__ = ("n", "mats", "vecs")
@@ -120,10 +122,10 @@ class LieBasis:
         n = int(n)
         if n < 1:
             raise ValueError("ambient dimension must be positive")
-        if mats is None:
-            m = np.zeros((0, n, n), dtype=complex)
-        else:
-            m = np.array(mats, dtype=complex)
+        m = np.asarray(np.zeros((0, n, n)) if mats is None else mats,
+                       dtype=complex)
+        if m.flags.writeable or not m.flags.c_contiguous:
+            m = np.array(m, order="C")
         if m.ndim != 3 or m.shape[1:] != (n, n):
             raise ValueError(
                 f"expected a stack of {n}x{n} matrices, got shape {m.shape}")

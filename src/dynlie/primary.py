@@ -3,9 +3,12 @@
 A splitting element X of a Cartan subalgebra A is one whose adjoint map
 separates everything it can: ad_X has dim S - dim A + 1 distinct
 eigenvalues, namely 0 on A and one conjugate pair +/- i a_j per
-two-dimensional component V_j.  The components are then real nullspaces
-of ad_X^2 + a_j^2, each invariant under all of A, and every Cartan
-element acts on V_j as a plain 2x2 rotation generator.
+two-dimensional component V_j.  The Hilbert-Schmidt pairing is
+ad-invariant, so ad_X is antisymmetric in an orthonormal basis, and one
+``eigh`` of i ad_X gives the frequencies together with orthonormal
+eigenvectors: V_j is spanned by the real and imaginary parts of the
+eigenvector for a_j.  Each V_j is invariant under all of A, and every
+Cartan element acts on it as a plain 2x2 rotation generator.
 
 The search for X is deterministic: integer coefficient vectors over the
 Cartan basis in lexicographic order (entries 1..2*dim S, gcd 1), then a
@@ -27,7 +30,6 @@ from .linalg import (
     bracket_residual,
     coords_strict,
     from_coords,
-    nullspace,
 )
 
 # The lexicographic integer sweep is astronomically large for Cartan
@@ -45,7 +47,7 @@ class SplittingElement:
     coeffs: np.ndarray       # coordinates over the Cartan basis
     element: np.ndarray      # the matrix itself
     frequencies: np.ndarray  # distinct a_j > 0, strictly decreasing
-    real_part: float         # largest |Re| over the spectrum of ad_X
+    real_part: float         # ||symmetric part of ad_X||_2, bounds every |Re|
 
 
 @dataclass(frozen=True)
@@ -77,41 +79,56 @@ def _coefficient_candidates(m, c_max, rng_seed=0):
 def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
     """Cluster the spectrum of ad and test the splitting condition.
 
-    Returns the decreasing array of distinct positive frequencies and
-    the largest |Re| of the spectrum when ad has exactly
+    One ``eigh`` of i times the antisymmetric part of ad gives the real
+    eigenvalues -/+ a and orthonormal eigenvectors.  When ad has exactly
     ``target_distinct`` eigenvalue clusters (zero with multiplicity
-    cartan_dim, the rest simple conjugate pairs), else None.
+    cartan_dim, the rest simple conjugate pairs), returns the decreasing
+    array of distinct positive frequencies a_j and the coordinate rows
+    of their planes, rows 2j and 2j + 1 for a_j; else None.  The plane
+    of a_j is sqrt(2) (Re v, Im v) for its eigenvector v: v is
+    orthogonal to its conjugate, the eigenvector for -a_j, so the two
+    rows are orthonormal and span an ad-invariant plane.
     """
-    eigs = np.linalg.eigvals(ad)
-    radius = float(np.abs(eigs).max()) if eigs.size else 0.0
+    w, v = np.linalg.eigh(0.5j * (ad - ad.T))
+    radius = float(np.abs(w).max()) if w.size else 0.0
     if radius <= 0.0:
         return None
-    real_part = float(np.abs(eigs.real).max())
-    if real_part > 1e-8 * max(1.0, radius):
-        return None
     gap = eig_tol * radius
-    imag = np.sort(eigs.imag)
-    clusters = []
+    clusters = []  # (mean, first index, size), eigenvalues ascending
     start = 0
-    for i in range(1, len(imag) + 1):
-        if i == len(imag) or imag[i] - imag[i - 1] > gap:
-            block = imag[start:i]
-            clusters.append((float(block.mean()), len(block)))
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > gap:
+            clusters.append((float(w[start:i].mean()), start, i - start))
             start = i
     if len(clusters) != target_distinct:
         return None
     zero = [c for c in clusters if abs(c[0]) <= gap]
-    if len(zero) != 1 or zero[0][1] != cartan_dim:
+    if len(zero) != 1 or zero[0][2] != cartan_dim:
         return None
-    freqs = sorted((c[0] for c in clusters if c[0] > gap), reverse=True)
-    if len(freqs) * 2 + cartan_dim != ad.shape[0]:
+    # With the counts above every nonzero cluster is a single eigenvalue.
+    pos = [c for c in reversed(clusters) if c[0] > gap]
+    if len(pos) * 2 + cartan_dim != len(w):
         return None
-    return np.array(freqs), real_part
+    vecs = v[:, [c[1] for c in pos]].T
+    rows = math.sqrt(2.0) * np.stack([vecs.real, vecs.imag], axis=1)
+    return np.array([c[0] for c in pos]), rows.reshape(-1, len(w))
 
 
-def _splitting_candidates(semisimple, cartan, tol, eig_tol, coeffs=None):
-    """Yield (coeffs, element, ad matrix, frequencies) for every candidate
-    that satisfies the splitting condition, in deterministic order."""
+def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
+                      coeffs=None):
+    """Split S into the Cartan algebra plus 2-dimensional components.
+
+    The first candidate X whose adjoint spectrum splits (see
+    :func:`_split_spectrum`) gives the components, one eigenvector plane
+    per frequency a_j, ordered by strictly decreasing a_j.  The
+    Cartan-invariance residual of the components (at 1e-8) is stored on
+    the result.  ``coeffs`` restricts the search to explicit coefficient
+    vectors over the Cartan basis, which is how tests and the CLI pin a
+    particular choice; if none of them splits, SplittingSearchError.  S
+    is not re-tested for semisimplicity, which ``cartan_subalgebra``
+    checked; a non-semisimple S has no splitting element
+    (SplittingSearchError).
+    """
     if cartan.dim == 0:
         raise ValueError("Cartan subalgebra is empty")
     for a in cartan.mats:
@@ -129,66 +146,26 @@ def _splitting_candidates(semisimple, cartan, tol, eig_tol, coeffs=None):
     for c in candidates:
         ad = np.tensordot(c, ads, axes=1)
         split = _split_spectrum(ad, target, cartan.dim, eig_tol)
-        if split is None:
-            continue
-        element = np.einsum("j,jnm->nm", c, cartan.mats)
-        yield SplittingElement(coeffs=c, element=element, frequencies=split[0],
-                               real_part=split[1]), ad
-
-
-def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
-                      coeffs=None):
-    """Split S into the Cartan algebra plus 2-dimensional components.
-
-    Components are the real nullspaces of ad_X^2 + a_j^2 for the
-    splitting element X, ordered by strictly decreasing frequency a_j.
-    A candidate whose eigenspaces come out with the wrong dimension is
-    abandoned and the search moves to the next one.  The Cartan-invariance
-    residual of the components (at 1e-8) is stored on the result.
-    ``coeffs`` restricts the search to explicit coefficient vectors over
-    the Cartan basis, which is how tests and the CLI pin a particular
-    choice; if none of them splits, SplittingSearchError.  S is
-    not re-tested for semisimplicity, which ``cartan_subalgebra`` checked;
-    a non-semisimple S has no splitting element (SplittingSearchError).
-    """
-    failures = 0
-    for element, ad in _splitting_candidates(semisimple, cartan, tol, eig_tol,
-                                             coeffs):
-        ad_sq = ad @ ad
-        eye = np.eye(semisimple.dim)
-        comps = []
-        ok = True
-        for a in element.frequencies:
-            rows = nullspace(ad_sq + (a * a) * eye, tol)
-            if rows.shape[0] != 2:
-                ok = False
-                break
-            comps.append((float(a), LieBasis(semisimple.n,
-                                             from_coords(semisimple, rows))))
-        if not ok:
-            failures += 1
-            if failures > 25:
-                break
-            continue
-        return PrimaryResult(cartan=cartan, splitting=element,
-                             components=tuple(comps),
-                             invariance_residual=_check_primary(
-                                 semisimple, cartan, comps))
-    raise SplittingSearchError(
-        "primary decomposition failed: no candidate produced clean "
-        "2-dimensional eigenspaces")
-
-
-def _check_primary(semisimple, cartan, comps):
-    """Cover and Cartan-invariance checks; returns the invariance residual."""
-    total = cartan.dim + sum(v.dim for _, v in comps)
-    if total != semisimple.dim:
-        raise DecompositionError(
-            f"primary components cover dim {total} of {semisimple.dim}")
+        if split is not None:
+            break
+    else:
+        raise SplittingSearchError(
+            "primary decomposition failed: no candidate splits the "
+            "adjoint spectrum")
+    freqs, rows = split
+    element = SplittingElement(
+        coeffs=c, element=np.einsum("j,jnm->nm", c, cartan.mats),
+        frequencies=freqs,
+        real_part=float(np.linalg.norm(ad + ad.T, 2)) / 2.0)
+    mats = from_coords(semisimple, rows)
+    mats.flags.writeable = False
+    comps = tuple((float(a), LieBasis(semisimple.n, mats[2 * j : 2 * j + 2]))
+                  for j, a in enumerate(freqs))
     worst = max((bracket_residual(cartan, comp, comp) for _, comp in comps),
                 default=0.0)
     if worst > 1e-8:
         raise DecompositionError(
             f"components are not ad-invariant under the Cartan algebra "
             f"(residual {worst:.3e})")
-    return worst
+    return PrimaryResult(cartan=cartan, splitting=element, components=comps,
+                         invariance_residual=worst)

@@ -357,6 +357,11 @@ class TestDemo:
         assert summary.strip()
         assert str(out) in summary
 
+    def test_nearly_equal_splitting_coeffs(self, capsys):
+        assert run(["demo", "two-spin", "--splitting-coeffs", "1,1.0001"]) == 0
+        doc = loads_report(capsys.readouterr().out)
+        assert doc["splitting"]["coefficients"] == [1.0, 1.0001]
+
     def test_unknown_model_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run(["demo", "three-spin"])

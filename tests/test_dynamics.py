@@ -417,16 +417,39 @@ class TestRandomDrawRegressions:
                      [("xi", -1.4992027412104578), ("zy", 0.7608659045600252)]),
          15, [15], 0),
         (dense_terms([7, 6, 1], 6), 36, [35], 1),
-    ], ids=["pauli-417", "pauli-1327", "dense-u6-1"])
+        # Pauli-string draws default_rng([11, 559]) and ([11, 1301]).
+        (pauli_terms([("yz", 1.0414748193722576), ("yx", 0.947223521888851)],
+                     [("ix", 0.7756734746128349)],
+                     [("xi", -0.8927778899403935), ("zx", 1.096743883914685),
+                      ("xx", 1.4079860535862951)]), 15, [15], 0),
+        (pauli_terms([("zx", -0.8354389613091115)],
+                     [("ix", 1.2802165006127755), ("xz", 0.7782701097499536),
+                      ("iy", -0.8456401075589277)],
+                     [("iz", 1.2922535690373296), ("zi", 0.6758272307608548)]),
+         15, [15], 0),
+    ], ids=["pauli-417", "pauli-1327", "dense-u6-1", "pauli-559", "pauli-1301"])
     def test_noisy_minimal_ideal_draws(self, terms, closure_dim, ideal_dims,
                                        lines):
         # The sweep W <- W + [S, W] accepted a noise residual just above
         # tol ("cover dim 16 of 10", "16 of 15") or let the u(6) ideal
-        # overlap the radical line.
+        # overlap the radical line.  A Gram-Schmidt over brackets took a
+        # nearly dependent one into a centralizer's derived algebra
+        # ("derived algebra (dim 8)" in a 7-dim centralizer, draw 559),
+        # and nullspaces of ad^2 + a^2 missed a plane (draw 1301).
         analysis = analyze_system(control_system(terms[0], terms[1:]))
         assert analysis.closure.dim == closure_dim
         assert [b.dim for b in analysis.ideals.ideals] == ideal_dims
         assert len(analysis.levi.radical_lines) == lines
+
+    def test_analysis_holds_component_matrices_once(self):
+        drift, ctrl = dense_terms([7, 3, 0], 3)
+        analysis = analyze_system(control_system(drift, [ctrl]))
+        adapted = analysis.decomposition.adapted.mats
+        comps = analysis.decomposition.components
+        assert [kind for kind, _ in comps] == [KIND_SIMPLE, KIND_RADICAL]
+        for _, basis in comps:
+            assert np.shares_memory(basis.mats, adapted)
+        assert analysis.ideals.ideals[0] is comps[0][1]
 
     def test_dense_u3_propagates(self):
         # The closure basis used to carry a 1e-9 skew defect, which

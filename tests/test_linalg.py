@@ -244,6 +244,17 @@ class TestLieBasis:
         np.testing.assert_array_equal(su2.vecs[1, :2], [su2.mats[1, 0, 0].real,
                                                          su2.mats[1, 0, 0].imag])
 
+    def test_wraps_read_only_stack_without_copy(self, su2):
+        line = LieBasis(2, su2.mats[1:2])
+        assert np.shares_memory(line.mats, su2.mats)
+
+    def test_copies_writeable_stack(self):
+        mats = np.stack([IZ / np.sqrt(0.5)])
+        basis = LieBasis(2, mats)
+        assert not np.shares_memory(basis.mats, mats)
+        mats[0, 0, 0] = 0.0
+        assert basis.mats[0, 0, 0] != 0.0
+
     def test_iteration_and_len(self, su2):
         assert len(su2) == 3
         assert len(list(su2)) == 3

@@ -77,6 +77,18 @@ class TestFindSplittingElement:
             with pytest.raises(SplittingSearchError):
                 primary_decompose(two_spin_basis, cartan, coeffs=[coeffs])
 
+    def test_two_spin_nearly_equal_weights(self, two_spin_els,
+                                           two_spin_basis):
+        # The slow pair sits at 1e-4, a gap that squaring in
+        # ad^2 + a^2 used to halve below the rank tolerance.
+        cartan = two_spin_cartan(two_spin_els)
+        result = primary_decompose(two_spin_basis, cartan,
+                                   coeffs=[[1.0, 1.0001]])
+        np.testing.assert_allclose(result.splitting.frequencies,
+                                   [2.0001, 1e-4], rtol=1e-8)
+        assert result.invariance_residual < 1e-8
+        assert [comp.dim for _, comp in result.components] == [2, 2]
+
     def test_equal_weights_spectrum_collides(self):
         # Why (1, 1) fails: the sum M1 + M2 annihilates the whole slow
         # half, so its kernel is 4-dimensional instead of matching the

@@ -1,0 +1,119 @@
+"""Run ``analyze_system`` over a fixed set of random draws, one JSON line each.
+
+The draws are the benchmark's generators (``perfbench/workloads.py``, only
+imported): two-qubit Pauli-string systems ``default_rng([11, 0..1499])`` and
+dense u(3)-u(6) systems draws 0-74.  Each line holds the draw, and either the
+closure dimension, verdict, simple-ideal dimensions, radical line count and
+splitting coefficients and frequencies, or the failing stage and error class.
+
+Run from the repository root:
+
+    python3 tools/draw_sweep.py > sweep.jsonl
+    python3 tools/draw_sweep.py --compare before.jsonl after.jsonl
+
+``--compare`` prints how two sweeps differ: failures on either side, draws
+where both succeed but the structure differs, and draws where only the
+splitting element differs.
+"""
+
+import argparse
+import json
+import math
+import sys
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAULI_DRAWS = range(1500)
+DENSE_SIZES = (3, 4, 5, 6)
+DENSE_DRAWS = range(75)
+STRUCTURE = ("closure_dim", "verdict", "ideal_dims", "radical_lines")
+
+
+def draws():
+    """(name, Hamiltonian terms [H0, H1, ...]) for every draw of the sweep."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import numpy as np
+    import workloads
+    for i in PAULI_DRAWS:
+        rng = np.random.default_rng([workloads.PAULI_KEY, i])
+        yield f"pauli {i}", workloads.pauli_strings(rng)
+    for n in DENSE_SIZES:
+        for d in DENSE_DRAWS:
+            yield f"u({n}) {d}", workloads.dense(n, d)
+
+
+def record(name, terms):
+    from dynlie import StageFailure, analyze_system, control_system
+    line = {"draw": name}
+    try:
+        analysis = analyze_system(control_system(terms[0], terms[1:]))
+    except StageFailure as err:
+        line.update(stage=err.stage, error=type(err.error).__name__,
+                    message=str(err.error))
+        return line
+    except Exception as err:  # an escaped error is a finding, not a crash
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        line.update(stage=f"{Path(where.filename).stem}.{where.name}",
+                    error=type(err).__name__, message=str(err))
+        return line
+    ideals = analysis.ideals.ideals if analysis.ideals is not None else ()
+    split = analysis.primary.splitting if analysis.primary else None
+    line.update(
+        closure_dim=analysis.closure.dim, verdict=analysis.verdict,
+        ideal_dims=[b.dim for b in ideals],
+        radical_lines=len(analysis.levi.radical_lines),
+        coefficients=None if split is None else split.coeffs.tolist(),
+        frequencies=None if split is None else split.frequencies.tolist())
+    return line
+
+
+def same_floats(x, y, rel=1e-9):
+    """Equal up to rounding: None on both sides, or equal lengths and
+    every pair within ``rel`` relative."""
+    if x is None or y is None:
+        return x is y
+    return len(x) == len(y) and all(math.isclose(p, q, rel_tol=rel)
+                                    for p, q in zip(x, y))
+
+
+def compare(before_path, after_path):
+    def load(path):
+        with open(path) as fh:
+            return {d["draw"]: d for d in map(json.loads, fh)}
+    before, after = load(before_path), load(after_path)
+    both = structure = splitting = 0
+    for name in before.keys() & after.keys():
+        b, a = before[name], after[name]
+        if "error" in b or "error" in a:
+            continue
+        both += 1
+        if any(b[k] != a[k] for k in STRUCTURE):
+            structure += 1
+            print(f"structure differs on {name}: {b} -> {a}")
+        elif (b["coefficients"] != a["coefficients"]
+              or not same_floats(b["frequencies"], a["frequencies"])):
+            splitting += 1
+    for label, sweep in (("before", before), ("after", after)):
+        failed = [d for d in sweep.values() if "error" in d]
+        print(f"{label}: {len(sweep)} draws, {len(failed)} failed")
+        for d in failed:
+            print(f"  {d['draw']}: {d['stage']} {d['error']}: {d['message']}")
+    print(f"both succeed on {both} draws: structure differs on {structure}, "
+          f"only the splitting element on {splitting}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two sweep files instead of sweeping")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
+    for name, terms in draws():
+        print(json.dumps(record(name, terms)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
