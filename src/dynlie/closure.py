@@ -49,11 +49,12 @@ class ClosureResult:
 def generate_closure(generators, tol=TOL_RANK):
     """Close a list of skew-Hermitian generators under commutators.
 
-    Generators are validated, normalized to unit Frobenius norm, and
-    seeded as depth 0; each subsequent layer brackets the previous
-    layer's new basis elements against the original generators.  The
-    loop stops when a layer adds nothing or the span reaches dim u(n).
-    All-zero input yields the empty basis at depth 0.
+    Generators are validated; those with a norm above ``tol`` times the
+    largest one are normalized to unit Frobenius norm and seeded as depth
+    0.  Each subsequent layer brackets the previous layer's new basis
+    elements against the original generators.  The loop stops when a
+    layer adds nothing or the span reaches dim u(n).  All-zero input
+    yields the empty basis at depth 0.
     """
     gens = [skew_hermitian(g) for g in generators]
     if not gens:
@@ -62,11 +63,12 @@ def generate_closure(generators, tol=TOL_RANK):
     if any(g.shape != (n, n) for g in gens):
         raise ValueError("generators must share one ambient dimension")
 
-    normalized = []
-    for g in gens:
-        norm = np.linalg.norm(g)
-        if norm > tol:
-            normalized.append(g / norm)
+    # A generator counts when its norm exceeds ``tol`` times the largest
+    # one, so rescaling the whole system does not change the algebra.
+    norms = [np.linalg.norm(g) for g in gens]
+    top = max(norms)
+    normalized = [g / norm for g, norm in zip(gens, norms)
+                  if norm > tol * top]
     if not normalized:
         return ClosureResult(empty_basis(n), 0, 0)
 

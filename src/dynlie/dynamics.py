@@ -7,16 +7,22 @@ commuting product of per-piece propagators.  For piecewise-constant
 schedules each factor is an exact product of matrix exponentials, so the
 factorization error stays at numerical noise.
 
-Propagation is batched: H(u) is affine in u, so a chunk of segments
-gets all its generators from one matmul against the drift and control
-terms, and their coordinates from one projection.  Each simple ideal,
-and the unfactored reference, then costs one stacked eigendecomposition
-per chunk; a radical line commutes with everything and costs one
-eigendecomposition for the whole schedule.
+Propagation runs in the frame of the terms' invariant subspaces: one
+unitary in which the drift, every control term and so the whole algebra
+are block diagonal (``linalg.invariant_frame``).  It is batched: H(u) is
+affine in u, so a chunk of segments gets its generators, for the
+membership check, from one matmul against the terms, their coordinates
+from one projection, and every diagonal block of the reference
+generator and of each simple ideal's piece from one more matmul.  The
+blocks of each size cost one stacked eigendecomposition per chunk, an
+ideal skipping the blocks it acts on as zero; a radical line commutes
+with everything and costs one eigendecomposition for the whole
+schedule.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,11 +40,13 @@ from .linalg import (
     LieBasis,
     TOL_EIG,
     TOL_RANK,
+    TOL_FRAME,
     _unvec,
     _vec,
     bracket_residual,
     expm_skew,
     from_coords,
+    invariant_frame,
     span_coords,
 )
 from .primary import PrimaryResult, primary_decompose
@@ -69,30 +77,42 @@ class ComponentDecomposition:
 class ControlSchedule:
     """Piecewise-constant control schedule: (duration, u) segments.
 
-    Durations must be positive and finite, control values finite.
+    Durations must be positive and finite, control values finite.  The
+    segments are kept as given; ``durations`` holds the durations as one
+    read-only array and ``controls`` the control vectors stacked, one row
+    per segment, or None when their lengths differ.
     """
 
     segments: tuple
+    durations: np.ndarray = field(init=False, repr=False, compare=False)
+    controls: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cleaned = []
-        for seg in self.segments:
-            dur, u = seg
-            dur = float(dur)
-            if not 0.0 < dur < math.inf:
-                raise ValueError(
-                    f"segment durations must be positive and finite, got {dur}")
-            cleaned.append((dur, np.asarray(u, dtype=float)))
-        # One vectorized test: a check per segment would cost more than
-        # building the schedule.
-        if cleaned and not np.isfinite(
-                np.concatenate([u for _, u in cleaned], axis=None)).all():
+        segs = tuple(self.segments)
+        durs = np.array([dur for dur, _ in segs], dtype=float)
+        bad = ~((durs > 0.0) & (durs < math.inf))
+        if bad.any():
+            raise ValueError("segment durations must be positive and finite, "
+                             f"got {durs[bad.argmax()]}")
+        try:
+            us = np.array([u for _, u in segs], dtype=float)
+        except ValueError:  # control vectors of different lengths
+            us = None
+            values = np.concatenate(
+                [np.asarray(u, dtype=float) for _, u in segs], axis=None)
+        else:
+            us.flags.writeable = False
+            values = us
+        if not np.isfinite(values).all():
             raise ValueError("control values must be finite")
-        object.__setattr__(self, "segments", tuple(cleaned))
+        durs.flags.writeable = False
+        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "durations", durs)
+        object.__setattr__(self, "controls", us)
 
     @property
     def total_time(self):
-        return sum((d for d, _ in self.segments), 0.0)
+        return sum(self.durations.tolist(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -185,29 +205,31 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
                           ideals=ideal_set, decomposition=decomposition)
 
 
-def _term_vecs(system):
-    """The generator's terms -i H0, -i H1, ... as real row vectors.
+def _terms(system):
+    """The generator's terms -i H0, -i H1, ... as one stack.
 
-    H(u) is affine in u, so the generator of the control row [1, u] has
-    that row times them as its vector.
+    H(u) is affine in u, so the generator of the control row [1, u] is
+    that row times them.
     """
-    return _vec(-1j * np.stack((system.drift,) + system.controls))
+    return -1j * np.array((system.drift,) + system.controls)
 
 
-def _control_rows(system, us):
-    """Rows [1, u] for the control vectors ``us``, one value per control."""
-    rows = np.ones((len(us), system.n_controls + 1))
-    for row, u in zip(rows, us):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (system.n_controls,):
-            raise ValueError(f"expected {system.n_controls} control values, "
-                             f"got shape {u.shape}")
-        row[1:] = u
+def _control_rows(system, schedule):
+    """Rows [1, u] of the schedule's segments, one value per control."""
+    m = system.n_controls
+    us = schedule.controls
+    if us is None or us.shape[1:] != (m,):
+        for _, u in schedule.segments:
+            if np.shape(u) != (m,):
+                raise ValueError(f"expected {m} control values, "
+                                 f"got shape {np.shape(u)}")
+    rows = np.ones((len(schedule.segments), m + 1))
+    rows[:, 1:] = us.reshape(len(rows), m)
     return rows
 
 
 def _generator_coords(decomp, term_vecs, rows, tol):
-    """Generator vectors and adapted coordinates of the control ``rows``.
+    """Adapted coordinates of the generators of the control ``rows``.
 
     Raises NotInSpanError when some generator g leaves the algebra, i.e.
     its residual exceeds ``tol * max(1, ||g||_F)``.
@@ -218,22 +240,24 @@ def _generator_coords(decomp, term_vecs, rows, tol):
         raise NotInSpanError(
             "generator leaves the dynamical algebra; controls inconsistent "
             "with the decomposition")
-    return gvecs, coords
+    return coords
 
 
 def _component_slices(decomp):
     """Column range of each component in the adapted coordinates."""
-    ends = np.cumsum([basis.dim for _, basis in decomp.components])
-    return [slice(end - basis.dim, end)
-            for end, (_, basis) in zip(ends, decomp.components)]
+    slices, end = [], 0
+    for _, basis in decomp.components:
+        slices.append(slice(end, end + basis.dim))
+        end += basis.dim
+    return slices
 
 
 def _ordered_product(stack):
     """stack[-1] @ ... @ stack[0], by pairwise halving."""
     while len(stack) > 1:
-        even = len(stack) - len(stack) % 2
-        stack = np.concatenate([stack[1:even:2] @ stack[0:even:2],
-                                stack[even:]])
+        odd = len(stack) % 2
+        halved = stack[1::2] @ stack[0 : len(stack) - odd : 2]
+        stack = np.concatenate([halved, stack[-1:]]) if odd else halved
     return stack[0]
 
 
@@ -243,11 +267,44 @@ def project_generator(decomp, system, u, tol=TOL_RANK):
     The sum of the pieces reconstructs the generator (that is exactly the
     orthogonal projection onto the adapted basis, which must contain it).
     """
-    _, coords = _generator_coords(decomp, _term_vecs(system),
-                                  _control_rows(system, [u]), tol)
+    coords = _generator_coords(
+        decomp, _vec(_terms(system)),
+        _control_rows(system, ControlSchedule(((1.0, u),))), tol)
     return [_unvec(coords[0, cols] @ basis.vecs, system.dim)
             for cols, (_, basis) in zip(_component_slices(decomp),
                                         decomp.components)]
+
+
+def _block_operator(frame, sizes, owners, width):
+    """The map from a chunk's inputs to the diagonal blocks it exponentiates.
+
+    ``owners`` lists (input columns, matrices): the owner's generator is
+    the input row on those columns times its matrices.  Every block an
+    owner does not act on as zero (each of its matrices is there at most
+    ``TOL_FRAME`` times its own norm) is one (size, owner, start) pair.
+    Returns the pairs ordered by size, and a (``width``, sum 2 size^2)
+    real matrix whose columns give each pair's block, vectorized.
+    """
+    starts = [0, *itertools.accumulate(sizes[:-1])]
+    first = [0, *itertools.accumulate(len(mats) for _, mats in owners)]
+    rotated = frame.conj().T @ np.concatenate([m for _, m in owners]) @ frame
+    sq = np.abs(rotated) ** 2
+    on_block = np.add.reduceat(np.add.reduceat(sq, starts, axis=1), starts,
+                               axis=2).diagonal(axis1=1, axis2=2)
+    acting = np.logical_or.reduceat(
+        on_block > TOL_FRAME ** 2 * sq.sum(axis=(1, 2))[:, None], first[:-1],
+        axis=0)
+    pairs = sorted((sizes[b], o, starts[b]) for o, b in zip(*np.nonzero(acting)))
+    op = np.zeros((width, sum(size * size for size, _, _ in pairs)),
+                  dtype=complex)
+    at = 0
+    for size, o, s in pairs:
+        op[owners[o][0], at : at + size * size] = rotated[
+            first[o] : first[o + 1], s : s + size, s : s + size].reshape(
+                -1, size * size)
+        at += size * size
+    # Interleaved real and imaginary parts, the layout of _vec.
+    return pairs, op.view(float)
 
 
 def propagate(decomp, system, schedule, tol=TOL_RANK):
@@ -259,13 +316,23 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     the factorization error compares the total against the product taken
     radical lines first, then simple ideals.
 
-    Cost model: segments run in chunks of ``CHUNK``.  Per chunk, one
-    matmul gives every segment's generator and one projection their
-    coordinates, and each simple ideal and the unfactored reference take
-    one stacked ``expm_skew`` (one batched ``eigh``) and a pairwise
-    product.  A radical line commutes with
-    everything, so its coordinate is summed over the whole schedule and
-    exponentiated once: one ``eigh`` per line in total.
+    The exponentials are taken in the frame of ``invariant_frame``, where
+    the drift and every control term, and with them the whole algebra,
+    are block diagonal: each generator and each ideal's piece is a
+    stack of diagonal blocks, and an ideal skips the blocks it acts on as
+    zero.  Factors are rotated back to n x n once, at the end.
+
+    Cost model: one frame per call, an ``eigh`` of one n x n combination
+    of the terms and, only where its spectrum repeats, a solve for a
+    commutant element over the repeated clusters.  Segments then run in
+    chunks of ``CHUNK``.  Per chunk, one matmul gives every segment's
+    generator and one projection their coordinates (the membership
+    check), one matmul maps [1, u | coordinates] to every diagonal block
+    of the reference total and of each simple ideal, and the blocks of
+    each size take one stacked ``expm_skew`` (one batched ``eigh``) and a
+    pairwise product.  A radical line commutes with everything, so its
+    coordinate is summed over the whole schedule and exponentiated once:
+    one ``eigh`` per line in total.
     """
     n = system.dim
     comps = decomp.components
@@ -274,32 +341,58 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     simple = [c for c, (kind, _) in enumerate(comps) if kind == KIND_SIMPLE]
     lines = [c for c, (kind, _) in enumerate(comps) if kind == KIND_RADICAL]
     line_cols = [cols[c].start for c in lines]
-    terms = _term_vecs(system)
-    durs = np.array([dur for dur, _ in schedule.segments])
-    rows = _control_rows(system, [u for _, u in schedule.segments])
-    factors = [np.eye(n, dtype=complex) for _ in comps]
-    total = np.eye(n, dtype=complex)
+    terms = _terms(system)
+    term_vecs = _vec(terms)
+    durs = schedule.durations
+    rows = _control_rows(system, schedule)
+    # A chunk's inputs are [1, u | adapted coordinates]: the reference
+    # total takes the generator from the terms, each ideal its piece from
+    # its own coordinates.
+    width = len(terms) + decomp.adapted.dim
+    owners = [(slice(0, len(terms)), terms)] + [
+        (slice(len(terms) + cols[c].start, len(terms) + cols[c].stop),
+         comps[c][1].mats) for c in simple]
+    frame, sizes = invariant_frame(terms)
+    pairs, to_blocks = _block_operator(frame, sizes, owners, width)
+    groups = [(size, sum(1 for p in pairs if p[0] == size))
+              for size in sorted({p[0] for p in pairs})]
+    running = [np.eye(size, dtype=complex)[None].repeat(count, axis=0)
+               for size, count in groups]
     angles = np.zeros(len(lines))
     for start in range(0, len(durs), CHUNK):
         chunk = slice(start, start + CHUNK)
-        gvecs, coords = _generator_coords(decomp, terms, rows[chunk], tol)
-        for c in simple:
-            pieces = _unvec(coords[:, cols[c]] @ comps[c][1].vecs, n)
-            factors[c] = (_ordered_product(expm_skew(pieces, durs[chunk]))
-                          @ factors[c])
+        coords = _generator_coords(decomp, term_vecs, rows[chunk], tol)
+        blocks = np.concatenate([rows[chunk], coords], axis=1) @ to_blocks
+        at = 0
+        for g, (size, count) in enumerate(groups):
+            stack = _unvec(blocks[:, at : at + count * 2 * size * size]
+                           .reshape(-1, count, 2 * size * size), size)
+            running[g] = (_ordered_product(expm_skew(stack, durs[chunk, None]))
+                          @ running[g])
+            at += count * 2 * size * size
         angles += durs[chunk] @ coords[:, line_cols]
-        total = (_ordered_product(expm_skew(_unvec(gvecs, n), durs[chunk]))
-                 @ total)
+    eye = np.eye(n, dtype=complex)
+    factors = [eye.copy() for _ in comps]
+    total = eye
     # Skipped for an empty schedule, whose factors stay exact identities.
-    if lines and len(durs):
-        line_mats = np.stack([comps[c][1].mats[0] for c in lines])
-        for c, f in zip(lines, expm_skew(line_mats, angles)):
+    if len(durs):
+        diagonal = eye[None].repeat(len(owners), axis=0)
+        blocks = (block for stack in running for block in stack)
+        for (size, o, s), block in zip(pairs, blocks):
+            diagonal[o, s : s + size, s : s + size] = block
+        back = frame @ diagonal @ frame.conj().T
+        total = back[0]
+        for c, f in zip(simple, back[1:]):
             factors[c] = f
+        if lines:
+            line_mats = np.stack([comps[c][1].mats[0] for c in lines])
+            for c, f in zip(lines, expm_skew(line_mats, angles)):
+                factors[c] = f
     ordered = [f for (kind, _), f in zip(comps, factors)
                if kind == KIND_RADICAL]
     ordered += [f for (kind, _), f in zip(comps, factors)
                 if kind == KIND_SIMPLE]
-    product = np.eye(n, dtype=complex)
+    product = eye
     for f in ordered:
         product = product @ f
     fact_err = float(np.linalg.norm(total - product))

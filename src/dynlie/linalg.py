@@ -6,8 +6,9 @@ Euclidean.  Everything downstream -- closures, centralizers, nullspace
 splits -- reduces to orthonormal bases of subspaces of that space, so
 this module owns the basis bookkeeping: Gram-Schmidt extension with a
 re-orthogonalization pass, the all-pairs bracket, the span projection
-behind every membership test and coordinate map, and the exact
-exponential of a skew-Hermitian matrix.
+behind every membership test and coordinate map, the exact
+exponential of a skew-Hermitian matrix, and the unitary frame in which a
+set of matrices is block diagonal.
 
 A matrix is vectorized as its row-major entries with the real and
 imaginary part of each entry interleaved.  That is numpy's own memory
@@ -17,7 +18,11 @@ LieBasis keeps a single array.
 Tolerance conventions: rank/membership decisions are relative at
 ``TOL_RANK``, skew-Hermiticity is enforced at ``TOL_HERM``, and both are
 always scaled by max(1, norm) so tiny matrices are not over-trusted.
+``TOL_FRAME`` is the round-off level, relative to each matrix's norm, below
+which an entry of a rotated matrix counts as zero.
 """
+
+import functools
 
 import numpy as np
 
@@ -27,6 +32,7 @@ TOL_HERM = 1e-10
 TOL_RANK = 1e-8
 TOL_KILLING = 1e-6
 TOL_EIG = 1e-6
+TOL_FRAME = 1e-12
 
 
 def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
@@ -298,3 +304,97 @@ def expm_skew(a, t=1.0, tol=TOL_HERM):
     w, v = np.linalg.eigh(1j * a)
     phases = np.exp(-1j * np.asarray(t)[..., None] * w)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+@functools.lru_cache(maxsize=64)
+def _generic(count):
+    """``count`` fixed coefficients frac(k sqrt 2) + 1/2, k = 1, 2, ...: no
+    rational relation among them, so a combination they weight is generic.
+    Read-only, since the array is cached."""
+    c = np.sqrt(2.0) * np.arange(1, count + 1) % 1.0 + 0.5
+    c.flags.writeable = False
+    return c
+
+
+def _commutant_element(a, bounds):
+    """A generic Hermitian matrix that commutes with every Hermitian matrix
+    of ``a`` (k, n, n) and is block diagonal over the index ranges
+    ``bounds[j]:bounds[j + 1]``.
+
+    On that block-diagonal space the commutant is the kernel of the
+    positive operator C -> sum_i [a_i, [a_i, C]], whose entry between the
+    unknowns (p', q') and (p, q) of C is
+    s[p', p] d(q', q) - 2 sum_i a_i[p', p] a_i[q, q'] + d(p', p) s[q, q']
+    with s = sum_i a_i^2: a matrix of the size of the unknowns, not of
+    n^2.  Eigenvalues up to ``TOL_RANK`` times the largest count as zero;
+    an element that only nearly commutes can split subspaces the terms
+    couple weakly, which the support test in :func:`invariant_frame`
+    then merges again.
+    """
+    ps, qs = np.concatenate([
+        np.stack(np.meshgrid(np.arange(s, e), np.arange(s, e),
+                             indexing="ij")).reshape(2, -1)
+        for s, e in zip(bounds[:-1], bounds[1:])], axis=1)
+    p, p2 = ps[None, :], ps[:, None]
+    q, q2 = qs[None, :], qs[:, None]
+    s = (a @ a).sum(axis=0)
+    op = (s[p2, p] * (q2 == q) + (p2 == p) * s[q, q2]
+          - 2.0 * (a[:, p2, p] * a[:, q, q2]).sum(axis=0))
+    lam, vecs = np.linalg.eigh(op)
+    kernel = vecs[:, lam <= TOL_RANK * max(lam[-1], 1.0)]
+    n = a.shape[-1]
+    c = np.zeros((n, n), dtype=complex)
+    c[ps, qs] = kernel @ _generic(kernel.shape[1])
+    return c + c.conj().T
+
+
+def invariant_frame(terms):
+    """Unitary W and block sizes such that W^H T W is block diagonal for
+    every matrix T of the skew-Hermitian stack ``terms`` (k, n, n).
+
+    Everything commuting with the terms (their commutant) maps each
+    invariant subspace of C^n into itself, and the eigenvectors of a
+    generic Hermitian element of the commutant split C^n into irreducible
+    invariant subspaces (Zeier & Schulte-Herbruggen, J. Math. Phys. 52,
+    113510, 2011).  The commutant also commutes with the fixed generic
+    combination G of the normalized terms, so it is block diagonal over
+    G's eigenvalue clusters (gaps at ``TOL_EIG``): the element is solved
+    for only in that form, and needed at all only where G has a repeated
+    eigenvalue.  Each cluster is then rotated by the element's
+    eigenvectors on it.
+
+    The blocks are the connected components of the rotated terms'
+    support, an entry counting when it exceeds ``TOL_FRAME`` times its
+    term's norm, so an inexact split can only merge blocks, never drop a
+    coupling.  Columns of W run block by block, blocks in order of their
+    first index; an irreducible set gives one block of size n.
+    """
+    h = 1j * np.asarray(terms, dtype=complex)
+    n = h.shape[-1]
+    flat = h.reshape(len(h), n * n)
+    norms = np.linalg.norm(flat, axis=1)
+    h /= np.where(norms > 0, norms, 1.0)[:, None, None]
+    lam, w = np.linalg.eigh((_generic(len(h)) @ flat).reshape(n, n))
+    gaps = lam[1:] - lam[:-1] > TOL_EIG * max(1.0, -lam[0], lam[-1])
+    rotated = w.conj().T @ h @ w
+    if not gaps.all():
+        bounds = np.concatenate([[0], np.flatnonzero(gaps) + 1, [n]])
+        c = _commutant_element(rotated, bounds)
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            if e - s > 1:
+                w[:, s:e] = w[:, s:e] @ np.linalg.eigh(c[s:e, s:e])[1]
+        rotated = w.conj().T @ h @ w
+    support = (np.abs(rotated) > TOL_FRAME).any(axis=0)
+    reach = support | support.T
+    np.fill_diagonal(reach, True)
+    while not reach.all():
+        r = reach.astype(float)
+        grown = (r @ r) > 0
+        if (grown == reach).all():
+            break
+        reach = grown
+    # Row i's first reachable index names i's block.
+    labels = reach.argmax(axis=1)
+    sizes = np.bincount(labels)
+    return w[:, np.argsort(labels, kind="stable")], tuple(
+        sizes[sizes > 0].tolist())

@@ -93,3 +93,19 @@ def naive_closure_dim(gens, tol=1e-8):
             return dim
         current = spanning_subset(current + brackets, tol)
         dim = new_dim
+
+
+def off_block(frame, sizes, mats):
+    """Largest entry of W^H M W outside the diagonal blocks ``sizes``,
+    relative to ||M||_F, over the matrices M of ``mats``."""
+    mats = np.asarray(mats)
+    inside = np.zeros((len(frame), len(frame)), dtype=bool)
+    start = 0
+    for size in sizes:
+        inside[start:start + size, start:start + size] = True
+        start += size
+    assert start == len(frame)
+    rotated = frame.conj().T @ mats @ frame
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    return float((np.abs(rotated[:, ~inside]).max(axis=1, initial=0.0)
+                  / np.where(norms > 0, norms, 1.0)).max(initial=0.0))

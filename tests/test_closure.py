@@ -5,17 +5,31 @@ from dynlie import (
     CONTROLLABLE_SU,
     CONTROLLABLE_U,
     UNCONTROLLABLE,
+    analyze_system,
     commutator,
+    control_system,
     generate_closure,
     is_controllable,
     kron,
     member_coords,
+    pauli,
+    two_spin_system,
 )
 
 from conftest import SX, SY, SZ, I2
 from helpers import naive_closure_dim, random_skew
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
+
+
+def pauli_su4_system():
+    """Two-qubit Pauli-string system default_rng([11, 39]), closing to su(4)."""
+    def strings(*terms):
+        return sum(c * kron(pauli(a), pauli(b)) for (a, b), c in terms)
+    drift = strings(("zy", 0.8626653406413143), ("xz", -0.5813716229468491),
+                    ("zz", -1.443886285802562))
+    ctrl = strings(("yx", 0.7929463596782029), ("zx", -1.0415569247493681))
+    return control_system(drift, [ctrl])
 
 
 class TestGenerateClosure:
@@ -56,6 +70,33 @@ class TestGenerateClosure:
     def test_scaling_invariance(self):
         small = generate_closure([1e-4 * IX, 1e-4 * IY])
         assert small.dim == 3
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    @pytest.mark.parametrize("make, dim, verdict, ideal_dims", [
+        (two_spin_system, 6, UNCONTROLLABLE, [3, 3]),
+        (pauli_su4_system, 15, CONTROLLABLE_SU, [15]),
+    ], ids=["two-spin", "pauli-su4"])
+    def test_rescaled_system(self, make, dim, verdict, ideal_dims, scale):
+        # An absolute norm cut on the generators used to drop every term
+        # of a system scaled by 1e-9, closing it to the empty algebra.
+        sys = make()
+        scaled = control_system(scale * sys.drift,
+                                [scale * c for c in sys.controls])
+        for analysis in (analyze_system(sys), analyze_system(scaled)):
+            assert analysis.closure.dim == dim
+            assert analysis.verdict == verdict
+            assert [b.dim for b in analysis.ideals.ideals] == ideal_dims
+
+    def test_generator_cut_relative_to_largest(self):
+        # The cut is ``tol`` (1e-8) times the largest generator norm: a
+        # generator 1e-9 times the other is dropped, while two equally
+        # tiny ones are both kept.
+        result = generate_closure([IX, 1e-9 * IY])
+        assert result.dim == 1
+        assert result.generators_used == 1
+        result = generate_closure([1e-12 * IX, 1e-12 * IY])
+        assert result.dim == 3
+        assert result.generators_used == 2
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):

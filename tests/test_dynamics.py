@@ -24,9 +24,9 @@ from dynlie.dynamics import (
     su2_flags,
 )
 from dynlie.errors import NotInSpanError
-from dynlie.linalg import expm_skew, member_coords
+from dynlie.linalg import expm_skew, invariant_frame, member_coords
 
-from helpers import dense_terms, span_contains
+from helpers import dense_terms, off_block, span_contains
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
@@ -186,6 +186,35 @@ class TestControlSchedule:
     def test_empty_schedule_allowed(self):
         assert ControlSchedule(()).total_time == 0.0
 
+    def test_stacked_arrays(self):
+        segs = ((0.5, [1.0, 0.0]), (1.5, (0.0, 1.0)))
+        sched = ControlSchedule(segs)
+        assert sched.segments is segs
+        np.testing.assert_array_equal(sched.durations, [0.5, 1.5])
+        np.testing.assert_array_equal(sched.controls, [[1.0, 0.0],
+                                                       [0.0, 1.0]])
+        assert not sched.durations.flags.writeable
+        assert not sched.controls.flags.writeable
+        # Control vectors of different lengths have no stack; the mismatch
+        # is reported against the system by propagate.
+        ragged = ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (1.0,))))
+        assert ragged.controls is None
+        with pytest.raises(ValueError, match="finite"):
+            ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (np.nan,))))
+
+    def test_first_bad_duration_named(self):
+        with pytest.raises(ValueError, match=r"finite, got -1\.0$"):
+            ControlSchedule(((0.5, (1.0,)), (-1.0, (1.0,)), (0.0, (1.0,))))
+
+    def test_wrong_length_named_per_segment(self, two_spin_decomp):
+        # Every segment one value short: the stack has the wrong width,
+        # and the message names the shape of one segment's vector.
+        sys, analysis = two_spin_decomp
+        sched = ControlSchedule(((0.5, (1.0,)), (0.5, (2.0,))))
+        with pytest.raises(ValueError,
+                           match=r"expected 2 control values, got shape \(1,\)"):
+            propagate(analysis.decomposition, sys, sched)
+
     @pytest.mark.parametrize("segment", [
         (np.inf, (1.0, 0.0)), (np.nan, (1.0, 0.0)),
         (0.5, (np.inf, 0.0)), (0.5, (1.0, np.nan))])
@@ -339,8 +368,9 @@ class TestBatchedPropagate:
     one-segment-at-a-time loop."""
 
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
-    @pytest.mark.parametrize("make", [two_spin_system, three_qubit],
-                             ids=["two-spin", "three-qubit"])
+    @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
+                                      lambda: ising_x(4)],
+                             ids=["two-spin", "three-qubit", "ising-x-4"])
     def test_chunk_edges(self, make, count):
         sys = make()
         sched = random_schedule(np.random.default_rng(count),
@@ -348,14 +378,27 @@ class TestBatchedPropagate:
         assert_matches_loop(analyze_system(sys).decomposition, sys, sched,
                             1e-12)
 
-    @pytest.mark.parametrize("make", [three_qubit, lambda: ising_x(3)],
-                             ids=["three-qubit", "ising-x-3"])
+    @pytest.mark.parametrize("make", [three_qubit, lambda: ising_x(3),
+                                      lambda: ising_x(4)],
+                             ids=["three-qubit", "ising-x-3", "ising-x-4"])
     def test_thousand_segments(self, make):
         sys = make()
         decomp = analyze_system(sys).decomposition
         assert [kind for kind, _ in decomp.components][-1] == KIND_RADICAL
         sched = random_schedule(np.random.default_rng(1000), 1, 1000)
         assert_matches_loop(decomp, sys, sched, 1e-10)
+
+    @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
+                                      lambda: ising_x(4)],
+                             ids=["two-spin", "three-qubit", "ising-x-4"])
+    def test_empty_schedule_exact_identities(self, make):
+        sys = make()
+        result = propagate(analyze_system(sys).decomposition, sys,
+                           ControlSchedule(()))
+        for f in (result.total,) + result.factors:
+            assert np.array_equal(f, np.eye(sys.dim))
+        assert result.factorization_error == 0.0
+        assert result.commutation_residual == 0.0
 
     def test_segment_leaving_algebra_raises(self, two_spin_decomp):
         # A third control outside the algebra is harmless at zero; the one
@@ -377,6 +420,55 @@ class TestBatchedPropagate:
             propagate(analysis.decomposition, sys, sched)
         with pytest.raises(ValueError, match="2 control values"):
             project_generator(analysis.decomposition, sys, (1.0,))
+
+
+def coupled_sectors(coupling):
+    """Two su(2) sectors on C^2 + C^2, coupled in the drift by ``coupling``."""
+    drift = np.zeros((4, 4), dtype=complex)
+    drift[:2, :2] = SX
+    drift[2:, 2:] = 0.8 * SY + 0.3 * SZ
+    drift[0, 3] = drift[3, 0] = coupling
+    ctrl = np.zeros((4, 4), dtype=complex)
+    ctrl[:2, :2] = SZ
+    ctrl[2:, 2:] = -0.6 * SX
+    return control_system(drift, [ctrl])
+
+
+class TestInvariantFrame:
+    """The frame propagate works in: every term and every element of the
+    algebra is block diagonal in it."""
+
+    @pytest.mark.parametrize("make, sizes", [
+        (two_spin_system, [2, 2]),
+        (three_qubit, [2, 2, 2, 2]),
+        (lambda: ising_x(3), [1, 1, 3, 3]),
+        (lambda: ising_x(4), [1, 1, 4, 4, 6]),
+    ], ids=["two-spin", "three-qubit", "ising-x-3", "ising-x-4"])
+    def test_terms_and_algebra_block_diagonal(self, make, sizes):
+        sys = make()
+        terms = -1j * np.stack((sys.drift,) + sys.controls)
+        frame, got = invariant_frame(terms)
+        assert sorted(got) == sizes
+        assert off_block(frame, got, terms) <= 1e-12
+        adapted = analyze_system(sys).decomposition.adapted
+        assert off_block(frame, got, adapted.mats) <= 1e-12
+
+    def test_dense_u3_is_one_block(self):
+        drift, ctrl = dense_terms([7, 3, 793], 3)
+        assert invariant_frame(-1j * np.stack([drift, ctrl]))[1] == (3,)
+
+    def test_weakly_coupled_sectors_stay_one_block(self):
+        # Split apart, the 1e-9 coupling would be dropped from every
+        # segment; merged, the result still matches the loop.
+        weak = coupled_sectors(1e-9)
+        terms = -1j * np.stack((weak.drift,) + weak.controls)
+        assert invariant_frame(terms)[1] == (4,)
+        sizes = invariant_frame(-1j * np.stack(
+            (coupled_sectors(0.0).drift,) + weak.controls))[1]
+        assert sorted(sizes) == [2, 2]
+        sched = random_schedule(np.random.default_rng(9), 1, 1000)
+        decomp = analyze_system(weak).decomposition
+        assert_matches_loop(decomp, weak, sched, 1e-10)
 
 
 class TestRandomDrawRegressions:

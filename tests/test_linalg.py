@@ -19,11 +19,12 @@ from dynlie.linalg import (
     bracket_residual,
     coords_strict,
     hermitian_part,
+    invariant_frame,
 )
 from dynlie.errors import NotInSpanError
 
 from conftest import SX, SY, SZ, I2
-from helpers import dense_terms, random_skew
+from helpers import dense_terms, off_block, random_skew
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
@@ -333,3 +334,55 @@ class TestExpmSkew:
         stack = np.stack([random_skew(rng, 2), random_skew(rng, 2), bad])
         with pytest.raises(ValueError, match="skew-Hermitian|non-finite"):
             expm_skew(stack, t=np.ones(3))
+
+
+class TestInvariantFrame:
+    """invariant_frame: a unitary W with every term block diagonal in it."""
+
+    @staticmethod
+    def frame_of(terms):
+        terms = np.asarray(terms)
+        frame, sizes = invariant_frame(terms)
+        np.testing.assert_allclose(frame.conj().T @ frame,
+                                   np.eye(len(frame)), atol=1e-13)
+        assert sum(sizes) == len(frame)
+        assert off_block(frame, sizes, terms) <= 1e-12
+        return frame, sizes
+
+    def test_dense_terms_are_one_block(self):
+        drift, ctrl = dense_terms([7, 3, 0], 3)
+        assert self.frame_of([-1j * drift, -1j * ctrl])[1] == (3,)
+
+    def test_direct_sum_splits(self):
+        # Two inequivalent sectors: su(2) on C^2 and a 2-level diagonal.
+        drift = np.zeros((4, 4), dtype=complex)
+        drift[:2, :2] = IX
+        drift[2:, 2:] = IZ
+        ctrl = np.zeros((4, 4), dtype=complex)
+        ctrl[:2, :2] = IY
+        _, sizes = self.frame_of([drift, ctrl])
+        assert sorted(sizes) == [1, 1, 2]
+
+    def test_repeated_irreducible_splits(self):
+        # su(2) acting on the second spin only: the first spin is a
+        # multiplicity, every combination of the terms has a doubly
+        # repeated spectrum, and only the commutant separates the copies.
+        _, sizes = self.frame_of([kron(I2, IX), kron(I2, IY)])
+        assert sizes == (2, 2)
+
+    def test_zero_terms_give_single_indices(self):
+        assert self.frame_of(np.zeros((2, 3, 3)))[1] == (1, 1, 1)
+
+    def test_weak_coupling_merges(self):
+        # A 1e-9 coupling between the two sectors is far above round-off,
+        # so they form one block rather than being split apart.
+        drift = np.zeros((4, 4), dtype=complex)
+        drift[:2, :2] = IX
+        drift[2:, 2:] = IY
+        drift[0, 2] = drift[2, 0] = 1e-9j
+        ctrl = np.zeros((4, 4), dtype=complex)
+        ctrl[:2, :2] = IZ
+        ctrl[2:, 2:] = IZ
+        assert self.frame_of([drift, ctrl])[1] == (4,)
+        drift[0, 2] = drift[2, 0] = 0.0
+        assert self.frame_of([drift, ctrl])[1] == (2, 2)

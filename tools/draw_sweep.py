@@ -6,14 +6,21 @@ dense u(3)-u(6) systems draws 0-74.  Each line holds the draw, and either the
 closure dimension, verdict, simple-ideal dimensions, radical line count and
 splitting coefficients and frequencies, or the failing stage and error class.
 
+Each analyzed draw is also propagated over a fixed short schedule.  The line
+records the block sizes of the propagation frame, the distance of the total
+from a product of scipy exponentials of the full generators, and the
+problems ``perfbench/checks.py`` ``check_propagation`` finds (total against
+that product and against the factors, unitary and commuting factors); a draw
+with any problem is a propagation mismatch.
+
 Run from the repository root:
 
     python3 tools/draw_sweep.py > sweep.jsonl
     python3 tools/draw_sweep.py --compare before.jsonl after.jsonl
 
 ``--compare`` prints how two sweeps differ: failures on either side, draws
-where both succeed but the structure differs, and draws where only the
-splitting element differs.
+where both succeed but the structure differs, draws where only the
+splitting element differs, and propagation mismatches on either side.
 """
 
 import argparse
@@ -28,6 +35,7 @@ PAULI_DRAWS = range(1500)
 DENSE_SIZES = (3, 4, 5, 6)
 DENSE_DRAWS = range(75)
 STRUCTURE = ("closure_dim", "verdict", "ideal_dims", "radical_lines")
+SCHEDULE_DURATIONS = (0.3, 0.7, 0.45, 0.9, 0.2)
 
 
 def draws():
@@ -41,6 +49,38 @@ def draws():
     for n in DENSE_SIZES:
         for d in DENSE_DRAWS:
             yield f"u({n}) {d}", workloads.dense(n, d)
+
+
+def schedule(controls):
+    """The fixed short schedule for a system with ``controls`` controls."""
+    import numpy as np
+    us = np.random.default_rng(controls).uniform(
+        -2.0, 2.0, (len(SCHEDULE_DURATIONS), controls))
+    return list(zip(SCHEDULE_DURATIONS, us))
+
+
+def propagation(analysis, terms):
+    """Frame blocks, distance from the expm product, and check problems."""
+    import numpy as np
+    import checks
+    from dynlie import ControlSchedule, propagate
+    from dynlie.linalg import invariant_frame
+    system = analysis.system
+    segs = schedule(system.n_controls)
+    blocks = invariant_frame(
+        -1j * np.stack((system.drift,) + system.controls))[1]
+    reference = checks.expm_product(terms, segs)
+    try:
+        result = propagate(analysis.decomposition, system,
+                           ControlSchedule(tuple(segs)))
+    except Exception as err:  # an escaped error is a mismatch, not a crash
+        return {"blocks": list(blocks), "propagation_error": None,
+                "propagation_problems": [f"{type(err).__name__}: {err}"]}
+    return {"blocks": list(blocks),
+            "propagation_error": float(np.linalg.norm(
+                result.total - reference)),
+            "propagation_problems": checks.check_propagation(
+                result.total, result.factors, reference)}
 
 
 def record(name, terms):
@@ -65,6 +105,7 @@ def record(name, terms):
         radical_lines=len(analysis.levi.radical_lines),
         coefficients=None if split is None else split.coeffs.tolist(),
         frequencies=None if split is None else split.frequencies.tolist())
+    line.update(propagation(analysis, terms))
     return line
 
 
@@ -99,6 +140,12 @@ def compare(before_path, after_path):
         print(f"{label}: {len(sweep)} draws, {len(failed)} failed")
         for d in failed:
             print(f"  {d['draw']}: {d['stage']} {d['error']}: {d['message']}")
+        checked = [d for d in sweep.values() if "propagation_problems" in d]
+        mismatched = [d for d in checked if d["propagation_problems"]]
+        print(f"{label}: {len(checked)} draws propagated, "
+              f"{len(mismatched)} propagation mismatches")
+        for d in mismatched:
+            print(f"  {d['draw']}: {'; '.join(d['propagation_problems'])}")
     print(f"both succeed on {both} draws: structure differs on {structure}, "
           f"only the splitting element on {splitting}")
 
@@ -110,10 +157,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
-        return
+        return 0
+    count = failed = mismatched = 0
     for name, terms in draws():
-        print(json.dumps(record(name, terms)), flush=True)
+        line = record(name, terms)
+        print(json.dumps(line), flush=True)
+        count += 1
+        failed += "error" in line
+        mismatched += bool(line.get("propagation_problems"))
+    print(f"{count} draws, {failed} failed, {mismatched} propagation "
+          f"mismatches", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
