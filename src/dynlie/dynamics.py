@@ -14,10 +14,10 @@ affine in u, so a chunk of segments gets its generators, for the
 membership check, from one matmul against the terms, their coordinates
 from one projection, and every diagonal block of the reference
 generator and of each simple ideal's piece from one more matmul.  The
-blocks of each size cost one stacked eigendecomposition per chunk, an
-ideal skipping the blocks it acts on as zero; a radical line commutes
-with everything and costs one eigendecomposition for the whole
-schedule.
+blocks of each size cost one stacked exponential per chunk (an
+eigendecomposition, or a closed form for sizes 1 and 2), an ideal
+skipping the blocks it acts on as zero; a radical line commutes with
+everything and costs one exponential for the whole schedule.
 """
 
 import itertools
@@ -324,15 +324,19 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
 
     Cost model: one frame per call, an ``eigh`` of one n x n combination
     of the terms and, only where its spectrum repeats, a solve for a
-    commutant element over the repeated clusters.  Segments then run in
+    commutant element over the repeated clusters.  The frame is skipped
+    (the identity, one block) where it cannot pay: for n <= 2, which the
+    closed form covers, and for an algebra of dimension n^2 - 1 or more,
+    which is su(n) or u(n) and so splits nothing.  Segments then run in
     chunks of ``CHUNK``.  Per chunk, one matmul gives every segment's
     generator and one projection their coordinates (the membership
     check), one matmul maps [1, u | coordinates] to every diagonal block
     of the reference total and of each simple ideal, and the blocks of
-    each size take one stacked ``expm_skew`` (one batched ``eigh``) and a
-    pairwise product.  A radical line commutes with everything, so its
-    coordinate is summed over the whole schedule and exponentiated once:
-    one ``eigh`` per line in total.
+    each size take one stacked ``expm_skew`` and a pairwise product: one
+    batched ``eigh`` for sizes of 3 and more, elementwise array
+    operations in closed form for sizes 1 and 2.  A radical line commutes
+    with everything, so its coordinate is summed over the whole schedule
+    and exponentiated once: one ``expm_skew`` for all lines in total.
     """
     n = system.dim
     comps = decomp.components
@@ -352,12 +356,14 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     owners = [(slice(0, len(terms)), terms)] + [
         (slice(len(terms) + cols[c].start, len(terms) + cols[c].stop),
          comps[c][1].mats) for c in simple]
-    frame, sizes = invariant_frame(terms)
+    if n <= 2 or decomp.full.dim >= n * n - 1:
+        frame, sizes = np.eye(n), (n,)
+    else:
+        frame, sizes = invariant_frame(terms)
     pairs, to_blocks = _block_operator(frame, sizes, owners, width)
     groups = [(size, sum(1 for p in pairs if p[0] == size))
               for size in sorted({p[0] for p in pairs})]
-    running = [np.eye(size, dtype=complex)[None].repeat(count, axis=0)
-               for size, count in groups]
+    running = [None] * len(groups)
     angles = np.zeros(len(lines))
     for start in range(0, len(durs), CHUNK):
         chunk = slice(start, start + CHUNK)
@@ -367,8 +373,8 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
         for g, (size, count) in enumerate(groups):
             stack = _unvec(blocks[:, at : at + count * 2 * size * size]
                            .reshape(-1, count, 2 * size * size), size)
-            running[g] = (_ordered_product(expm_skew(stack, durs[chunk, None]))
-                          @ running[g])
+            step = _ordered_product(expm_skew(stack, durs[chunk, None]))
+            running[g] = step if start == 0 else step @ running[g]
             at += count * 2 * size * size
         angles += durs[chunk] @ coords[:, line_cols]
     eye = np.eye(n, dtype=complex)

@@ -45,16 +45,16 @@ def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
     shape (..., n, n) is validated matrix by matrix, each against its
     own norm; the error names the index of the first one that fails.
     """
-    a = np.array(mat, dtype=complex)
+    a = np.asarray(mat, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
-    adj = np.swapaxes(a.conj(), -1, -2)
+    adj = a.conj().swapaxes(-1, -2)
     part, off = (a - adj, a + adj) if skew else (a + adj, a - adj)
-    defect = np.linalg.norm(off, axis=(-2, -1))
-    over = defect > tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
-    if np.any(over):
+    defect = np.sqrt(_sq_norms(off))
+    over = defect > tol * np.maximum(1.0, np.sqrt(_sq_norms(a)))
+    if over.any():
         idx = np.unravel_index(np.argmax(over), over.shape)
         where = f"{what} {list(map(int, idx))}" if idx else what
         raise ValueError(f"{where} is not {'skew-' if skew else ''}Hermitian "
@@ -102,6 +102,13 @@ def _vec(mats):
     """
     m = np.ascontiguousarray(mats, dtype=complex)
     return m.view(float).reshape(m.shape[:-2] + (2 * m.shape[-2] * m.shape[-1],))
+
+
+def _sq_norms(mats):
+    """Squared Frobenius norm of each matrix of a complex stack (..., n, n),
+    in one pass over its :func:`_vec` view."""
+    v = _vec(mats)
+    return np.einsum("...i,...i->...", v, v)
 
 
 def _unvec(vecs, n):
@@ -299,11 +306,49 @@ def expm_skew(a, t=1.0, tol=TOL_HERM):
     broadcast against the stack shape, one time per matrix; the stack is
     then diagonalized by one batched ``eigh``.  np.linalg.LinAlgError
     propagates if the eigensolver fails to converge.
+
+    Matrices of size 1 and 2 skip the eigensolver and use the closed
+    form: exp(t*a) for n = 1, and for n = 2, with h = i*a, m = tr(h)/2,
+    k = h - m*I and r = sqrt(k_00^2 + |k_01|^2) (so k^2 = r^2 I),
+    exp(-i t m) (cos(t r) I - i t sinc(t r) k), sinc(0) = 1 (Moler & Van
+    Loan, SIAM Rev. 45, 2003).  It is unitary to round-off, like the
+    ``eigh`` path.
     """
     a = skew_hermitian(a, tol)
+    t = np.asarray(t)
+    if a.shape[-1] == 1:
+        return np.exp(t[..., None, None] * a)
+    if a.shape[-1] == 2:
+        return _expm_skew2(a, t)
     w, v = np.linalg.eigh(1j * a)
-    phases = np.exp(-1j * np.asarray(t)[..., None] * w)
+    phases = np.exp(-1j * t[..., None] * w)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _expm_skew2(a, t):
+    """Closed-form exp(t*a) for a stack of exactly skew-Hermitian 2 x 2
+    matrices ``a``, with ``t`` broadcast against the stack shape.
+
+    In terms of a = -i h: a = i phi I + kappa with kappa = [[i d, b],
+    [-b*, -i d]] and kappa^2 = -r^2 I, r = hypot(d, |b|), so exp(t*a) is
+    exp(i t phi) (cos(t r) I + t sinc(t r) kappa).  The unit phase
+    multiplies a unitary of entries at most 1, so the result stays
+    unitary to round-off even where t*phi is large.
+    """
+    im = a.imag
+    phi = (im[..., 0, 0] + im[..., 1, 1]) / 2
+    d = (im[..., 0, 0] - im[..., 1, 1]) / 2
+    tr = t * np.hypot(d, np.abs(a[..., 0, 1]))
+    # sin(y) / y is exactly 1 at y = 1e-20, so sinc(0) = 1 needs no branch.
+    y = np.where(tr == 0, 1e-20, tr)
+    phase = np.exp(1j * (t * phi))
+    c = phase * np.cos(tr)
+    s = phase * (t * np.sin(y) / y)
+    out = s[..., None, None] * a
+    ids = 1j * d * s
+    out[..., 0, 0] = c + ids
+    out[..., 1, 1] = c - ids
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -372,7 +417,7 @@ def invariant_frame(terms):
     h = 1j * np.asarray(terms, dtype=complex)
     n = h.shape[-1]
     flat = h.reshape(len(h), n * n)
-    norms = np.linalg.norm(flat, axis=1)
+    norms = np.sqrt(_sq_norms(h))
     h /= np.where(norms > 0, norms, 1.0)[:, None, None]
     lam, w = np.linalg.eigh((_generic(len(h)) @ flat).reshape(n, n))
     gaps = lam[1:] - lam[:-1] > TOL_EIG * max(1.0, -lam[0], lam[-1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynlie import LieBasis, dynamics, extend_basis
-from dynlie.cli import main
+from dynlie.cli import build_parser, main
 from dynlie.fileio import loads_report, pairs_to_matrix, matrix_to_pairs
 
 from helpers import dense_terms
@@ -376,3 +376,27 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             run(["--help"])
         assert info.value.code == 0
+
+    def test_parser_built_once_gives_fresh_results(self, tmp_path, capsys):
+        spec = write_two_spin_spec(tmp_path)
+        sched = write_schedule(tmp_path, [{"duration": 0.4, "u": [1.0, -0.5]}])
+        calls = [["decompose", spec], ["simulate", spec, sched],
+                 ["decompose", spec, "--tol-rank", "abc"]]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [outcome(argv) for argv in calls]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2]
+        assert "invalid float value: 'abc'" in shared[2][2]

@@ -327,6 +327,13 @@ def three_qubit():
     return control_system(drift, [site("x", 0, 3) + 0.6 * site("z", 2, 3)])
 
 
+def dense_u3():
+    """A dense u(3) draw: its algebra is all of u(3), so propagate needs no
+    frame."""
+    drift, ctrl = dense_terms([7, 3, 0], 3)
+    return control_system(drift, [ctrl])
+
+
 def random_schedule(rng, n_controls, count):
     return ControlSchedule(tuple(
         (float(rng.uniform(0.05, 1.0)), rng.uniform(-2, 2, size=n_controls))
@@ -369,8 +376,10 @@ class TestBatchedPropagate:
 
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
     @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
-                                      lambda: ising_x(4)],
-                             ids=["two-spin", "three-qubit", "ising-x-4"])
+                                      lambda: ising_x(4), dense_u3,
+                                      lambda: control_system(SZ, [SX])],
+                             ids=["two-spin", "three-qubit", "ising-x-4",
+                                  "dense-u3", "qubit"])
     def test_chunk_edges(self, make, count):
         sys = make()
         sched = random_schedule(np.random.default_rng(count),

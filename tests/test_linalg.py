@@ -127,6 +127,15 @@ class TestHermitianPart:
         with pytest.raises(ValueError, match=r"drift \[1\] is not Hermitian"):
             hermitian_part(np.stack([big, small]), what="drift")
 
+    def test_first_failing_index_and_defect(self):
+        # Two failing matrices in a (2, 2) stack: the error names the first
+        # in row-major order and its defect ||M - M^H||_F = 1e-6 * sqrt(2).
+        kick = 1e-6 * np.array([[0, 1], [0, 0]])
+        stack = np.stack([[SX, SZ], [SX + kick, SY + 2 * kick]])
+        with pytest.raises(ValueError, match=r"^matrix \[1, 0\] is not "
+                           r"Hermitian at tolerance 1e-10: defect 1\.414e-06$"):
+            hermitian_part(stack)
+
     def test_skew_branch_matches_skew_hermitian(self, rng):
         a = random_skew(rng, 3) + 1e-14 * np.eye(3)
         assert np.array_equal(hermitian_part(a, skew=True), skew_hermitian(a))
@@ -329,11 +338,79 @@ class TestExpmSkew:
         for a, u in zip(stack, expm_skew(stack, t=0.8)):
             np.testing.assert_allclose(u, expm_skew(a, t=0.8), atol=1e-14)
 
-    @pytest.mark.parametrize("bad", [SX, np.array([[0, np.nan], [np.nan, 0]])])
+    @pytest.mark.parametrize("bad", [SX, np.array([[0, np.nan], [np.nan, 0]]),
+                                     np.array([[1.0]]), np.array([[np.nan]])])
     def test_stack_rejects_one_bad_matrix(self, rng, bad):
-        stack = np.stack([random_skew(rng, 2), random_skew(rng, 2), bad])
+        n = len(bad)
+        stack = np.stack([random_skew(rng, n), random_skew(rng, n), bad])
         with pytest.raises(ValueError, match="skew-Hermitian|non-finite"):
             expm_skew(stack, t=np.ones(3))
+
+    # Sizes 1 and 2 take the closed form instead of ``eigh``.
+    @staticmethod
+    def assert_exact(stack, times, out, tol=1e-13):
+        """``out`` against scipy's expm matrix by matrix, and unitary."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        stack, times = np.broadcast_arrays(
+            stack, np.asarray(times)[..., None, None])
+        n = stack.shape[-1]
+        assert out.shape == stack.shape
+        for a, t, u in zip(stack.reshape(-1, n, n),
+                           times.reshape(-1, n, n)[:, 0, 0],
+                           out.reshape(-1, n, n)):
+            np.testing.assert_allclose(u, scipy_linalg.expm(t * a),
+                                       rtol=0, atol=tol)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(n),
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_matches_scipy(self, rng, n):
+        stack = np.stack([random_skew(rng, n) for _ in range(20)])
+        times = rng.uniform(-3, 3, size=20)
+        self.assert_exact(stack, times, expm_skew(stack, t=times))
+
+    def test_closed_form_scalar_block(self):
+        # r = 0: only the trace part is left, sinc(0) = 1.
+        a = 0.7j * np.eye(2)
+        u = expm_skew(a, t=2.5)
+        self.assert_exact(a, 2.5, u)
+        np.testing.assert_allclose(u, np.exp(1.75j) * np.eye(2),
+                                   rtol=0, atol=1e-15)
+
+    def test_closed_form_tiny_traceless_part(self, rng):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        k = random_skew(rng, 2)
+        k -= np.trace(k) / 2 * np.eye(2)
+        a = 0.3j * np.eye(2) + 1e-9 * k / np.linalg.norm(k)
+        u = expm_skew(a, t=4.0)
+        self.assert_exact(a, 4.0, u)
+        # The off-diagonal entries, of order 1e-9, keep their relative
+        # accuracy.
+        want = scipy_linalg.expm(4.0 * a)
+        np.testing.assert_allclose(u[[0, 1], [1, 0]], want[[0, 1], [1, 0]],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("tr", [1.0, 100.0, 1e3, -1e3, -250.0])
+    def test_closed_form_large_angles(self, rng, tr):
+        # Traceless part scaled to r = 1, so t * r = tr.  Rounding t * r
+        # alone moves the result by about 1 ulp of |t * r|, and scipy's expm
+        # itself misses a 40-digit reference by 1.3e-13 at |t * r| = 1e3, so
+        # the bound grows with |t * r| past 100.
+        for _ in range(5):
+            k = random_skew(rng, 2)
+            k -= np.trace(k) / 2 * np.eye(2)
+            a = 0.4j * np.eye(2) + np.sqrt(2) * k / np.linalg.norm(k)
+            self.assert_exact(a, tr, expm_skew(a, t=tr),
+                              tol=1e-13 * max(1.0, abs(tr) / 100))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_broadcasts_times_per_chunk(self, rng, n):
+        # The (chunk, count, n, n) stacks of ``propagate``, one time per
+        # chunk row shared by the row's blocks.
+        stack = np.stack([[random_skew(rng, n) for _ in range(3)]
+                          for _ in range(5)])
+        times = rng.uniform(-2, 2, size=(5, 1))
+        self.assert_exact(stack, times, expm_skew(stack, t=times))
 
 
 class TestInvariantFrame:
