@@ -6,15 +6,9 @@ Levi, Cartan, and primary decompositions), and propagate the system as
 a commuting product of decoupled factors.
 """
 
-from .adjoint import (
-    adjoint_in_span,
-    adjoint_matrix,
-    is_semisimple,
-    killing_gram,
-    killing_orthonormalize,
-    structure_tensor,
-)
-from .cartan import CartanResult, cartan_subalgebra, centralizer, normalizer
+from .adjoint import _brackets_and_coords as structure_constants
+from .adjoint import adjoint, is_semisimple, killing_gram, killing_orthonormalize
+from .cartan import CartanResult, cartan_subalgebra, centralizer
 from .closure import (
     CONTROLLABLE_SU,
     CONTROLLABLE_U,
@@ -29,7 +23,6 @@ from .dynamics import (
     PropagationResult,
     SystemAnalysis,
     analyze_system,
-    project_generator,
     propagate,
 )
 from .errors import (
@@ -49,12 +42,10 @@ from .linalg import (
     TOL_HERM,
     TOL_KILLING,
     TOL_RANK,
-    commutator,
     empty_basis,
     expm_skew,
     extend_basis,
     from_coords,
-    hs_inner,
     member_coords,
     nullspace,
     skew_hermitian,

@@ -6,66 +6,42 @@ the center into the growing Abelian algebra and recurse on the derived
 part.  Each pass strictly shrinks the working algebra, so at most dim S
 iterations run.  The result is Abelian, self-normalizing, and has even
 codimension in S.
+
+Everything runs on coordinate rows over the basis of S and on its
+structure constants c: a centralizer is the nullspace of ad_X restricted
+to the working rows, and its Levi split is :func:`levi.levi_split` on the
+restricted constants R c R^T.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint_matrix, is_semisimple
-from .errors import NotSemisimpleError
-from .levi import levi_decompose
-from .linalg import (
-    LieBasis,
-    TOL_RANK,
-    coords_strict,
-    empty_basis,
-    extend_basis,
-    from_coords,
-    nullspace,
-)
+from .adjoint import adjoint, bracket_coords, is_semisimple, restrict
+from .errors import NotInSpanError, NotSemisimpleError
+from .levi import levi_split
+from .linalg import LieBasis, TOL_RANK, from_coords, nullspace, span_coords
 
 
-def centralizer(ambient, x, tol=TOL_RANK):
-    """Basis of {d in span(ambient) : [d, x] = 0}.
+def centralizer(c, rows, x, tol=TOL_RANK):
+    """Orthonormal coordinate rows of {y in span(rows) : [y, x] = 0}.
 
-    x must be a nonzero member of the ambient span.  The result is
-    seeded with x/||x|| so the pivot is always its first element.
+    ``rows`` are orthonormal coordinate rows of a subalgebra and ``x`` the
+    coordinates of a nonzero member.  The result starts with x/||x||, so
+    the pivot is always its first element.
     """
-    x = np.asarray(x, dtype=complex)
     norm = np.linalg.norm(x)
-    if norm <= tol:
-        raise ValueError("centralizer pivot must be nonzero")
-    coords_strict(ambient, x, tol, what="centralizer pivot")
-    ad = adjoint_matrix(ambient, x, tol)
-    rows = nullspace(ad, tol)
-    seed = LieBasis(ambient.n, (x / norm)[None, :, :])
-    return extend_basis(seed, from_coords(ambient, rows), tol)
-
-
-def normalizer(ambient, sub, tol=TOL_RANK):
-    """Basis of {s in span(ambient) : [s, sub] subset of span(sub)}.
-
-    Linear condition: the component of [e_i, a_m] orthogonal to sub must
-    vanish.  Stacked over all sub elements and solved by SVD.
-    """
-    if ambient.dim == 0:
-        return ambient
-    if sub.dim == 0:
-        return ambient
-    sub_coords = np.stack([coords_strict(ambient, a, tol, "subalgebra element")
-                           for a in sub.mats])
-    blocks = []
-    for a in sub.mats:
-        ad = adjoint_matrix(ambient, a, tol)  # columns: coords of [a, e_i]
-        q = -ad.T                             # rows: coords of [e_i, a]
-        q = q - q @ sub_coords.T @ sub_coords
-        blocks.append(q.T)
-    system = np.vstack(blocks)
-    rows = nullspace(system, tol)
-    if rows.shape[0] == 0:
-        return empty_basis(ambient.n)
-    return LieBasis(ambient.n, from_coords(ambient, rows))
+    if not 0.0 < norm < np.inf:
+        raise ValueError("centralizer pivot must be nonzero and finite")
+    x = x / norm
+    # ad[k, j] = <w_k, [x, w_j]> over the working rows w.
+    ad = rows @ adjoint(c, x) @ rows.T
+    kernel = nullspace(ad, tol) @ rows
+    # An orthogonal change of the kernel's basis whose first row is x.
+    q = np.linalg.qr((kernel @ x)[:, None], mode="complete")[0]
+    out = q.T @ kernel
+    out[0] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,42 +51,54 @@ class CartanResult:
     cartan: LieBasis
     iterations: int
     pivot_elements: tuple
+    abelian_residual: float  # worst ||[h, h']||_F over the basis
 
 
-def cartan_subalgebra(semisimple, pivots=None, tol=TOL_RANK):
+def cartan_subalgebra(semisimple, c, pivots=None, tol=TOL_RANK):
     """Cartan subalgebra of a semisimple algebra by iterated centralizers.
 
+    ``c`` holds the structure constants of ``semisimple``, whose Killing
+    form must be nondegenerate (NotSemisimpleError otherwise).
     ``pivots`` optionally supplies explicit pivot elements, consumed in
     order before falling back to the default rule (first basis element
-    of the current working algebra).  Explicit pivots must be members of
-    the working span at their turn (``centralizer`` raises
-    NotInSpanError otherwise); this is how a caller reproduces a
-    particular textbook choice exactly.
+    of the current working algebra).  Explicit pivots must be nonzero
+    (ValueError) and members of the working span at their turn, up to
+    ``tol`` times their norm (NotInSpanError); this is how a caller
+    reproduces a particular textbook choice exactly.
     """
-    if not is_semisimple(semisimple, rank_tol=tol):
+    if not is_semisimple(c):
         raise NotSemisimpleError(
             "Cartan construction needs a semisimple algebra")
     queue = list(pivots) if pivots is not None else []
     centers = []
-    current = semisimple
+    current = np.eye(semisimple.dim)
     used = []
-    iterations = 0
-    while current.dim > 0:
-        if iterations > semisimple.dim:
+    while len(current):
+        if len(used) > semisimple.dim:
             raise NotSemisimpleError(
                 "Cartan iteration failed to terminate; input is likely "
                 "not semisimple at the working tolerance")
-        x = (np.asarray(queue.pop(0), dtype=complex) if queue
-             else current.mats[0])
-        used.append(x)
-        dee = centralizer(current, x, tol)
-        split = levi_decompose(dee, tol)
-        centers.append(split.radical.mats)
-        current = split.semisimple
-        iterations += 1
+        if queue:
+            pivot = np.asarray(queue.pop(0), dtype=complex)
+            # Its parts outside S and outside the working span of S.
+            x, resid = span_coords(semisimple, pivot)
+            resid = np.hypot(resid, np.linalg.norm(x - x @ current.T @ current))
+            if resid > tol * np.linalg.norm(pivot):
+                raise NotInSpanError(
+                    f"Cartan pivot is not inside the working span (tol={tol:g})")
+            used.append(pivot)
+        else:
+            x = current[0]
+            used.append(from_coords(semisimple, x)[0])
+        dee = centralizer(c, current, x, tol)
+        split, semi_dim = levi_split(restrict(c, dee), tol)[:2]
+        centers.append(split[semi_dim:] @ dee)
+        current = split[:semi_dim] @ dee
     # Each centralizer lies in the previous semisimple part, which is
     # orthogonal to every center banked so far.
-    abelian = LieBasis(semisimple.n, np.concatenate(centers)
-                       if centers else None)
-    return CartanResult(cartan=abelian, iterations=iterations,
-                        pivot_elements=tuple(used))
+    rows = np.concatenate(centers)
+    worst = np.linalg.norm(bracket_coords(c, rows, rows), axis=-1).max()
+    return CartanResult(
+        cartan=LieBasis(semisimple.n, from_coords(semisimple, rows)),
+        iterations=len(used), pivot_elements=tuple(used),
+        abelian_residual=float(worst))

@@ -11,7 +11,10 @@ numerical failure (the failing pipeline stage is named on stderr).
 
 import argparse
 import functools
+import math
 import sys
+
+import numpy as np
 
 from .dynamics import analyze_system, propagate
 from .errors import LieAlgebraError, NotInSpanError, StageFailure
@@ -49,6 +52,8 @@ def _parse_floats(text, what):
         raise SpecError(f"{what}: expected comma-separated numbers") from err
     if not vals:
         raise SpecError(f"{what}: no values given")
+    if not all(map(math.isfinite, vals)):
+        raise SpecError(f"{what}: values must be finite")
     return vals
 
 
@@ -74,11 +79,20 @@ def _write(text, out):
 
 
 def _analyze(system, args):
+    for flag, value in (("--tol-rank", args.tol_rank),
+                        ("--tol-eig", args.tol_eig)):
+        if not 0.0 < value < math.inf:
+            raise SpecError(f"{flag} must be positive and finite, got {value}")
     pivots = _pivot_matrices(system, args.pivot)
     coeffs = (None if args.splitting_coeffs is None
               else _parse_floats(args.splitting_coeffs, "--splitting-coeffs"))
-    return analyze_system(system, tol=args.tol_rank, eig_tol=args.tol_eig,
-                          pivots=pivots, splitting_coeffs=coeffs)
+    try:
+        return analyze_system(system, tol=args.tol_rank, eig_tol=args.tol_eig,
+                              pivots=pivots, splitting_coeffs=coeffs)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as err:  # a flag that does not fit the algebra
+        raise SpecError(str(err)) from err
 
 
 def cmd_decompose(args):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .adjoint import _brackets_and_coords, restrict
 from .cartan import CartanResult, cartan_subalgebra
 from .closure import ClosureResult, generate_closure, is_controllable
 from .errors import (
@@ -43,7 +44,6 @@ from .linalg import (
     TOL_FRAME,
     _unvec,
     _vec,
-    bracket_residual,
     expm_skew,
     from_coords,
     invariant_frame,
@@ -154,51 +154,59 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
     """Run the full pipeline: closure, Levi split, Cartan subalgebra,
     primary decomposition, simple ideals, component assembly.
 
-    ``pivots`` and ``splitting_coeffs`` thread through to the Cartan and
-    splitting searches so a specific construction can be reproduced.
-    Numerical failures surface as StageFailure naming the stage.
+    The closure basis's structure constants are built once, with the one
+    bracket-closure check, and not kept: the later stages are linear
+    algebra on them, the semisimple stages on their restriction to the
+    semisimple part.  ``pivots`` and ``splitting_coeffs`` thread through
+    to the Cartan and splitting searches so a specific construction can
+    be reproduced.  Numerical failures surface as StageFailure naming the
+    stage.
     """
-    gens = [1j * system.drift] + [1j * c for c in system.controls]
+    gens = [1j * system.drift] + [1j * h for h in system.controls]
     closure = _stage("closure", generate_closure, gens, tol)
     verdict = is_controllable(closure)
-    levi = _stage("levi", levi_decompose, closure.basis, tol)
-    cartan = None
-    primary = None
-    ideal_set = None
+    basis = closure.basis
+    c = _stage("closure", _brackets_and_coords, basis, tol)
+    levi = _stage("levi", levi_decompose, basis, c, tol)
+    cartan = primary = ideal_set = None
     simple_bases = ()
-    if levi.semisimple.dim > 0:
-        cartan = _stage("cartan", cartan_subalgebra, levi.semisimple,
-                        pivots=pivots, tol=tol)
+    semi = levi.semisimple
+    if semi.dim > 0:
+        # From here on c holds the constants of the semisimple part.
+        c = restrict(c, span_coords(basis, semi.mats)[0])
+        cartan = _stage("cartan", cartan_subalgebra, semi, c, pivots=pivots,
+                        tol=tol)
         coeffs = None if splitting_coeffs is None else [splitting_coeffs]
-        primary = _stage("primary", primary_decompose, levi.semisimple,
-                         cartan.cartan, tol=tol, eig_tol=eig_tol, coeffs=coeffs)
-        ideal_set = _stage("ideals", simple_decompose, levi.semisimple,
-                           primary, tol)
+        primary = _stage("primary", primary_decompose, semi, c, cartan.cartan,
+                         tol=tol, eig_tol=eig_tol, coeffs=coeffs)
+        ideal_set = _stage("ideals", simple_decompose, semi, c, primary, tol)
         simple_bases = ideal_set.ideals
-    n = closure.basis.n
-    pieces = ([(KIND_SIMPLE, b) for b in simple_bases]
-              + [(KIND_RADICAL, line) for line in levi.radical_lines])
-    mats = (np.concatenate([b.mats for _, b in pieces]) if pieces
-            else np.zeros((0, n, n), dtype=complex))
+    n = basis.n
+    mats = np.concatenate([b.mats for b in simple_bases] + [levi.radical.mats])
     mats.flags.writeable = False
     try:
         adapted = LieBasis(n, mats)
     except ValueError as err:
         raise StageFailure("assembly", DecompositionError(
             f"components are not mutually orthogonal: {err}")) from err
-    if adapted.dim != closure.basis.dim:
+    if adapted.dim != basis.dim:
         raise StageFailure("assembly", NotInSpanError(
             "adapted basis does not span the full algebra"))
-    # The components, and the ideals reported with them, are slices of
-    # the adapted basis, so the analysis holds their matrices once.
-    ends = np.cumsum([b.dim for _, b in pieces])
-    components = tuple((kind, LieBasis(n, mats[end - b.dim : end]))
-                       for end, (kind, b) in zip(ends, pieces))
+    # The components, and the ideals and Levi parts reported with them,
+    # are slices of the adapted basis, so the analysis holds their
+    # matrices once: the semisimple part is reported in the ideals' basis.
+    ends = np.cumsum([b.dim for b in simple_bases])
+    ideals = tuple(LieBasis(n, mats[end - b.dim : end])
+                   for end, b in zip(ends, simple_bases))
+    s = semi.dim
+    levi = replace(levi, semisimple=LieBasis(n, mats[:s]),
+                   radical=LieBasis(n, mats[s:]), radical_lines=tuple(
+                       LieBasis(n, mats[i : i + 1]) for i in range(s, len(mats))))
     if ideal_set is not None:
-        ideal_set = replace(ideal_set, ideals=tuple(
-            b for _, b in components[:len(simple_bases)]))
-    decomposition = ComponentDecomposition(full=closure.basis,
-                                           components=components,
+        ideal_set = replace(ideal_set, ideals=ideals)
+    components = tuple([(KIND_SIMPLE, b) for b in ideals]
+                       + [(KIND_RADICAL, b) for b in levi.radical_lines])
+    decomposition = ComponentDecomposition(full=basis, components=components,
                                            adapted=adapted)
     return SystemAnalysis(system=system, closure=closure, verdict=verdict,
                           levi=levi, cartan=cartan, primary=primary,
@@ -259,20 +267,6 @@ def _ordered_product(stack):
         halved = stack[1::2] @ stack[0 : len(stack) - odd : 2]
         stack = np.concatenate([halved, stack[-1:]]) if odd else halved
     return stack[0]
-
-
-def project_generator(decomp, system, u, tol=TOL_RANK):
-    """Pieces of -i H(u) along each component, in component order.
-
-    The sum of the pieces reconstructs the generator (that is exactly the
-    orthogonal projection onto the adapted basis, which must contain it).
-    """
-    coords = _generator_coords(
-        decomp, _vec(_terms(system)),
-        _control_rows(system, ControlSchedule(((1.0, u),))), tol)
-    return [_unvec(coords[0, cols] @ basis.vecs, system.dim)
-            for cols, (_, basis) in zip(_component_slices(decomp),
-                                        decomp.components)]
 
 
 def _block_operator(frame, sizes, owners, width):
@@ -416,23 +410,21 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
 def structure_residuals(analysis):
     """Numerical residuals behind each structural claim, for reporting.
 
-    Residuals a stage checks or measures are read from its result (Levi,
-    splitting element, primary and ideals); only ``radical_abelian``,
-    ``cartan_abelian`` and ``adapted_reconstruction`` are computed.
+    Every residual but one is read from the stage that measured it (Levi,
+    Cartan, splitting element, primary and ideals); only
+    ``adapted_reconstruction`` is computed here.
     """
-    res = {}
     levi = analysis.levi
-    basis = analysis.closure.basis
-    res["radical_commutes_with_algebra"] = levi.commutation_residual
-    res["radical_abelian"] = bracket_residual(levi.radical, levi.radical)
+    res = {"radical_commutes_with_algebra": levi.commutation_residual,
+           "radical_abelian": levi.abelian_residual}
     if analysis.cartan is not None:
-        cart = analysis.cartan.cartan
-        res["cartan_abelian"] = bracket_residual(cart, cart)
+        res["cartan_abelian"] = analysis.cartan.abelian_residual
     if analysis.primary is not None:
         res["component_invariance"] = analysis.primary.invariance_residual
         res["splitting_real_parts"] = analysis.primary.splitting.real_part
     if analysis.ideals is not None:
         res["ideals_commute"] = analysis.ideals.commutation_residual
+    basis = analysis.closure.basis
     adapted = analysis.decomposition.adapted
     coords, _ = span_coords(adapted, basis.mats)
     res["adapted_reconstruction"] = float(np.linalg.norm(
@@ -442,10 +434,5 @@ def structure_residuals(analysis):
 
 def su2_flags(analysis, tol=TOL_RANK):
     """recognize_su2 verdict per simple component of the decomposition."""
-    flags = []
-    for kind, basis in analysis.decomposition.components:
-        if kind != KIND_SIMPLE:
-            flags.append(False)
-            continue
-        flags.append(recognize_su2(basis, tol) is not None)
-    return flags
+    return [kind == KIND_SIMPLE and recognize_su2(basis, tol) is not None
+            for kind, basis in analysis.decomposition.components]

@@ -8,8 +8,10 @@ not commute.  The simple ideals are therefore the connected classes of
 the relation [V_j, V_l] != 0, each spanned by its planes plus their
 brackets [x_j, y_j]: nonzero multiples of the coroots, which span the
 ideal's part of the Cartan algebra (de Graaf, Lie Algebras: Theory and
-Algorithms, ch. 4).  Three-dimensional factors are copies of su(2) and
-can be put into a standard cyclic frame.
+Algorithms, ch. 4).  All of it is read from the structure constants of
+S: the plane brackets, the coroots and both residuals are contractions
+of c with coordinate rows.  Three-dimensional factors are copies of
+su(2) and can be put into a standard cyclic frame.
 """
 
 import math
@@ -17,16 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import killing_orthonormalize
+from .adjoint import _brackets_and_coords, bracket_coords, killing_orthonormalize
 from .errors import DecompositionError, NotSemisimpleError
-from .linalg import (
-    TOL_RANK,
-    bracket_residual,
-    commutator,
-    empty_basis,
-    extend_basis,
-    hs_inner,
-)
+from .linalg import LieBasis, TOL_RANK, from_coords, span_coords
 
 
 @dataclass(frozen=True)
@@ -39,73 +34,86 @@ class IdealSet:
     invariance_residual: float   # worst part of [s, x] outside x's ideal
 
 
-def simple_decompose(semisimple, primary, tol=TOL_RANK):
+def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     """Simple-ideal decomposition of S from its primary components.
 
-    Components are linked when their planes fail to commute (bracket
-    residual above ``tol``); each connected class spans one ideal with
-    the brackets [x_j, y_j] of its planes.  Ideals are ordered by their
-    first component.  Verifies that the ideal dimensions add up to
-    dim S, that distinct ideals commute, and that each ideal is
-    genuinely ad-S-invariant; both residuals (at 1e-8) are stored on the
-    result.
+    ``c`` holds the structure constants of ``semisimple``.  Components
+    are linked when their planes fail to commute (a bracket norm above
+    ``tol``); each connected class spans one ideal with the brackets
+    [x_j, y_j] of its planes, cut to their rank at ``tol * max(sigma_max,
+    1)``.  Ideals are ordered by their first component.  Verifies that
+    the ideal dimensions add up to dim S, that distinct ideals commute,
+    and that each ideal is genuinely ad-S-invariant; both residuals (at
+    1e-8) are stored on the result.
     """
-    planes = [comp for _, comp in primary.components]
-    origin = [None] * len(planes)
-    ideals = []
-    for first in range(len(planes)):
-        if origin[first] is not None:
-            continue
-        origin[first] = len(ideals)
-        members = [first]
-        for j in members:  # the class grows while it is walked
-            for l, plane in enumerate(planes):
-                if (origin[l] is None
-                        and bracket_residual(planes[j], plane) > tol):
-                    origin[l] = origin[first]
-                    members.append(l)
-        members.sort()
-        elements = [x for j in members for x in planes[j].mats]
-        coroots = [commutator(*planes[j].mats) for j in members]
-        ideals.append(extend_basis(empty_basis(semisimple.n),
-                                   elements + coroots, tol))
-    total = sum(i.dim for i in ideals)
-    if total != semisimple.dim:
+    s = semisimple.dim
+    mats = np.concatenate([comp.mats for _, comp in primary.components])
+    planes = span_coords(semisimple, mats)[0]
+    pair = bracket_coords(c, planes, planes)
+    m = len(planes) // 2
+    norms = np.linalg.norm(pair, axis=-1).reshape(m, 2, m, 2).max(axis=(1, 3))
+    # Classes of the linked relation: its transitive closure by repeated
+    # squaring, each class named by its first component.
+    reach = (norms > tol) | (norms.T > tol) | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    firsts, origin = np.unique(reach.argmax(axis=1), return_inverse=True)
+    rows = []
+    for i in range(len(firsts)):
+        members = np.flatnonzero(origin == i)
+        coroots = np.array([pair[2 * j, 2 * j + 1] for j in members])
+        _, sv, vh = np.linalg.svd(coroots, full_matrices=False)
+        rank = int(np.count_nonzero(sv > tol * max(sv[0], 1.0)))
+        rows.append(np.concatenate(
+            [planes[2 * j : 2 * j + 2] for j in members] + [vh[:rank]]))
+    total = sum(len(r) for r in rows)
+    if total != s:
         raise DecompositionError(
-            f"simple ideals cover dim {total} of {semisimple.dim}")
-    worst_cross = max((bracket_residual(ideals[i], ideals[j])
-                       for i in range(len(ideals))
-                       for j in range(i + 1, len(ideals))), default=0.0)
+            f"simple ideals cover dim {total} of {s}")
+    worst_cross = max((np.linalg.norm(bracket_coords(c, a, b), axis=-1).max()
+                       for i, a in enumerate(rows) for b in rows[i + 1:]),
+                      default=0.0)
     if worst_cross > 1e-8:
         raise DecompositionError(
             f"ideals fail to commute, residual {worst_cross:.3e}")
-    worst_inv = max((bracket_residual(semisimple, ideal, ideal)
-                     for ideal in ideals), default=0.0)
+    # (r @ c)[j, q] holds the coordinates of [e_j, x_q] for the basis
+    # element e_j of S and the ideal row x_q; its part outside the ideal
+    # must vanish.
+    worst_inv = max((np.linalg.norm(r @ c @ (np.eye(s) - r.T @ r), axis=-1).max()
+                     for r in rows), default=0.0)
     if worst_inv > 1e-8:
         raise DecompositionError(
             f"an ideal is not ad-invariant, residual {worst_inv:.3e}")
-    return IdealSet(ideals=tuple(ideals), origin=tuple(origin),
-                    commutation_residual=worst_cross,
-                    invariance_residual=worst_inv)
+    mats = from_coords(semisimple, np.concatenate(rows))
+    mats.flags.writeable = False
+    ends = np.cumsum([len(r) for r in rows])
+    ideals = tuple(LieBasis(semisimple.n, mats[end - len(r) : end])
+                   for end, r in zip(ends, rows))
+    return IdealSet(ideals=ideals, origin=tuple(origin.tolist()),
+                    commutation_residual=float(worst_cross),
+                    invariance_residual=float(worst_inv))
 
 
 def recognize_su2(ideal, tol=TOL_RANK):
     """Standard cyclic frame (E1, E2, E3) of a 3-dimensional simple ideal.
 
-    Killing-orthonormalizes, rescales by sqrt(2) and fixes orientation so
-    that [E1, E2] = E3 cyclically (residuals at 1e-8).  Returns None when
-    the input is not a copy of su(2).
+    Killing-orthonormalizes the ideal's structure constants, rescales by
+    sqrt(2) and fixes orientation so that [E1, E2] = E3 cyclically
+    (residuals at 1e-8).  Returns None when the input is not a copy of
+    su(2).
     """
     if ideal.dim != 3:
         return None
+    c = _brackets_and_coords(ideal, tol)
     try:
-        frame = math.sqrt(2.0) * killing_orthonormalize(ideal, rank_tol=tol)
+        frame = math.sqrt(2.0) * killing_orthonormalize(c)
     except NotSemisimpleError:
         return None
-    e1, e2, e3 = frame
-    if hs_inner(commutator(e1, e2), e3) < 0.0:
-        e3 = -e3
-    for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-        if np.linalg.norm(commutator(a, b) - c) > 1e-8:
-            return None
-    return (e1, e2, e3)
+    br = bracket_coords(c, frame, frame)
+    if br[0, 1] @ frame[2] < 0.0:
+        frame[2] = -frame[2]
+        br = bracket_coords(c, frame, frame)
+    if max(np.linalg.norm(br[i, (i + 1) % 3] - frame[(i + 2) % 3])
+           for i in range(3)) > 1e-8:
+        return None
+    return tuple(from_coords(ideal, frame))

@@ -1,22 +1,21 @@
-"""Levi split of a bracket-closed subalgebra of u(n).
+"""Levi split of a bracket-closed subalgebra of u(n), in coordinates.
 
 For these algebras the radical is exactly the center and the semisimple
 part is exactly the derived algebra, so L = [L, L] (+) center(L) as an
 orthogonal direct sum.  The Hilbert-Schmidt pairing is ad-invariant,
 <e_k, [e_i, e_j]> = <[e_j, e_k], e_i>, so the row space of the map
-c -> ([x_c, e_j])_j is spanned by the brackets: it is [L, L], and its
-kernel is the center.  One SVD of that map therefore makes the split as
-a single rank decision, and the two parts are complementary rows of one
-orthogonal matrix.
+x -> ([x, e_j])_j, which is the structure tensor c reshaped to (d, d^2),
+is spanned by the brackets: it is [L, L], and its kernel is the center.
+One SVD of that map therefore makes the split as a single rank decision,
+and the two parts are complementary rows of one orthogonal matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _brackets_and_coords
 from .errors import DecompositionError
-from .linalg import LieBasis, TOL_RANK, bracket_residual, from_coords
+from .linalg import LieBasis, TOL_RANK, from_coords
 
 
 @dataclass(frozen=True)
@@ -31,34 +30,43 @@ class LeviResult:
     semisimple: LieBasis
     radical_lines: tuple
     commutation_residual: float  # worst ||[r, e]||_F, r radical, e in L
-
-    @property
-    def dim(self):
-        return self.radical.dim + self.semisimple.dim
+    abelian_residual: float      # worst ||[r, s]||_F, r, s radical
 
 
-def levi_decompose(basis, tol=TOL_RANK):
-    """Split a bracket-closed algebra into center plus derived algebra.
+def levi_split(c, tol=TOL_RANK):
+    """The Levi split in the coordinates of the structure constants ``c``.
 
-    Takes one SVD of the ad map, rows indexed by (j, k) and holding
-    <e_k, [e_i, e_j]>: right singular vectors with singular values at or
-    below ``tol * max(sigma_max, 1)`` span the center, the others the
-    derived algebra.  Every radical element must commute with the whole
-    algebra (residual at 1e-8, stored on the result), else
-    DecompositionError.
+    Returns (rows, semisimple dim, commutation residual, abelian
+    residual): ``rows`` is orthogonal, its first rows span the derived
+    algebra and the others the center.  Right singular vectors of c as a
+    (d, d^2) map with singular values at or below ``tol * max(sigma_max,
+    1)`` span the center.  Every radical element must commute with the
+    whole algebra (residual at 1e-8), else DecompositionError.
     """
-    _, coords = _brackets_and_coords(basis, tol)
-    d = basis.dim
-    _, s, vh = np.linalg.svd(coords.reshape(d, d * d).T, full_matrices=False)
+    d = len(c)
+    _, s, vh = np.linalg.svd(c.reshape(d, d * d).T, full_matrices=False)
     semi_dim = int(np.count_nonzero(s > tol * max(s.max(initial=0.0), 1.0)))
-    mats = from_coords(basis, vh)
-    mats.flags.writeable = False
-    semi = LieBasis(basis.n, mats[:semi_dim])
-    rad = LieBasis(basis.n, mats[semi_dim:])
-    worst = bracket_residual(rad, basis)
+    rad = vh[semi_dim:]
+    ad_rad = np.tensordot(rad, c, axes=1)  # [p, j]: coordinates of [r_p, e_j]
+    worst = float(np.linalg.norm(ad_rad, axis=-1).max(initial=0.0))
     if worst > 1e-8:
         raise DecompositionError(
             f"radical fails to commute with the algebra, residual {worst:.3e}")
+    abelian = np.linalg.norm(rad @ ad_rad, axis=-1).max(initial=0.0)
+    return vh, semi_dim, worst, float(abelian)
+
+
+def levi_decompose(basis, c, tol=TOL_RANK):
+    """Split a bracket-closed algebra into center plus derived algebra.
+
+    ``c`` holds the structure constants of ``basis``; see
+    :func:`levi_split`.  Both residuals are stored on the result.
+    """
+    rows, semi_dim, worst, abelian = levi_split(c, tol)
+    mats = from_coords(basis, rows)
+    mats.flags.writeable = False
+    rad = LieBasis(basis.n, mats[semi_dim:])
     lines = tuple(LieBasis(basis.n, rad.mats[i : i + 1]) for i in range(rad.dim))
-    return LeviResult(radical=rad, semisimple=semi, radical_lines=lines,
-                      commutation_residual=worst)
+    return LeviResult(radical=rad, semisimple=LieBasis(basis.n, mats[:semi_dim]),
+                      radical_lines=lines, commutation_residual=worst,
+                      abelian_residual=abelian)

@@ -72,25 +72,6 @@ def skew_hermitian(mat, tol=TOL_HERM):
     return hermitian_part(mat, tol, skew=True)
 
 
-def commutator(a, b):
-    """Matrix commutator [a, b] = ab - ba."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError(
-            f"commutator needs equal square shapes, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product Re tr(A^H B), a real number."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a.conj() * b).real)
-
-
 def _vec(mats):
     """Real vectorization of complex matrices, (..., n, n) -> (..., 2n^2).
 
@@ -225,23 +206,6 @@ def span_coords(basis, mats):
     v = _vec(mats)
     coords = v @ basis.vecs.T
     return coords, np.linalg.norm(v - coords @ basis.vecs, axis=-1)
-
-
-def bracket_residual(a, b, span=None):
-    """Worst ||[x, e]||_F over x in basis ``a`` and e in basis ``b``.
-
-    With ``span`` (a LieBasis), the worst norm of the part of [x, e]
-    orthogonal to span(``span``) instead: zero exactly when ad_x maps
-    span(b) into span(span).  Empty inputs give 0.0.
-    """
-    if a.dim == 0 or b.dim == 0:
-        return 0.0
-    br = brackets(a.mats, b.mats)
-    if span is None:
-        norms = np.linalg.norm(_vec(br), axis=-1)
-    else:
-        norms = span_coords(span, br)[1]
-    return float(norms.max())
 
 
 def member_coords(basis, x, tol=TOL_RANK):

@@ -8,7 +8,8 @@ ad-invariant, so ad_X is antisymmetric in an orthonormal basis, and one
 ``eigh`` of i ad_X gives the frequencies together with orthonormal
 eigenvectors: V_j is spanned by the real and imaginary parts of the
 eigenvector for a_j.  Each V_j is invariant under all of A, and every
-Cartan element acts on it as a plain 2x2 rotation generator.
+Cartan element acts on it as a plain 2x2 rotation generator.  The
+adjoint matrices are read from the structure constants of S.
 
 The search for X is deterministic: integer coefficient vectors over the
 Cartan basis in lexicographic order (entries 1..2*dim S, gcd 1), then a
@@ -21,16 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint_matrix
+from .adjoint import adjoint
 from .errors import DecompositionError, SplittingSearchError
-from .linalg import (
-    LieBasis,
-    TOL_EIG,
-    TOL_RANK,
-    bracket_residual,
-    coords_strict,
-    from_coords,
-)
+from .linalg import LieBasis, TOL_EIG, TOL_RANK, coords_strict, from_coords
 
 # The lexicographic integer sweep is astronomically large for Cartan
 # dimension above ~4, so cap the number of candidates examined before
@@ -114,11 +108,12 @@ def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
     return np.array([c[0] for c in pos]), rows.reshape(-1, len(w))
 
 
-def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
+def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
                       coeffs=None):
     """Split S into the Cartan algebra plus 2-dimensional components.
 
-    The first candidate X whose adjoint spectrum splits (see
+    ``c`` holds the structure constants of ``semisimple``.  The first
+    candidate X whose adjoint spectrum splits (see
     :func:`_split_spectrum`) gives the components, one eigenvector plane
     per frequency a_j, ordered by strictly decreasing a_j.  The
     Cartan-invariance residual of the components (at 1e-8) is stored on
@@ -131,20 +126,19 @@ def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     """
     if cartan.dim == 0:
         raise ValueError("Cartan subalgebra is empty")
-    for a in cartan.mats:
-        coords_strict(semisimple, a, tol, what="Cartan element")
-    ads = np.stack([adjoint_matrix(semisimple, a, tol) for a in cartan.mats])
+    ads = adjoint(c, np.stack([coords_strict(semisimple, a, tol, "Cartan element")
+                               for a in cartan.mats]))
     target = semisimple.dim - cartan.dim + 1
     if coeffs is not None:
-        candidates = [np.asarray(c, dtype=float) for c in coeffs]
-        for c in candidates:
-            if c.shape != (cartan.dim,):
+        candidates = [np.asarray(v, dtype=float) for v in coeffs]
+        for cand in candidates:
+            if cand.shape != (cartan.dim,):
                 raise ValueError(
                     f"splitting coefficients need length {cartan.dim}")
     else:
         candidates = _coefficient_candidates(cartan.dim, 2 * semisimple.dim)
-    for c in candidates:
-        ad = np.tensordot(c, ads, axes=1)
+    for cand in candidates:
+        ad = np.tensordot(cand, ads, axes=1)
         split = _split_spectrum(ad, target, cartan.dim, eig_tol)
         if split is not None:
             break
@@ -154,18 +148,22 @@ def primary_decompose(semisimple, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
             "adjoint spectrum")
     freqs, rows = split
     element = SplittingElement(
-        coeffs=c, element=np.einsum("j,jnm->nm", c, cartan.mats),
+        coeffs=cand, element=np.einsum("j,jnm->nm", cand, cartan.mats),
         frequencies=freqs,
         real_part=float(np.linalg.norm(ad + ad.T, 2)) / 2.0)
-    mats = from_coords(semisimple, rows)
-    mats.flags.writeable = False
-    comps = tuple((float(a), LieBasis(semisimple.n, mats[2 * j : 2 * j + 2]))
-                  for j, a in enumerate(freqs))
-    worst = max((bracket_residual(cartan, comp, comp) for _, comp in comps),
-                default=0.0)
+    # [a, v] for every Cartan element a and plane row v, less its part
+    # inside v's plane.
+    planes = rows.reshape(-1, 2, semisimple.dim)
+    moved = np.einsum("aik,pjk->paji", ads, planes)
+    inside = np.einsum("paji,pli,plk->pajk", moved, planes, planes)
+    worst = float(np.linalg.norm(moved - inside, axis=-1).max(initial=0.0))
     if worst > 1e-8:
         raise DecompositionError(
             f"components are not ad-invariant under the Cartan algebra "
             f"(residual {worst:.3e})")
+    mats = from_coords(semisimple, rows)
+    mats.flags.writeable = False
+    comps = tuple((float(a), LieBasis(semisimple.n, mats[2 * j : 2 * j + 2]))
+                  for j, a in enumerate(freqs))
     return PrimaryResult(cartan=cartan, splitting=element, components=comps,
                          invariance_residual=worst)

@@ -8,6 +8,28 @@ each other.
 
 import numpy as np
 
+from dynlie import LieBasis
+from dynlie.errors import NotClosedError, NotInSpanError
+
+
+def commutator(a, b):
+    """Matrix commutator [a, b] = ab - ba."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(
+            f"commutator needs equal square shapes, got {a.shape} and {b.shape}")
+    return a @ b - b @ a
+
+
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product Re tr(A^H B), a real number."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.sum(a.conj() * b).real)
+
 
 def random_skew(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -109,3 +131,110 @@ def off_block(frame, sizes, mats):
     norms = np.linalg.norm(mats, axis=(1, 2))
     return float((np.abs(rotated[:, ~inside]).max(axis=1, initial=0.0)
                   / np.where(norms > 0, norms, 1.0)).max(initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the adjoint representation.  The library works on structure
+# constants in orthonormal coordinates; these compute the same objects
+# from n x n commutators and least squares over any linearly independent
+# spanning set, orthonormal or not.
+
+def _mats(basis):
+    return np.asarray(getattr(basis, "mats", basis), dtype=complex)
+
+
+def _in_span(mats, targets, tol, error, what):
+    """Least-squares coordinates (columns) of ``targets`` over ``mats``;
+    ``error`` when a target leaves the span (relative residual above
+    ``tol``) and ValueError when ``mats`` are dependent."""
+    vecs = vec(mats)
+    tv = np.atleast_2d(vec(targets))
+    coefs, _, rank, _ = np.linalg.lstsq(vecs.T, tv.T, rcond=None)
+    if rank < len(mats):
+        raise ValueError("spanning set is not linearly independent")
+    resid = np.linalg.norm(tv - coefs.T @ vecs, axis=1)
+    if (resid / np.maximum(1.0, np.linalg.norm(tv, axis=1))).max(
+            initial=0.0) > tol:
+        raise error(f"{what} leaves the span")
+    return coefs
+
+
+def adjoint_in_span(mats, x, tol=1e-8):
+    """ad_x over a linearly independent spanning set: column j holds the
+    coordinates of [x, m_j]; NotInSpanError when one leaves the span."""
+    mats = _mats(mats)
+    if mats.ndim != 3:
+        raise ValueError("expected a stack of matrices")
+    x = np.asarray(x, dtype=complex)
+    return _in_span(mats, x @ mats - mats @ x, tol, NotInSpanError,
+                    "[x, m_j]")
+
+
+def structure_tensor(basis, tol=1e-8):
+    """c[i, j, k]: coordinate k of [m_i, m_j] over the spanning set;
+    NotClosedError when a bracket leaves the span."""
+    mats = _mats(basis)
+    d = len(mats)
+    if d == 0:
+        return np.zeros((0, 0, 0))
+    br = mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
+    return _in_span(mats, br.reshape(-1, *mats.shape[1:]), tol,
+                    NotClosedError, "a bracket").T.reshape(d, d, d)
+
+
+def killing_gram_of(basis, tol=1e-8):
+    """tr(ad_i ad_j) from the adjoint matrices over the spanning set."""
+    mats = _mats(basis)
+    ads = [adjoint_in_span(mats, x, tol) for x in mats]
+    return np.array([[np.sum(a * b.T) for b in ads] for a in ads])
+
+
+def bracket_residual(a, b, span=None):
+    """Worst ||[x, e]||_F over x in ``a`` and e in ``b``; with ``span``,
+    the worst norm of the part of [x, e] outside span(``span``)."""
+    a, b = _mats(a), _mats(b)
+    if len(a) == 0 or len(b) == 0:
+        return 0.0
+    br = vec((a[:, None] @ b[None] - b[None] @ a[:, None]).reshape(
+        -1, *a.shape[1:]))
+    if span is not None:
+        q = vec(spanning_subset(_mats(span)))
+        br = br - (br @ q.T) @ q
+    return float(np.linalg.norm(br, axis=1).max())
+
+
+def normalizer(ambient, sub, tol=1e-8):
+    """Basis of {s in span(ambient) : [s, sub] in span(sub)}: the
+    coordinates alpha with sum_i alpha_i [m_i, a] outside span(sub)
+    vanishing for every a in ``sub``, by SVD."""
+    mats, subs = _mats(ambient), _mats(sub)
+    n = mats.shape[-1]
+    if len(subs) == 0:
+        return LieBasis(n, mats)
+    q = vec(spanning_subset(subs))
+    proj = np.eye(q.shape[1]) - q.T @ q
+    system = np.hstack([vec(mats @ a - a @ mats) @ proj for a in subs])
+    _, s, vh = np.linalg.svd(system.T, full_matrices=False)
+    rows = vh[s <= tol * max(s[0], 1.0)]
+    return LieBasis(n, unvec(rows @ vec(mats), n))
+
+
+def project_generator(decomp, system, u, tol=1e-8):
+    """Orthogonal projections of -i H(u) onto each component basis, by HS
+    inner products; NotInSpanError when the pieces miss part of it."""
+    if np.shape(u) != (len(system.controls),):
+        raise ValueError(f"expected {len(system.controls)} control values, "
+                         f"got shape {np.shape(u)}")
+    g = -1j * (system.drift + sum(
+        uk * h for uk, h in zip(u, system.controls)))
+    pieces = [np.einsum("k,kab->ab", vec(basis.mats) @ vec(g), basis.mats)
+              for _, basis in decomp.components]
+    if np.linalg.norm(g - sum(pieces)) > tol * max(1.0, np.linalg.norm(g)):
+        raise NotInSpanError("generator leaves the decomposition's span")
+    return pieces
+
+
+def staged(stage, algebra, *args, **kwargs):
+    """Run a library stage on ``algebra`` and its oracle structure
+    constants: stage(algebra, c, *args, **kwargs)."""
+    return stage(algebra, structure_tensor(algebra), *args, **kwargs)

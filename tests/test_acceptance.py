@@ -14,26 +14,23 @@ import pytest
 from dynlie import (
     ControlSchedule,
     UNCONTROLLABLE,
-    adjoint_in_span,
-    adjoint_matrix,
+    adjoint,
     analyze_system,
     cartan_subalgebra,
-    commutator,
     empty_basis,
     extend_basis,
     from_coords,
     generate_closure,
     generator,
-    hs_inner,
     is_controllable,
     killing_orthonormalize,
     levi_decompose,
     member_coords,
     primary_decompose,
-    project_generator,
     propagate,
     recognize_su2,
     simple_decompose,
+    structure_constants,
     two_spin_system,
 )
 from dynlie.errors import SplittingSearchError
@@ -46,7 +43,17 @@ from conftest import (
     ordered_two_spin_basis,
     two_spin_elements,
 )
-from helpers import random_skew, span_contains, spans_equal
+from helpers import (
+    adjoint_in_span,
+    commutator,
+    hs_inner,
+    project_generator,
+    random_skew,
+    span_contains,
+    spans_equal,
+    staged,
+    structure_tensor,
+)
 
 
 def _pass(message):
@@ -80,7 +87,7 @@ def random_closures():
         closure = generate_closure(gens)
         if closure.dim == 0:
             continue
-        cases.append((closure.basis, levi_decompose(closure.basis)))
+        cases.append((closure.basis, staged(levi_decompose, closure.basis)))
     return cases
 
 
@@ -107,7 +114,7 @@ def test_two_spin_uncontrollable_verdict():
 
 def test_two_spin_trivial_radical_and_derived():
     basis = ordered_two_spin_basis()
-    levi = levi_decompose(basis)
+    levi = staged(levi_decompose, basis)
     assert levi.radical.dim == 0
     assert levi.semisimple.dim == 6
     _pass("two-spin algebra has center of dim 0 and derived algebra of "
@@ -117,7 +124,7 @@ def test_two_spin_trivial_radical_and_derived():
 def test_two_spin_cartan_from_drive_pivot():
     els = two_spin_elements()
     basis = ordered_two_spin_basis()
-    result = cartan_subalgebra(basis, pivots=[els[0]])
+    result = staged(cartan_subalgebra, basis, pivots=[els[0]])
     cartan = result.cartan
     assert cartan.dim == 2
     for el in els[:2]:
@@ -132,8 +139,9 @@ def test_two_spin_cartan_from_drive_pivot():
 def test_two_spin_adjoint_matrices_entrywise():
     els = two_spin_elements()
     basis = ordered_two_spin_basis()
-    ad1 = adjoint_matrix(basis, els[0])
-    ad2 = adjoint_matrix(basis, els[1])
+    c = structure_constants(basis)
+    ad1 = adjoint(c, member_coords(basis, els[0]))
+    ad2 = adjoint(c, member_coords(basis, els[1]))
     assert np.max(np.abs(ad1 - AD_DRIVE_1)) <= 1e-12
     assert np.max(np.abs(ad2 - AD_DRIVE_2)) <= 1e-12
     _pass("adjoint matrices of both drives match the frozen 6x6 "
@@ -144,9 +152,10 @@ def test_two_spin_splitting_element_selection():
     els = two_spin_elements()
     basis = ordered_two_spin_basis()
     cartan = extend_basis(empty_basis(4), els[:2])
-    found = primary_decompose(basis, cartan, coeffs=[[1.0, 2.0]]).splitting
+    found = staged(primary_decompose, basis, cartan, coeffs=[[1.0, 2.0]]).splitting
     np.testing.assert_allclose(found.coeffs, [1.0, 2.0])
-    ad = adjoint_matrix(basis, found.element)
+    ad = adjoint(structure_constants(basis),
+                 member_coords(basis, found.element))
     eigs = np.linalg.eigvals(ad)
     assert np.max(np.abs(eigs.real)) <= 1e-9
     np.testing.assert_allclose(np.sort(eigs.imag), [-3, -1, 0, 0, 1, 3],
@@ -155,7 +164,7 @@ def test_two_spin_splitting_element_selection():
     assert len({round(v, 6) for v in eigs.imag}) == 6 - 2 + 1
     for bad in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
         with pytest.raises(SplittingSearchError):
-            primary_decompose(basis, cartan, coeffs=[bad])
+            staged(primary_decompose, basis, cartan, coeffs=[bad])
     _pass("coefficients (1,2) accepted with spectrum {0, +-i, +-3i}; "
           "(1,0), (0,1), (1,1) rejected")
 
@@ -165,7 +174,7 @@ def test_two_spin_primary_component_spans():
     l1, l2, l3, l4, l5, l6 = els
     basis = ordered_two_spin_basis()
     cartan = extend_basis(empty_basis(4), els[:2])
-    result = primary_decompose(basis, cartan)
+    result = staged(primary_decompose, basis, cartan)
     (f_fast, fast), (f_slow, slow) = result.components
     assert fast.dim == 2 and slow.dim == 2
     for el in (l5 + l6, l3 - l4):
@@ -186,8 +195,8 @@ def test_two_spin_simple_ideals_and_su2_frames():
     els = two_spin_elements()
     basis = ordered_two_spin_basis()
     cartan = extend_basis(empty_basis(4), els[:2])
-    primary = primary_decompose(basis, cartan)
-    ideal_set = simple_decompose(basis, primary)
+    primary = staged(primary_decompose, basis, cartan)
+    ideal_set = staged(simple_decompose, basis, primary)
     assert len(ideal_set.ideals) == 2
     assert all(i.dim == 3 for i in ideal_set.ideals)
     first, second = ideal_set.ideals
@@ -298,7 +307,8 @@ def test_random_subalgebra_killing_frame_antisymmetry(random_closures):
         semi = split.semisimple
         if semi.dim == 0:
             continue
-        frame = killing_orthonormalize(semi)
+        frame = from_coords(
+            semi, killing_orthonormalize(structure_tensor(semi)))
         for _ in range(5):
             x = np.einsum("i,ijk->jk", rng.standard_normal(semi.dim), frame)
             ad = adjoint_in_span(frame, x)
@@ -315,8 +325,8 @@ def test_random_subalgebra_primary_conditions(random_closures):
         semi = split.semisimple
         if semi.dim == 0:
             continue
-        cartan = cartan_subalgebra(semi).cartan
-        result = primary_decompose(semi, cartan)
+        cartan = staged(cartan_subalgebra, semi).cartan
+        result = staged(primary_decompose, semi, cartan)
         freqs = np.asarray(result.splitting.frequencies)
         radius = freqs[0]
         gaps = np.concatenate([freqs[:-1] - freqs[1:], freqs[-1:]])

@@ -182,8 +182,8 @@ class TestDecompose:
             "controls": [matrix_to_pairs(sy), matrix_to_pairs(np.eye(2))]}))
         real = dynamics.simple_decompose
 
-        def overlapping(semisimple, primary, tol):
-            found = real(semisimple, primary, tol)
+        def overlapping(semisimple, c, primary, tol):
+            found = real(semisimple, c, primary, tol)
             ideal = extend_basis(LieBasis(2, found.ideals[0].mats[:2]),
                                  [1j * np.eye(2)])
             return dataclasses.replace(found, ideals=(ideal,))
@@ -365,6 +365,41 @@ class TestDemo:
     def test_unknown_model_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run(["demo", "three-spin"])
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("flags", [
+        ["--pivot", "0,0,0"],
+        ["--pivot", "nan,0,0"],
+        ["--pivot", "1,inf,0"],
+        ["--splitting-coeffs", "1"],
+        ["--splitting-coeffs", "1,2,3"],
+        ["--splitting-coeffs", "nan,1"],
+        ["--splitting-coeffs", "inf,1"],
+        ["--tol-rank", "-1"],
+        ["--tol-rank", "0"],
+        ["--tol-rank", "nan"],
+        ["--tol-rank", "inf"],
+        ["--tol-eig=-1e-6"],
+        ["--tol-eig", "nan"],
+    ])
+    def test_bad_value_exits_2(self, capsys, flags):
+        # A flag value the analysis cannot use is an input error: a
+        # message and exit 2, never a traceback or a report built on it.
+        assert main(["demo", "two-spin", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "error:" in captured.err
+
+    def test_tiny_pivot_is_not_zero(self, capsys):
+        # The pivot's zero test is relative: a rescaled pivot names the
+        # same element and gives the same report.
+        docs = []
+        for pivot in ("1,0,0", "1e-9,0,0"):
+            assert run(["demo", "two-spin", "--pivot", pivot]) == 0
+            docs.append(loads_report(capsys.readouterr().out))
+        assert_same_report(docs[1], docs[0], 1e-12)
 
 
 class TestParser:

@@ -6,7 +6,6 @@ from dynlie import (
     CONTROLLABLE_U,
     UNCONTROLLABLE,
     analyze_system,
-    commutator,
     control_system,
     generate_closure,
     is_controllable,
@@ -17,7 +16,7 @@ from dynlie import (
 )
 
 from conftest import SX, SY, SZ, I2
-from helpers import naive_closure_dim, random_skew
+from helpers import commutator, naive_closure_dim, random_skew
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 

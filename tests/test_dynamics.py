@@ -13,7 +13,6 @@ from dynlie import (
     hamiltonian,
     kron,
     pauli,
-    project_generator,
     propagate,
     two_spin_system,
 )
@@ -26,7 +25,7 @@ from dynlie.dynamics import (
 from dynlie.errors import NotInSpanError
 from dynlie.linalg import expm_skew, invariant_frame, member_coords
 
-from helpers import dense_terms, off_block, span_contains
+from helpers import dense_terms, off_block, project_generator, span_contains
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 

@@ -2,13 +2,10 @@ import numpy as np
 
 from dynlie import (
     cartan_subalgebra,
-    commutator,
     empty_basis,
     extend_basis,
     generate_closure,
-    hs_inner,
     is_semisimple,
-    killing_gram,
     levi_decompose,
     member_coords,
     primary_decompose,
@@ -17,7 +14,15 @@ from dynlie import (
 )
 
 from conftest import SX, SY, SZ
-from helpers import random_skew, span_contains, spans_equal
+from helpers import (
+    commutator,
+    killing_gram_of,
+    random_skew,
+    span_contains,
+    spans_equal,
+    staged,
+    structure_tensor,
+)
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
@@ -26,7 +31,7 @@ def two_spin_pipeline(two_spin_basis, two_spin_els):
     cartan = empty_basis(4)
     for el in two_spin_els[:2]:
         cartan = extend_basis(cartan, [el])
-    primary = primary_decompose(two_spin_basis, cartan)
+    primary = staged(primary_decompose, two_spin_basis, cartan)
     return primary
 
 
@@ -37,7 +42,7 @@ class TestMinimalIdeal:
                                                  two_spin_els, ab):
         a_triple, b_triple = ab
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal_set = staged(simple_decompose, two_spin_basis, primary)
         (_, fast), (_, slow) = primary.components
         ideal_fast, ideal_slow = (ideal_set.ideals[k]
                                   for k in ideal_set.origin)
@@ -52,14 +57,14 @@ class TestMinimalIdeal:
     def test_su2_seed_grows_to_whole(self, su2):
         # One root plane plus its coroot [x, y] is all of su(2).
         cartan = extend_basis(empty_basis(2), [IZ])
-        primary = primary_decompose(su2, cartan)
-        ideal_set = simple_decompose(su2, primary)
+        primary = staged(primary_decompose, su2, cartan)
+        ideal_set = staged(simple_decompose, su2, primary)
         assert [i.dim for i in ideal_set.ideals] == [3]
         assert spans_equal(ideal_set.ideals[0].mats, su2.mats)
 
     def test_result_is_ad_invariant(self, two_spin_basis, two_spin_els):
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal_set = staged(simple_decompose, two_spin_basis, primary)
         ideal = ideal_set.ideals[ideal_set.origin[0]]
         for s in two_spin_basis.mats:
             for x in ideal.mats:
@@ -71,7 +76,7 @@ class TestSimpleDecompose:
     def test_two_spin_two_ideals(self, two_spin_basis, two_spin_els, ab):
         a_triple, b_triple = ab
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal_set = staged(simple_decompose, two_spin_basis, primary)
         assert len(ideal_set.ideals) == 2
         assert ideal_set.origin == (0, 1)
         dims = sorted(i.dim for i in ideal_set.ideals)
@@ -81,7 +86,7 @@ class TestSimpleDecompose:
 
     def test_two_spin_ideals_commute(self, two_spin_basis, two_spin_els):
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal_set = staged(simple_decompose, two_spin_basis, primary)
         first, second = ideal_set.ideals
         for x in first.mats:
             for y in second.mats:
@@ -90,17 +95,17 @@ class TestSimpleDecompose:
     def test_two_spin_killing_block_diagonal(self, two_spin_basis,
                                              two_spin_els):
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal_set = staged(simple_decompose, two_spin_basis, primary)
         stacked = np.concatenate([i.mats for i in ideal_set.ideals])
-        gram = killing_gram(stacked)
+        gram = killing_gram_of(stacked)
         np.testing.assert_allclose(gram[:3, 3:], 0, atol=1e-8)
         np.testing.assert_allclose(gram[3:, :3], 0, atol=1e-8)
 
     def test_each_ideal_semisimple(self, two_spin_basis, two_spin_els):
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal_set = staged(simple_decompose, two_spin_basis, primary)
         for ideal in ideal_set.ideals:
-            assert is_semisimple(ideal)
+            assert is_semisimple(structure_tensor(ideal))
 
     def test_block_pair_recovers_blocks(self):
         def embed_top(s):
@@ -117,11 +122,11 @@ class TestSimpleDecompose:
         bottom = [embed_bottom(s) for s in (SX, SY, SZ)]
         closure = generate_closure([top[0], top[1], bottom[0], bottom[1]])
         assert closure.dim == 6
-        semi = levi_decompose(closure.basis).semisimple
+        semi = staged(levi_decompose, closure.basis).semisimple
         assert semi.dim == 6
-        cartan = cartan_subalgebra(semi, pivots=[top[2] + bottom[2]]).cartan
-        primary = primary_decompose(semi, cartan)
-        ideal_set = simple_decompose(semi, primary)
+        cartan = staged(cartan_subalgebra, semi, pivots=[top[2] + bottom[2]]).cartan
+        primary = staged(primary_decompose, semi, cartan)
+        ideal_set = staged(simple_decompose, semi, primary)
         assert sorted(i.dim for i in ideal_set.ideals) == [3, 3]
         found_top = any(spans_equal(i.mats, top) for i in ideal_set.ideals)
         found_bottom = any(spans_equal(i.mats, bottom)
@@ -137,13 +142,13 @@ class TestSimpleDecompose:
             closure = generate_closure(gens)
             if closure.dim == 8:
                 break
-        semi = levi_decompose(closure.basis).semisimple
+        semi = staged(levi_decompose, closure.basis).semisimple
         assert semi.dim == 8
-        cartan = cartan_subalgebra(semi).cartan
+        cartan = staged(cartan_subalgebra, semi).cartan
         assert cartan.dim == 2
-        primary = primary_decompose(semi, cartan)
+        primary = staged(primary_decompose, semi, cartan)
         assert len(primary.components) == 3
-        ideal_set = simple_decompose(semi, primary)
+        ideal_set = staged(simple_decompose, semi, primary)
         assert len(ideal_set.ideals) == 1
         assert ideal_set.ideals[0].dim == 8
         assert ideal_set.origin == (0, 0, 0)
@@ -153,7 +158,7 @@ class TestRecognizeSu2:
     def test_two_spin_ideals(self, two_spin_basis, two_spin_els, ab):
         a_triple, b_triple = ab
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
-        ideal_set = simple_decompose(two_spin_basis, primary)
+        ideal_set = staged(simple_decompose, two_spin_basis, primary)
         for ideal, triple in zip(ideal_set.ideals, (a_triple, b_triple)):
             frame = recognize_su2(ideal)
             assert frame is not None
@@ -165,7 +170,7 @@ class TestRecognizeSu2:
                 assert span_contains(triple, e)
             # Basis independent scale check: the Killing gram of a
             # standard frame is -2 on the diagonal.
-            gram = killing_gram(np.stack(frame))
+            gram = killing_gram_of(np.stack(frame))
             np.testing.assert_allclose(gram, -2.0 * np.eye(3), atol=1e-8)
 
     def test_su2_itself(self, su2):

@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from dynlie import (
-    commutator,
     empty_basis,
     extend_basis,
     generate_closure,
-    hs_inner,
     is_semisimple,
     levi_decompose,
     member_coords,
 )
 
 from conftest import SX, SY, SZ
-from helpers import random_skew, span_contains, spans_equal
+from helpers import (
+    commutator,
+    hs_inner,
+    random_skew,
+    span_contains,
+    spans_equal,
+    staged,
+    structure_tensor,
+)
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
@@ -24,14 +30,14 @@ def u2_basis():
 
 class TestCenter:
     def test_semisimple_has_trivial_center(self, two_spin_basis):
-        assert levi_decompose(two_spin_basis).radical.dim == 0
+        assert staged(levi_decompose, two_spin_basis).radical.dim == 0
 
     def test_abelian_center_is_everything(self, two_spin_els):
         basis = extend_basis(empty_basis(4), two_spin_els[:2])
-        assert levi_decompose(basis).radical.dim == 2
+        assert staged(levi_decompose, basis).radical.dim == 2
 
     def test_u2_center_is_identity_line(self):
-        c = levi_decompose(u2_basis()).radical
+        c = staged(levi_decompose, u2_basis()).radical
         assert c.dim == 1
         direction = 1j * np.eye(2) / np.sqrt(2.0)
         assert abs(abs(hs_inner(c.mats[0], direction)) - 1.0) < 1e-10
@@ -52,25 +58,25 @@ class TestCenter:
             cols.append(np.concatenate(col))
         big = np.array(cols).T
         kernel = scipy_linalg.null_space(big)
-        assert kernel.shape[1] == levi_decompose(basis).radical.dim
+        assert kernel.shape[1] == staged(levi_decompose, basis).radical.dim
 
     def test_empty(self):
-        assert levi_decompose(empty_basis(2)).radical.dim == 0
+        assert staged(levi_decompose, empty_basis(2)).radical.dim == 0
 
 
 class TestDerivedAlgebra:
     def test_semisimple_derived_is_whole(self, two_spin_basis):
-        der = levi_decompose(two_spin_basis).semisimple
+        der = staged(levi_decompose, two_spin_basis).semisimple
         assert der.dim == 6
         for el in two_spin_basis.mats:
             assert member_coords(der, el) is not None
 
     def test_abelian_derived_is_zero(self, two_spin_els):
         basis = extend_basis(empty_basis(4), two_spin_els[:2])
-        assert levi_decompose(basis).semisimple.dim == 0
+        assert staged(levi_decompose, basis).semisimple.dim == 0
 
     def test_u2_derived_is_traceless_part(self):
-        der = levi_decompose(u2_basis()).semisimple
+        der = staged(levi_decompose, u2_basis()).semisimple
         assert der.dim == 3
         for el in (IX, IY, IZ):
             assert member_coords(der, el) is not None
@@ -79,13 +85,13 @@ class TestDerivedAlgebra:
 
 class TestLeviDecompose:
     def test_two_spin(self, two_spin_basis):
-        split = levi_decompose(two_spin_basis)
+        split = staged(levi_decompose, two_spin_basis)
         assert split.radical.dim == 0
         assert split.semisimple.dim == 6
         assert split.radical_lines == ()
 
     def test_u2(self):
-        split = levi_decompose(u2_basis())
+        split = staged(levi_decompose, u2_basis())
         assert split.radical.dim == 1
         assert split.semisimple.dim == 3
         assert len(split.radical_lines) == 1
@@ -94,18 +100,18 @@ class TestLeviDecompose:
 
     def test_abelian(self, two_spin_els):
         basis = extend_basis(empty_basis(4), two_spin_els[:2])
-        split = levi_decompose(basis)
+        split = staged(levi_decompose, basis)
         assert split.radical.dim == 2
         assert split.semisimple.dim == 0
         assert len(split.radical_lines) == 2
 
     def test_empty(self):
-        split = levi_decompose(empty_basis(3))
+        split = staged(levi_decompose, empty_basis(3))
         assert split.radical.dim == 0
         assert split.semisimple.dim == 0
 
     def test_radical_orthogonal_to_semisimple(self):
-        split = levi_decompose(u2_basis())
+        split = staged(levi_decompose, u2_basis())
         for r in split.radical.mats:
             for s in split.semisimple.mats:
                 assert abs(hs_inner(r, s)) < 1e-12
@@ -119,7 +125,7 @@ class TestLeviDecompose:
             basis = generate_closure(gens).basis
             if basis.dim == 0:
                 continue
-            split = levi_decompose(basis)
+            split = staged(levi_decompose, basis)
             rad, semi = split.radical, split.semisimple
             assert rad.dim + semi.dim == basis.dim
             if rad.dim and semi.dim:
@@ -134,7 +140,7 @@ class TestLeviDecompose:
                     br = commutator(rad.mats[i], rad.mats[j])
                     assert np.linalg.norm(br) < 1e-8
             if semi.dim:
-                assert is_semisimple(semi)
+                assert is_semisimple(structure_tensor(semi))
             # The two halves recombine to the original span.
             combined = extend_basis(semi, rad.mats)
             assert combined.dim == basis.dim

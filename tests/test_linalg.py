@@ -3,12 +3,10 @@ import pytest
 
 from dynlie import (
     LieBasis,
-    commutator,
     empty_basis,
     expm_skew,
     extend_basis,
     from_coords,
-    hs_inner,
     member_coords,
     nullspace,
     pauli,
@@ -16,7 +14,6 @@ from dynlie import (
     skew_hermitian,
 )
 from dynlie.linalg import (
-    bracket_residual,
     coords_strict,
     hermitian_part,
     invariant_frame,
@@ -24,7 +21,14 @@ from dynlie.linalg import (
 from dynlie.errors import NotInSpanError
 
 from conftest import SX, SY, SZ, I2
-from helpers import dense_terms, off_block, random_skew
+from helpers import (
+    bracket_residual,
+    commutator,
+    dense_terms,
+    hs_inner,
+    off_block,
+    random_skew,
+)
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 

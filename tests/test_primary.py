@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from dynlie import (
-    adjoint_matrix,
     cartan_subalgebra,
-    commutator,
     empty_basis,
     extend_basis,
     generate_closure,
@@ -16,7 +14,7 @@ from dynlie.errors import SplittingSearchError
 from dynlie.primary import _coefficient_candidates
 
 from conftest import SX, SY, SZ, AD_DRIVE_1, AD_DRIVE_2, su2_triple
-from helpers import random_skew, spans_equal
+from helpers import commutator, random_skew, spans_equal, staged
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
@@ -54,7 +52,7 @@ class TestFindSplittingElement:
                                            two_spin_basis):
         cartan = two_spin_cartan(two_spin_els)
         semi = two_spin_basis
-        found = primary_decompose(semi, cartan).splitting
+        found = staged(primary_decompose, semi, cartan).splitting
         np.testing.assert_allclose(found.coeffs, [1.0, 2.0])
         np.testing.assert_allclose(found.frequencies, [3.0, 1.0],
                                    atol=1e-10)
@@ -75,14 +73,14 @@ class TestFindSplittingElement:
         cartan = two_spin_cartan(two_spin_els)
         for coeffs in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             with pytest.raises(SplittingSearchError):
-                primary_decompose(two_spin_basis, cartan, coeffs=[coeffs])
+                staged(primary_decompose, two_spin_basis, cartan, coeffs=[coeffs])
 
     def test_two_spin_nearly_equal_weights(self, two_spin_els,
                                            two_spin_basis):
         # The slow pair sits at 1e-4, a gap that squaring in
         # ad^2 + a^2 used to halve below the rank tolerance.
         cartan = two_spin_cartan(two_spin_els)
-        result = primary_decompose(two_spin_basis, cartan,
+        result = staged(primary_decompose, two_spin_basis, cartan,
                                    coeffs=[[1.0, 1.0001]])
         np.testing.assert_allclose(result.splitting.frequencies,
                                    [2.0001, 1e-4], rtol=1e-8)
@@ -99,7 +97,7 @@ class TestFindSplittingElement:
 
     def test_su2(self, su2):
         cartan = extend_basis(empty_basis(2), [IZ])
-        found = primary_decompose(su2, cartan).splitting
+        found = staged(primary_decompose, su2, cartan).splitting
         np.testing.assert_allclose(found.coeffs, [1.0])
         # The normalized Cartan element is sqrt(2) i sz, whose adjoint
         # rotates the orthogonal plane at sqrt(2).
@@ -109,11 +107,11 @@ class TestFindSplittingElement:
     def test_frequencies_strictly_decreasing(self, rng):
         for _ in range(5):
             gens = [random_skew(rng, 3) for _ in range(2)]
-            semi = levi_decompose(generate_closure(gens).basis).semisimple
+            semi = staged(levi_decompose, generate_closure(gens).basis).semisimple
             if semi.dim == 0:
                 continue
-            cartan = cartan_subalgebra(semi).cartan
-            found = primary_decompose(semi, cartan).splitting
+            cartan = staged(cartan_subalgebra, semi).cartan
+            found = staged(primary_decompose, semi, cartan).splitting
             freqs = np.asarray(found.frequencies)
             assert np.all(freqs[:-1] > freqs[1:])
             assert np.all(freqs > 0)
@@ -124,7 +122,7 @@ class TestPrimaryDecompose:
     def test_two_spin_component_spans(self, two_spin_els, two_spin_basis):
         l1, l2, l3, l4, l5, l6 = two_spin_els
         cartan = two_spin_cartan(two_spin_els)
-        result = primary_decompose(two_spin_basis, cartan)
+        result = staged(primary_decompose, two_spin_basis, cartan)
         comps = result.components
         assert len(comps) == 2
         np.testing.assert_allclose(result.splitting.frequencies, [3.0, 1.0],
@@ -145,13 +143,13 @@ class TestPrimaryDecompose:
 
     def test_two_spin_dimension_budget(self, two_spin_els, two_spin_basis):
         cartan = two_spin_cartan(two_spin_els)
-        result = primary_decompose(two_spin_basis, cartan)
+        result = staged(primary_decompose, two_spin_basis, cartan)
         total = cartan.dim + sum(v.dim for _, v in result.components)
         assert total == two_spin_basis.dim
 
     def test_su2_component(self, su2):
         cartan = extend_basis(empty_basis(2), [IZ])
-        result = primary_decompose(su2, cartan)
+        result = staged(primary_decompose, su2, cartan)
         assert len(result.components) == 1
         freq, comp = result.components[0]
         assert freq == pytest.approx(np.sqrt(2.0), abs=1e-10)
@@ -160,7 +158,7 @@ class TestPrimaryDecompose:
     def test_components_cartan_invariant(self, two_spin_els,
                                           two_spin_basis):
         cartan = two_spin_cartan(two_spin_els)
-        result = primary_decompose(two_spin_basis, cartan)
+        result = staged(primary_decompose, two_spin_basis, cartan)
         for _, comp in result.components:
             for a in cartan.mats:
                 for v in comp.mats:
@@ -172,7 +170,7 @@ class TestPrimaryDecompose:
         # Within each two-dimensional component the adjoint of any
         # Cartan element acts as a planar rotation generator.
         cartan = two_spin_cartan(two_spin_els)
-        result = primary_decompose(two_spin_basis, cartan)
+        result = staged(primary_decompose, two_spin_basis, cartan)
         for _, comp in result.components:
             for a in cartan.mats:
                 block = np.empty((2, 2))
@@ -193,17 +191,17 @@ class TestPrimaryDecompose:
         u2 = extend_basis(su2, [1j * np.eye(2)])
         cartan = extend_basis(empty_basis(2), [IZ])
         with pytest.raises(SplittingSearchError):
-            primary_decompose(u2, cartan)
+            staged(primary_decompose, u2, cartan)
 
     def test_random_semisimple_parts(self, rng):
         for _ in range(8):
             n = int(rng.integers(2, 5))
             gens = [random_skew(rng, n) for _ in range(2)]
-            semi = levi_decompose(generate_closure(gens).basis).semisimple
+            semi = staged(levi_decompose, generate_closure(gens).basis).semisimple
             if semi.dim == 0:
                 continue
-            cartan = cartan_subalgebra(semi).cartan
-            result = primary_decompose(semi, cartan)
+            cartan = staged(cartan_subalgebra, semi).cartan
+            result = staged(primary_decompose, semi, cartan)
             assert cartan.dim + sum(
                 v.dim for _, v in result.components) == semi.dim
             for _, comp in result.components:

@@ -20,7 +20,10 @@ Run from the repository root:
 
 ``--compare`` prints how two sweeps differ: failures on either side, draws
 where both succeed but the structure differs, draws where only the
-splitting element differs, and propagation mismatches on either side.
+splitting element differs, and propagation mismatches on either side.  It
+exits 1 when the after sweep has more failures than the before sweep, when
+the structure differs on any draw, or when a draw mismatches in propagation
+after but not before; else 0.
 """
 
 import argparse
@@ -119,6 +122,8 @@ def same_floats(x, y, rel=1e-9):
 
 
 def compare(before_path, after_path):
+    """Print how two sweeps differ; True when the after sweep is no worse
+    (see the module docstring)."""
     def load(path):
         with open(path) as fh:
             return {d["draw"]: d for d in map(json.loads, fh)}
@@ -135,19 +140,26 @@ def compare(before_path, after_path):
         elif (b["coefficients"] != a["coefficients"]
               or not same_floats(b["frequencies"], a["frequencies"])):
             splitting += 1
+    failures, mismatches = {}, {}
     for label, sweep in (("before", before), ("after", after)):
         failed = [d for d in sweep.values() if "error" in d]
+        failures[label] = len(failed)
         print(f"{label}: {len(sweep)} draws, {len(failed)} failed")
         for d in failed:
             print(f"  {d['draw']}: {d['stage']} {d['error']}: {d['message']}")
         checked = [d for d in sweep.values() if "propagation_problems" in d]
         mismatched = [d for d in checked if d["propagation_problems"]]
+        mismatches[label] = {d["draw"] for d in mismatched}
         print(f"{label}: {len(checked)} draws propagated, "
               f"{len(mismatched)} propagation mismatches")
         for d in mismatched:
             print(f"  {d['draw']}: {'; '.join(d['propagation_problems'])}")
     print(f"both succeed on {both} draws: structure differs on {structure}, "
           f"only the splitting element on {splitting}")
+    new = mismatches["after"] - mismatches["before"]
+    print(f"new propagation mismatches: {len(new)}")
+    return (failures["after"] <= failures["before"] and not structure
+            and not new)
 
 
 def main(argv=None):
@@ -156,8 +168,7 @@ def main(argv=None):
                         help="compare two sweep files instead of sweeping")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return 0 if compare(*args.compare) else 1
     count = failed = mismatched = 0
     for name, terms in draws():
         line = record(name, terms)
