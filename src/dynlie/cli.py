@@ -11,7 +11,6 @@ numerical failure (the failing pipeline stage is named on stderr).
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
@@ -52,8 +51,10 @@ def _parse_floats(text, what):
         raise SpecError(f"{what}: expected comma-separated numbers") from err
     if not vals:
         raise SpecError(f"{what}: no values given")
-    if not all(map(math.isfinite, vals)):
-        raise SpecError(f"{what}: values must be finite")
+    # Beyond 1e150 a pivot's squared norm or an adjoint spectrum overflows.
+    if not all(abs(v) <= 1e150 for v in vals):
+        raise SpecError(f"{what}: values must be finite and at most 1e150 "
+                        "in magnitude")
     return vals
 
 
@@ -81,8 +82,9 @@ def _write(text, out):
 def _analyze(system, args):
     for flag, value in (("--tol-rank", args.tol_rank),
                         ("--tol-eig", args.tol_eig)):
-        if not 0.0 < value < math.inf:
-            raise SpecError(f"{flag} must be positive and finite, got {value}")
+        if not 0.0 < value < 1.0:
+            raise SpecError(f"{flag} is relative and must lie in (0, 1), "
+                            f"got {value}")
     pivots = _pivot_matrices(system, args.pivot)
     coeffs = (None if args.splitting_coeffs is None
               else _parse_floats(args.splitting_coeffs, "--splitting-coeffs"))

@@ -7,17 +7,19 @@ commuting product of per-piece propagators.  For piecewise-constant
 schedules each factor is an exact product of matrix exponentials, so the
 factorization error stays at numerical noise.
 
-Propagation runs in the frame of the terms' invariant subspaces: one
-unitary in which the drift, every control term and so the whole algebra
-are block diagonal (``linalg.invariant_frame``).  It is batched: H(u) is
-affine in u, so a chunk of segments gets its generators, for the
-membership check, from one matmul against the terms, their coordinates
-from one projection, and every diagonal block of the reference
-generator and of each simple ideal's piece from one more matmul.  The
-blocks of each size cost one stacked exponential per chunk (an
-eigendecomposition, or a closed form for sizes 1 and 2), an ideal
-skipping the blocks it acts on as zero; a radical line commutes with
-everything and costs one exponential for the whole schedule.
+H(u) is affine in u, so propagation is one linear map of the control row
+[1, u].  The drift and control terms are projected onto the adapted
+basis once per call; the reference total and every piece then own the
+terms, or the terms' parts on that piece, and a row combines them into
+the owner's generator.  Membership is checked the same way: a segment's
+part outside the algebra is its row times the terms' parts outside it.
+The exponentials run in the frame of the terms' invariant subspaces
+(``linalg.invariant_frame``), where everything is block diagonal, and
+one real matrix maps a row to every diagonal block of every owner.  A
+chunk of segments costs one matmul and, per block size, one stacked
+exponential (an eigendecomposition, or a closed form for sizes 1 and 2);
+a radical line commutes with everything, so its blocks are exponentiated
+once, from the duration-weighted sum of the rows.
 """
 
 import itertools
@@ -35,7 +37,7 @@ from .errors import (
     NotInSpanError,
     StageFailure,
 )
-from .ideals import IdealSet, recognize_su2, simple_decompose
+from .ideals import IdealSet, simple_decompose
 from .levi import LeviResult, levi_decompose
 from .linalg import (
     LieBasis,
@@ -236,30 +238,6 @@ def _control_rows(system, schedule):
     return rows
 
 
-def _generator_coords(decomp, term_vecs, rows, tol):
-    """Adapted coordinates of the generators of the control ``rows``.
-
-    Raises NotInSpanError when some generator g leaves the algebra, i.e.
-    its residual exceeds ``tol * max(1, ||g||_F)``.
-    """
-    gvecs = rows @ term_vecs
-    coords, resid = span_coords(decomp.adapted, _unvec(gvecs, decomp.full.n))
-    if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(gvecs, axis=1))):
-        raise NotInSpanError(
-            "generator leaves the dynamical algebra; controls inconsistent "
-            "with the decomposition")
-    return coords
-
-
-def _component_slices(decomp):
-    """Column range of each component in the adapted coordinates."""
-    slices, end = [], 0
-    for _, basis in decomp.components:
-        slices.append(slice(end, end + basis.dim))
-        end += basis.dim
-    return slices
-
-
 def _ordered_product(stack):
     """stack[-1] @ ... @ stack[0], by pairwise halving."""
     while len(stack) > 1:
@@ -269,36 +247,50 @@ def _ordered_product(stack):
     return stack[0]
 
 
-def _block_operator(frame, sizes, owners, width):
-    """The map from a chunk's inputs to the diagonal blocks it exponentiates.
+def _block_operator(frame, sizes, owners, once):
+    """The map from a control row to the diagonal blocks of every owner.
 
-    ``owners`` lists (input columns, matrices): the owner's generator is
-    the input row on those columns times its matrices.  Every block an
-    owner does not act on as zero (each of its matrices is there at most
-    ``TOL_FRAME`` times its own norm) is one (size, owner, start) pair.
-    Returns the pairs ordered by size, and a (``width``, sum 2 size^2)
-    real matrix whose columns give each pair's block, vectorized.
+    ``owners`` is a (k, m + 1, n, n) stack: owner o's generator for the
+    row [1, u] is the row times owners[o].  Every block an owner does not
+    act on as zero (each of its matrices is there at most ``TOL_FRAME``
+    times its own norm) is one slot (once[o], size, o, start).  Returns
+    the slots sorted, so those of the owners ``once`` marks come last and
+    each part runs by ascending size, and an (m + 1, sum 2 size^2) real
+    matrix whose columns give each slot's block, vectorized, in that
+    order.
     """
     starts = [0, *itertools.accumulate(sizes[:-1])]
-    first = [0, *itertools.accumulate(len(mats) for _, mats in owners)]
-    rotated = frame.conj().T @ np.concatenate([m for _, m in owners]) @ frame
+    rotated = frame.conj().T @ owners @ frame
     sq = np.abs(rotated) ** 2
-    on_block = np.add.reduceat(np.add.reduceat(sq, starts, axis=1), starts,
-                               axis=2).diagonal(axis1=1, axis2=2)
-    acting = np.logical_or.reduceat(
-        on_block > TOL_FRAME ** 2 * sq.sum(axis=(1, 2))[:, None], first[:-1],
-        axis=0)
-    pairs = sorted((sizes[b], o, starts[b]) for o, b in zip(*np.nonzero(acting)))
-    op = np.zeros((width, sum(size * size for size, _, _ in pairs)),
+    on_block = np.add.reduceat(np.add.reduceat(sq, starts, axis=-1), starts,
+                               axis=-2).diagonal(axis1=-2, axis2=-1)
+    acting = (on_block > TOL_FRAME ** 2 * sq.sum(axis=(-2, -1))[..., None]
+              ).any(axis=1)
+    slots = sorted((once[o], sizes[b], o, starts[b])
+                   for o, b in zip(*np.nonzero(acting)))
+    op = np.zeros((owners.shape[1], sum(z * z for _, z, _, _ in slots)),
                   dtype=complex)
     at = 0
-    for size, o, s in pairs:
-        op[owners[o][0], at : at + size * size] = rotated[
-            first[o] : first[o + 1], s : s + size, s : s + size].reshape(
-                -1, size * size)
-        at += size * size
+    for _, z, o, s in slots:
+        op[:, at : at + z * z] = rotated[o, :, s : s + z, s : s + z].reshape(
+            -1, z * z)
+        at += z * z
     # Interleaved real and imaginary parts, the layout of _vec.
-    return pairs, op.view(float)
+    return slots, op.view(float)
+
+
+def _exponentials(blocks, sizes, t):
+    """Per run of equal ``sizes``, the stacked products over the rows of
+    ``blocks`` of exp(t[row] * block), later rows on the left.  Row i of
+    ``blocks`` holds its blocks vectorized, one per entry of ``sizes``."""
+    out, at = [], 0
+    for size, run in itertools.groupby(sizes):
+        count, width = len(list(run)), 2 * size * size
+        stack = _unvec(blocks[:, at : at + count * width]
+                       .reshape(-1, count, width), size)
+        out.append(_ordered_product(expm_skew(stack, t[:, None])))
+        at += count * width
+    return out
 
 
 def propagate(decomp, system, schedule, tol=TOL_RANK):
@@ -310,98 +302,94 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     the factorization error compares the total against the product taken
     radical lines first, then simple ideals.
 
+    H(u) is affine in u, so propagation is one linear map of the control
+    rows [1, u]: the terms are projected onto the adapted basis once, and
+    the reference total, each simple ideal and each radical line owns an
+    (m + 1)-stack of matrices, the terms or their pieces on it, that a
+    row combines into the owner's generator.  Before any exponential,
+    each segment's part outside the algebra, its row times the terms'
+    parts outside it, is checked against ``tol * max(1, ||g||_F)`` for its
+    generator g, else NotInSpanError.
+
     The exponentials are taken in the frame of ``invariant_frame``, where
     the drift and every control term, and with them the whole algebra,
-    are block diagonal: each generator and each ideal's piece is a
-    stack of diagonal blocks, and an ideal skips the blocks it acts on as
-    zero.  Factors are rotated back to n x n once, at the end.
-
-    Cost model: one frame per call, an ``eigh`` of one n x n combination
-    of the terms and, only where its spectrum repeats, a solve for a
-    commutant element over the repeated clusters.  The frame is skipped
-    (the identity, one block) where it cannot pay: for n <= 2, which the
-    closed form covers, and for an algebra of dimension n^2 - 1 or more,
-    which is su(n) or u(n) and so splits nothing.  Segments then run in
-    chunks of ``CHUNK``.  Per chunk, one matmul gives every segment's
-    generator and one projection their coordinates (the membership
-    check), one matmul maps [1, u | coordinates] to every diagonal block
-    of the reference total and of each simple ideal, and the blocks of
-    each size take one stacked ``expm_skew`` and a pairwise product: one
-    batched ``eigh`` for sizes of 3 and more, elementwise array
-    operations in closed form for sizes 1 and 2.  A radical line commutes
-    with everything, so its coordinate is summed over the whole schedule
-    and exponentiated once: one ``expm_skew`` for all lines in total.
+    are block diagonal.  The frame costs an ``eigh`` of one n x n
+    combination of the terms and, only where its spectrum repeats, a
+    solve for a commutant element over the repeated clusters; it is
+    skipped (the identity, one block) for n <= 2, which the closed form
+    covers, and for an algebra of dimension n^2 - 1 or more, which is
+    su(n) or u(n) and so splits nothing.  One real matrix maps a row to
+    every diagonal block of every owner, an owner skipping the blocks it
+    acts on as zero.  Segments run in chunks of ``CHUNK``: one matmul
+    gives the chunk's blocks of the total and of each simple ideal, and
+    the blocks of each size take one stacked ``expm_skew`` (a batched
+    ``eigh``, or the closed form for sizes 1 and 2) and a pairwise
+    product.  A radical line commutes with everything, so its blocks come
+    from the duration-weighted sum of the rows and are exponentiated
+    once, through the same code.  Factors are rotated back to n x n once,
+    at the end.
     """
     n = system.dim
     comps = decomp.components
-    k = len(comps)
-    cols = _component_slices(decomp)
-    simple = [c for c, (kind, _) in enumerate(comps) if kind == KIND_SIMPLE]
-    lines = [c for c, (kind, _) in enumerate(comps) if kind == KIND_RADICAL]
-    line_cols = [cols[c].start for c in lines]
+    adapted = decomp.adapted
     terms = _terms(system)
-    term_vecs = _vec(terms)
-    durs = schedule.durations
     rows = _control_rows(system, schedule)
-    # A chunk's inputs are [1, u | adapted coordinates]: the reference
-    # total takes the generator from the terms, each ideal its piece from
-    # its own coordinates.
-    width = len(terms) + decomp.adapted.dim
-    owners = [(slice(0, len(terms)), terms)] + [
-        (slice(len(terms) + cols[c].start, len(terms) + cols[c].stop),
-         comps[c][1].mats) for c in simple]
+    durs = schedule.durations
+    coords, outside = span_coords(adapted, terms)
+    # A row's part outside the algebra is the row times the terms' parts
+    # outside it, so its norm is at most |row| @ outside.  Where that bound
+    # exceeds tol, outside^T = q r makes the part's norm that of the row
+    # times r^T, and the generator's norm adds the row's coordinates.
+    loose = rows[np.abs(rows) @ outside > tol]
+    if len(loose):
+        r = np.linalg.qr((_vec(terms) - coords @ adapted.vecs).T, mode="r")
+        sq = (loose @ np.concatenate([coords, r.T], axis=1)) ** 2
+        if np.any(sq[:, adapted.dim :].sum(axis=1)
+                  > tol * tol * np.maximum(1.0, sq.sum(axis=1))):
+            raise NotInSpanError(
+                "generator leaves the dynamical algebra; controls "
+                "inconsistent with the decomposition")
+    # Owner 0 is the reference total, owner 1 + c the c-th component.
+    ends = itertools.accumulate(b.dim for _, b in comps)
+    owners = _unvec(np.stack([_vec(terms)] + [
+        coords[:, end - b.dim : end] @ b.vecs
+        for end, (_, b) in zip(ends, comps)]), n)
+    once = [False] + [kind == KIND_RADICAL for kind, _ in comps]
     if n <= 2 or decomp.full.dim >= n * n - 1:
         frame, sizes = np.eye(n), (n,)
     else:
         frame, sizes = invariant_frame(terms)
-    pairs, to_blocks = _block_operator(frame, sizes, owners, width)
-    groups = [(size, sum(1 for p in pairs if p[0] == size))
-              for size in sorted({p[0] for p in pairs})]
-    running = [None] * len(groups)
-    angles = np.zeros(len(lines))
+    slots, to_blocks = _block_operator(frame, sizes, owners, once)
+    per_segment = [z for line, z, _, _ in slots if not line]
+    cut = 2 * sum(z * z for z in per_segment)
+    running = []
     for start in range(0, len(durs), CHUNK):
         chunk = slice(start, start + CHUNK)
-        coords = _generator_coords(decomp, term_vecs, rows[chunk], tol)
-        blocks = np.concatenate([rows[chunk], coords], axis=1) @ to_blocks
-        at = 0
-        for g, (size, count) in enumerate(groups):
-            stack = _unvec(blocks[:, at : at + count * 2 * size * size]
-                           .reshape(-1, count, 2 * size * size), size)
-            step = _ordered_product(expm_skew(stack, durs[chunk, None]))
-            running[g] = step if start == 0 else step @ running[g]
-            at += count * 2 * size * size
-        angles += durs[chunk] @ coords[:, line_cols]
-    eye = np.eye(n, dtype=complex)
-    factors = [eye.copy() for _ in comps]
-    total = eye
+        steps = _exponentials(rows[chunk] @ to_blocks[:, :cut], per_segment,
+                              durs[chunk])
+        running = ([step @ prev for step, prev in zip(steps, running)]
+                   if start else steps)
+    back = np.eye(n, dtype=complex)[None].repeat(len(owners), axis=0)
     # Skipped for an empty schedule, whose factors stay exact identities.
     if len(durs):
-        diagonal = eye[None].repeat(len(owners), axis=0)
-        blocks = (block for stack in running for block in stack)
-        for (size, o, s), block in zip(pairs, blocks):
-            diagonal[o, s : s + size, s : s + size] = block
-        back = frame @ diagonal @ frame.conj().T
-        total = back[0]
-        for c, f in zip(simple, back[1:]):
-            factors[c] = f
-        if lines:
-            line_mats = np.stack([comps[c][1].mats[0] for c in lines])
-            for c, f in zip(lines, expm_skew(line_mats, angles)):
-                factors[c] = f
-    ordered = [f for (kind, _), f in zip(comps, factors)
-               if kind == KIND_RADICAL]
-    ordered += [f for (kind, _), f in zip(comps, factors)
-                if kind == KIND_SIMPLE]
-    product = eye
-    for f in ordered:
-        product = product @ f
+        lines = _exponentials((durs @ rows)[None] @ to_blocks[:, cut:],
+                              [z for line, z, _, _ in slots if line],
+                              np.ones(1))
+        blocks = (block for stack in running + lines for block in stack)
+        for (_, z, o, s), block in zip(slots, blocks):
+            back[o, s : s + z, s : s + z] = block
+        back = frame @ back @ frame.conj().T
+    total, factors = back[0], tuple(back[1:])
+    product = np.eye(n, dtype=complex)
+    for kind in (KIND_RADICAL, KIND_SIMPLE):
+        for (k, _), f in zip(comps, factors):
+            if k == kind:
+                product = product @ f
     fact_err = float(np.linalg.norm(total - product))
-    worst_comm = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            worst_comm = max(worst_comm, float(np.linalg.norm(
-                factors[i] @ factors[j] - factors[j] @ factors[i])))
-    return PropagationResult(total=total, factors=tuple(factors),
+    worst_comm = max((float(np.linalg.norm(a @ b - b @ a))
+                      for i, a in enumerate(factors) for b in factors[i + 1 :]),
+                     default=0.0)
+    return PropagationResult(total=total, factors=factors,
                              times=schedule.total_time,
                              factorization_error=fact_err,
                              commutation_residual=worst_comm)
@@ -430,9 +418,3 @@ def structure_residuals(analysis):
     res["adapted_reconstruction"] = float(np.linalg.norm(
         from_coords(adapted, coords) - basis.mats, axis=(1, 2)).max(initial=0.0))
     return res
-
-
-def su2_flags(analysis, tol=TOL_RANK):
-    """recognize_su2 verdict per simple component of the decomposition."""
-    return [kind == KIND_SIMPLE and recognize_su2(basis, tol) is not None
-            for kind, basis in analysis.decomposition.components]

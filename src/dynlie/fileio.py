@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .dynamics import ControlSchedule, KIND_SIMPLE, structure_residuals, su2_flags
+from .dynamics import ControlSchedule, structure_residuals
 from .linalg import hermitian_part
 from .models import MODELS, ControlSystem
 
@@ -220,12 +220,11 @@ def build_structure_report(analysis):
         }
     else:
         doc["splitting"] = None
-    flags = su2_flags(analysis)
+    # Simple ideals come first among the components, in the ideals' order.
+    su2 = analysis.ideals.su2 if analysis.ideals is not None else ()
     doc["components"] = [
-        {"kind": kind, "dim": basis.dim,
-         "su2": bool(flag) if kind == KIND_SIMPLE else False}
-        for (kind, basis), flag in zip(analysis.decomposition.components,
-                                       flags)
+        {"kind": kind, "dim": basis.dim, "su2": i < len(su2) and su2[i]}
+        for i, (kind, basis) in enumerate(analysis.decomposition.components)
     ]
     doc["residuals"] = {k: float(v) for k, v in sorted(residuals.items())}
     return doc

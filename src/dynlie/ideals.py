@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _brackets_and_coords, bracket_coords, killing_orthonormalize
+from .adjoint import (
+    _brackets_and_coords,
+    bracket_coords,
+    killing_orthonormalize,
+    restrict,
+)
 from .errors import DecompositionError, NotSemisimpleError
 from .linalg import LieBasis, TOL_RANK, from_coords, span_coords
 
@@ -32,6 +37,7 @@ class IdealSet:
     origin: tuple   # origin[j] = index of the ideal containing component j
     commutation_residual: float  # worst ||[x, y]||_F across distinct ideals
     invariance_residual: float   # worst part of [s, x] outside x's ideal
+    su2: tuple      # su2[i]: ideal i is a copy of su(2), see recognize_su2
 
 
 def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
@@ -44,7 +50,8 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     1)``.  Ideals are ordered by their first component.  Verifies that
     the ideal dimensions add up to dim S, that distinct ideals commute,
     and that each ideal is genuinely ad-S-invariant; both residuals (at
-    1e-8) are stored on the result.
+    1e-8) are stored on the result, with each ideal's su(2) flag, decided
+    at ``tol`` on c restricted to the ideal.
     """
     s = semisimple.dim
     mats = np.concatenate([comp.mats for _, comp in primary.components])
@@ -91,20 +98,19 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
                    for end, r in zip(ends, rows))
     return IdealSet(ideals=ideals, origin=tuple(origin.tolist()),
                     commutation_residual=float(worst_cross),
-                    invariance_residual=float(worst_inv))
+                    invariance_residual=float(worst_inv),
+                    su2=tuple(len(r) == 3 and _su2_frame(restrict(c, r), tol)
+                              is not None for r in rows))
 
 
-def recognize_su2(ideal, tol=TOL_RANK):
-    """Standard cyclic frame (E1, E2, E3) of a 3-dimensional simple ideal.
+def _su2_frame(c, tol):
+    """Coordinate rows of the standard cyclic frame (E1, E2, E3) of the
+    3-dimensional algebra with structure constants ``c``, or None when it
+    is not a copy of su(2).
 
-    Killing-orthonormalizes the ideal's structure constants, rescales by
-    sqrt(2) and fixes orientation so that [E1, E2] = E3 cyclically
-    (residuals at 1e-8).  Returns None when the input is not a copy of
-    su(2).
+    Killing-orthonormalizes, rescales by sqrt(2) and fixes orientation so
+    that [E1, E2] = E3 cyclically, with residuals at ``tol``.
     """
-    if ideal.dim != 3:
-        return None
-    c = _brackets_and_coords(ideal, tol)
     try:
         frame = math.sqrt(2.0) * killing_orthonormalize(c)
     except NotSemisimpleError:
@@ -114,6 +120,16 @@ def recognize_su2(ideal, tol=TOL_RANK):
         frame[2] = -frame[2]
         br = bracket_coords(c, frame, frame)
     if max(np.linalg.norm(br[i, (i + 1) % 3] - frame[(i + 2) % 3])
-           for i in range(3)) > 1e-8:
+           for i in range(3)) > tol:
         return None
-    return tuple(from_coords(ideal, frame))
+    return frame
+
+
+def recognize_su2(ideal, tol=TOL_RANK):
+    """Standard cyclic frame (E1, E2, E3), [E1, E2] = E3 cyclically, of a
+    3-dimensional simple ideal, or None when it is not a copy of su(2);
+    its structure constants and the frame are checked at ``tol``."""
+    if ideal.dim != 3:
+        return None
+    frame = _su2_frame(_brackets_and_coords(ideal, tol), tol)
+    return None if frame is None else tuple(from_coords(ideal, frame))

@@ -1,0 +1,71 @@
+"""``tools/bench_pairs.py`` summary on hand-written runs."""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                    "tools", "bench_pairs.py")
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "round_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "work_per_s", "unit": "1/s", "better": "higher",
+            "bound": 0.25}]
+
+
+def run(workload, seed, round_s, failed=0, correct=True):
+    return {"workload": workload, "seed": seed, "env": {}, "correct": correct,
+            "attempted": 3, "failed": failed,
+            "metrics": {"round_s": round_s, "work_per_s": 1.0 / round_s}}
+
+
+def test_summary_of_hand_written_runs():
+    # Listed out of seed order, as alternating pairs leave them.
+    parent = [run("w", s, t) for s, t in
+              [(3, 1.0), (1, 2.0), (2, 3.0), (4, 5.0)]]
+    change = [run("w", s, t) for s, t in
+              [(1, 1.0), (3, 1.0), (2, 4.0), (4, 2.0)]]
+    doc = bench_pairs.summarize({"parent": parent, "change": change}, METRICS)
+    w = doc["w"]
+    assert w["pairs"] == 4 and w["seeds"] == [1, 2, 3, 4]
+    rs = w["metrics"]["round_s"]
+    assert rs["parent"]["runs"] == [2.0, 3.0, 1.0, 5.0]
+    # Inclusive quartiles: positions 0.75, 1.5 and 2.25 of the sorted runs.
+    assert (rs["parent"]["q1"], rs["parent"]["median"],
+            rs["parent"]["q3"]) == (1.75, 2.5, 3.5)
+    assert (rs["change"]["q1"], rs["change"]["median"],
+            rs["change"]["q3"]) == (1.0, 1.5, 2.5)
+    # Seeds 1 and 4 won, seed 2 lost, seed 3 tied.
+    assert rs["change_better_in_pairs"] == 2
+    assert rs["change_over_parent_median"] == pytest.approx(0.6)
+    # Higher is better for work_per_s: the same pairs win.
+    assert w["metrics"]["work_per_s"]["change_better_in_pairs"] == 2
+    assert w["failed"] == {"parent": ["0/3"], "change": ["0/3"]}
+    assert w["correct_in_every_run"]
+
+
+def test_failures_and_incorrect_runs_reported():
+    parent = [run("w", 1, 1.0), run("w", 2, 1.0)]
+    change = [run("w", 1, 1.0, failed=1), run("w", 2, 1.0, correct=False)]
+    w = bench_pairs.summarize({"parent": parent, "change": change},
+                              METRICS)["w"]
+    assert w["failed"]["change"] == ["0/3", "1/3"]
+    assert not w["correct_in_every_run"]
+
+
+def test_workloads_kept_apart():
+    parent = [run("a", 1, 1.0), run("b", 1, 2.0)]
+    change = [run("b", 1, 1.0), run("a", 1, 3.0)]
+    doc = bench_pairs.summarize({"parent": parent, "change": change}, METRICS)
+    assert list(doc) == ["a", "b"]
+    assert doc["a"]["metrics"]["round_s"]["change_better_in_pairs"] == 0
+    assert doc["b"]["metrics"]["round_s"]["change_better_in_pairs"] == 1
+
+
+def test_different_seeds_rejected():
+    with pytest.raises(ValueError, match="different seeds"):
+        bench_pairs.summarize({"parent": [run("w", 1, 1.0)],
+                               "change": [run("w", 2, 1.0)]}, METRICS)

@@ -204,6 +204,25 @@ class TestDecompose:
         doc = loads_report(capsys.readouterr().out)
         assert [c["dim"] for c in doc["components"]] == [35, 1]
 
+    def test_su2_flags_at_run_tolerance(self, tmp_path, capsys):
+        # With the 1e-7 drift term, the ideals found at --tol-rank 1e-6 are
+        # bracket-closed only to 7e-8.  Their su(2) flags used to be
+        # re-derived by re-bracketing at 1e-8, which exited 3.
+        sx, sy, sz = (np.array(m) for m in ([[0, 1], [1, 0]],
+                                            [[0, -1j], [1j, 0]],
+                                            [[1, 0], [0, -1]]))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "dim": 4,
+            "drift": matrix_to_pairs(np.kron(sx + 1e-7 * sz, np.eye(2))),
+            "controls": [matrix_to_pairs(np.kron(sz, sz)),
+                         matrix_to_pairs(np.kron(sy, sy))]}))
+        assert run(["decompose", str(spec), "--tol-rank", "1e-6"]) == 0
+        doc = loads_report(capsys.readouterr().out)
+        assert doc["algebra_dim"] == 6
+        assert doc["components"] == [
+            {"kind": "simple", "dim": 3, "su2": True}] * 2
+
     def test_matches_reference_report(self, tmp_path):
         # Written by the minimal-ideal code; the ideals from linked root
         # planes may differ from it only in rounding.
@@ -380,8 +399,12 @@ class TestFlagValues:
         ["--tol-rank", "0"],
         ["--tol-rank", "nan"],
         ["--tol-rank", "inf"],
+        ["--tol-rank", "1e300"],
+        ["--tol-rank", "1"],
         ["--tol-eig=-1e-6"],
         ["--tol-eig", "nan"],
+        ["--tol-eig", "1"],
+        ["--splitting-coeffs", "1e308,1e308"],
     ])
     def test_bad_value_exits_2(self, capsys, flags):
         # A flag value the analysis cannot use is an input error: a

@@ -20,7 +20,6 @@ from dynlie.dynamics import (
     KIND_RADICAL,
     KIND_SIMPLE,
     structure_residuals,
-    su2_flags,
 )
 from dynlie.errors import NotInSpanError
 from dynlie.linalg import expm_skew, invariant_frame, member_coords
@@ -112,8 +111,7 @@ class TestAnalyzeSystem:
 
     def test_su2_flags(self, two_spin_decomp):
         _, analysis = two_spin_decomp
-        flags = su2_flags(analysis)
-        assert flags == [True, True]
+        assert analysis.ideals.su2 == (True, True)
 
 
 class TestProjectGenerator:
@@ -419,6 +417,21 @@ class TestBatchedPropagate:
         segs[70] = (0.1, (0.5, -0.5, 1.0))
         with pytest.raises(NotInSpanError):
             propagate(analysis.decomposition, bigger,
+                      ControlSchedule(tuple(segs)))
+
+    def test_cancelling_controls_checked_per_segment(self, two_spin_decomp):
+        # Each control leaves the algebra by +/- x, their equal-weight sum
+        # stays inside it: only the segment's generator may be checked,
+        # not the terms one by one.
+        sys, analysis = two_spin_decomp
+        x = np.kron(SZ, np.eye(2))
+        split = control_system(sys.drift, [sys.controls[0] + x,
+                                           sys.controls[1] - x])
+        segs = [(0.1, (1.0, 1.0))] * 129
+        propagate(analysis.decomposition, split, ControlSchedule(tuple(segs)))
+        segs[70] = (0.1, (1.0, 0.0))
+        with pytest.raises(NotInSpanError):
+            propagate(analysis.decomposition, split,
                       ControlSchedule(tuple(segs)))
 
     def test_wrong_control_count_raises(self, two_spin_decomp):

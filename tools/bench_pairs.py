@@ -1,0 +1,149 @@
+"""Run alternating parent/change pairs of ``perfbench/run.py`` and summarize
+them in the layout of the committed ``BENCH_*.json`` files.
+
+Each pair runs one workload with one seed once in each of two checkouts,
+each run a fresh process: the parent first in even pairs, the change first
+in odd ones, and pair i uses seed SEED + i.  The summary holds, per
+workload and end-to-end metric of ``BENCHMARK.json``, each side's median
+and quartiles over the pairs and every run in seed order, the number of
+pairs the change won (ties count for neither side) and the ratio of the
+medians; per workload also each side's failed shares and whether every
+run was correct.  It claims nothing: whether a gain counts is read off
+these figures.
+
+Run from the repository root, with the parent commit checked out in
+another directory:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload propagate-long --pairs 10 --seed 4101 --out BENCH_x.json
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+COMMAND = ("python3 perfbench/run.py --workload W --seed S --seconds {} "
+           "--trace 0")
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One benchmark run in ``checkout``: its result line and environment."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{workload} seed {seed} in {checkout} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    info, result = map(json.loads, proc.stdout.splitlines()[-2:])
+    return {"workload": workload, "seed": seed, "env": info["env"],
+            "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def describe(checkout):
+    """The checkout's commit, marked when its working tree differs, or
+    None outside git."""
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always",
+                           "--dirty", "--abbrev=40"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _round(x):
+    return float(f"{x:.6g}")
+
+
+def summarize(runs, metrics):
+    """Per-workload summary of ``runs``, a mapping from side to the list of
+    that side's runs (as :func:`run_once` returns them).  ``metrics`` is
+    the ``end_to_end`` list of ``BENCHMARK.json``."""
+    out = {}
+    workloads = dict.fromkeys(r["workload"] for r in runs["parent"])
+    for w in workloads:
+        mine = {side: sorted((r for r in runs[side] if r["workload"] == w),
+                             key=lambda r: r["seed"]) for side in SIDES}
+        seeds = [r["seed"] for r in mine["parent"]]
+        if [r["seed"] for r in mine["change"]] != seeds:
+            raise ValueError(f"{w}: the sides ran different seeds")
+        summary = {}
+        for m in metrics:
+            name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
+            vals = {side: [r["metrics"][name] for r in mine[side]]
+                    for side in SIDES}
+            entry = {"unit": m["unit"], "better": m["better"]}
+            for side in SIDES:
+                q1, med, q3 = np.percentile(vals[side], [25, 50, 75])
+                entry[side] = {"median": _round(med), "q1": _round(q1),
+                               "q3": _round(q3),
+                               "runs": [_round(v) for v in vals[side]]}
+            entry["change_better_in_pairs"] = sum(
+                sign * (c - p) < 0 for p, c in zip(vals["parent"],
+                                                   vals["change"]))
+            entry["change_over_parent_median"] = _round(
+                np.median(vals["change"]) / np.median(vals["parent"]))
+            summary[name] = entry
+        out[w] = {
+            "pairs": len(seeds), "seeds": seeds, "metrics": summary,
+            "failed": {side: sorted({f"{r['failed']}/{r['attempted']}"
+                                     for r in mine[side]}) for side in SIDES},
+            "correct_in_every_run": all(r["correct"] for side in SIDES
+                                        for r in mine[side])}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", default=ROOT, type=Path,
+                        help="checkout of the change (default: this one)")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to run; repeat for several")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, required=True,
+                        help="seed of the first pair")
+    parser.add_argument("--out", type=Path,
+                        help="write the summary here instead of stdout")
+    args = parser.parse_args(argv)
+    with open(ROOT / "BENCHMARK.json") as fh:
+        bench = json.load(fh)
+    checkouts = {"parent": args.parent, "change": args.change}
+    runs = {side: [] for side in SIDES}
+    for w in args.workload:
+        for i in range(args.pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                run = run_once(checkouts[side], w, args.seed + i,
+                               bench["run_seconds"])
+                runs[side].append(run)
+                print(f"{w} seed {args.seed + i} {side}: " + ", ".join(
+                    f"{k} {v:.4g}" for k, v in run["metrics"].items()),
+                      file=sys.stderr, flush=True)
+    doc = {
+        "what": "perfbench end-to-end metrics at the parent commit and with "
+                "the change, alternating which side runs first in each pair; "
+                "medians and quartiles over the pairs, every run listed in "
+                "seed order",
+        "command": COMMAND.format(bench["run_seconds"]),
+        "parent_commit": describe(args.parent),
+        "change_commit": describe(args.change),
+        "machine": runs["parent"][0]["env"],
+        "workloads": summarize(runs, bench["end_to_end"]),
+    }
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
