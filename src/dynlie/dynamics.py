@@ -13,13 +13,15 @@ basis once per call; the reference total and every piece then own the
 terms, or the terms' parts on that piece, and a row combines them into
 the owner's generator.  Membership is checked the same way: a segment's
 part outside the algebra is its row times the terms' parts outside it.
-The exponentials run in the frame of the terms' invariant subspaces
-(``linalg.invariant_frame``), where everything is block diagonal, and
-one real matrix maps a row to every diagonal block of every owner.  A
-chunk of segments costs one matmul and, per block size, one stacked
-exponential (an eigendecomposition, or a closed form for sizes 1 and 2);
-a radical line commutes with everything, so its blocks are exponentiated
-once, from the duration-weighted sum of the rows.
+The exponentials run in the frame of the invariant subspaces of every
+owner's matrices (``linalg.invariant_frame``), where everything is block
+diagonal, and one real matrix maps a row to every diagonal block of
+every owner.  A chunk of segments costs one matmul and, per block size,
+one stacked exponential (an eigendecomposition, or a closed form for
+sizes 1 and 2); a radical line commutes with everything, so its blocks
+are exponentiated once, from the duration-weighted sum of the rows.
+For a real Hamiltonian (NMR and Ising-type models) all of this runs in
+real arithmetic, with an orthogonal frame and real eigendecompositions.
 """
 
 import itertools
@@ -44,11 +46,13 @@ from .linalg import (
     TOL_EIG,
     TOL_RANK,
     TOL_FRAME,
+    _expm_real,
+    _expm_skew,
     _unvec,
     _vec,
-    expm_skew,
     from_coords,
     invariant_frame,
+    skew_hermitian,
     span_coords,
 )
 from .primary import PrimaryResult, primary_decompose
@@ -247,48 +251,50 @@ def _ordered_product(stack):
     return stack[0]
 
 
-def _block_operator(frame, sizes, owners, once):
+def _block_operator(rotated, sizes, once, real):
     """The map from a control row to the diagonal blocks of every owner.
 
-    ``owners`` is a (k, m + 1, n, n) stack: owner o's generator for the
-    row [1, u] is the row times owners[o].  Every block an owner does not
-    act on as zero (each of its matrices is there at most ``TOL_FRAME``
-    times its own norm) is one slot (once[o], size, o, start).  Returns
-    the slots sorted, so those of the owners ``once`` marks come last and
-    each part runs by ascending size, and an (m + 1, sum 2 size^2) real
-    matrix whose columns give each slot's block, vectorized, in that
-    order.
+    ``rotated`` is a (k, m + 1, n, n) stack in the frame of blocks
+    ``sizes``: owner o's generator for the row [1, u] is the row times
+    rotated[o].  Every block an owner does not act on as zero (each of
+    its matrices is there at most ``TOL_FRAME`` times its own norm) is
+    one slot (once[o], size, flat, o, start).  A ``flat`` slot, of size 3
+    or more when the matrices are ``real`` (i times real symmetric), is
+    vectorized as h = i * block, the others as _vec(block).  Returns the
+    slots sorted, so those of the owners ``once`` marks come last and
+    each part runs by ascending size, and a real matrix of m + 1 rows
+    whose columns give each slot's block, vectorized, in that order.
     """
     starts = [0, *itertools.accumulate(sizes[:-1])]
-    rotated = frame.conj().T @ owners @ frame
-    sq = np.abs(rotated) ** 2
+    sq = rotated.real ** 2 + rotated.imag ** 2
     on_block = np.add.reduceat(np.add.reduceat(sq, starts, axis=-1), starts,
                                axis=-2).diagonal(axis1=-2, axis2=-1)
     acting = (on_block > TOL_FRAME ** 2 * sq.sum(axis=(-2, -1))[..., None]
               ).any(axis=1)
-    slots = sorted((once[o], sizes[b], o, starts[b])
+    slots = sorted((once[o], sizes[b], real and sizes[b] >= 3, o, starts[b])
                    for o, b in zip(*np.nonzero(acting)))
-    op = np.zeros((owners.shape[1], sum(z * z for _, z, _, _ in slots)),
-                  dtype=complex)
-    at = 0
-    for _, z, o, s in slots:
-        op[:, at : at + z * z] = rotated[o, :, s : s + z, s : s + z].reshape(
-            -1, z * z)
-        at += z * z
-    # Interleaved real and imaginary parts, the layout of _vec.
-    return slots, op.view(float)
+    columns = []
+    for _, z, flat, o, s in slots:
+        block = rotated[o, :, s : s + z, s : s + z]
+        columns.append(-block.imag.reshape(-1, z * z) if flat
+                       else _vec(block))
+    return slots, np.concatenate(
+        [np.zeros((rotated.shape[1], 0))] + columns, axis=1)
 
 
-def _exponentials(blocks, sizes, t):
-    """Per run of equal ``sizes``, the stacked products over the rows of
-    ``blocks`` of exp(t[row] * block), later rows on the left.  Row i of
-    ``blocks`` holds its blocks vectorized, one per entry of ``sizes``."""
+def _exponentials(blocks, slots, t):
+    """Per run of ``slots`` of equal size and layout, the stacked products
+    over the rows of ``blocks`` of exp(t[row] * block), later rows on the
+    left.  Row i of ``blocks`` holds one vectorized block per slot, in the
+    layout of :func:`_block_operator`."""
     out, at = [], 0
-    for size, run in itertools.groupby(sizes):
-        count, width = len(list(run)), 2 * size * size
-        stack = _unvec(blocks[:, at : at + count * width]
-                       .reshape(-1, count, width), size)
-        out.append(_ordered_product(expm_skew(stack, t[:, None])))
+    for (size, flat), run in itertools.groupby(s[1:3] for s in slots):
+        count = len(list(run))
+        width = size * size if flat else 2 * size * size
+        part = blocks[:, at : at + count * width].reshape(-1, count, width)
+        out.append(_ordered_product(
+            _expm_real(part.reshape(-1, count, size, size), t[:, None])
+            if flat else _expm_skew(_unvec(part, size), t[:, None])))
         at += count * width
     return out
 
@@ -311,23 +317,28 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     parts outside it, is checked against ``tol * max(1, ||g||_F)`` for its
     generator g, else NotInSpanError.
 
-    The exponentials are taken in the frame of ``invariant_frame``, where
-    the drift and every control term, and with them the whole algebra,
-    are block diagonal.  The frame costs an ``eigh`` of one n x n
-    combination of the terms and, only where its spectrum repeats, a
-    solve for a commutant element over the repeated clusters; it is
-    skipped (the identity, one block) for n <= 2, which the closed form
-    covers, and for an algebra of dimension n^2 - 1 or more, which is
-    su(n) or u(n) and so splits nothing.  One real matrix maps a row to
-    every diagonal block of every owner, an owner skipping the blocks it
-    acts on as zero.  Segments run in chunks of ``CHUNK``: one matmul
-    gives the chunk's blocks of the total and of each simple ideal, and
-    the blocks of each size take one stacked ``expm_skew`` (a batched
-    ``eigh``, or the closed form for sizes 1 and 2) and a pairwise
-    product.  A radical line commutes with everything, so its blocks come
-    from the duration-weighted sum of the rows and are exponentiated
-    once, through the same code.  Factors are rotated back to n x n once,
-    at the end.
+    The exponentials are taken in the frame of ``invariant_frame`` of
+    every owner's matrices, the terms and their pieces (which split more
+    coarsely than the terms for a decomposition of a larger algebra than
+    they generate).  The frame costs an ``eigh`` of one n x n generic
+    combination and, only where its spectrum repeats, a solve for a
+    commutant element over the repeated clusters; it is skipped (the
+    identity, one block) for n <= 2, which the closed form covers, and
+    for an algebra of dimension n^2 - 1 or more, which is su(n) or u(n)
+    and so splits nothing.  When every owner's matrix is i times a real
+    symmetric one to ``TOL_FRAME`` of its norm (a real Hamiltonian),
+    decided once per call, the real parts are zeroed and the frame is
+    orthogonal.  The rotated matrices are checked and projected to
+    exactly skew-Hermitian once, by ``skew_hermitian``.  One real matrix
+    maps a row to every diagonal block of every owner, an owner skipping
+    the blocks it acts on as zero.  Segments run in chunks of ``CHUNK``:
+    one matmul gives the chunk's blocks of the total and of each simple
+    ideal, and the blocks of each size take one stacked exponential (the
+    closed form for sizes 1 and 2, else a batched ``eigh``, real on the
+    real path) and a pairwise product.  A radical line commutes with
+    everything, so its blocks come from the duration-weighted sum of the
+    rows and are exponentiated once, through the same code.  Factors are
+    rotated back to n x n once, at the end.
     """
     n = system.dim
     comps = decomp.components
@@ -355,28 +366,33 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
         coords[:, end - b.dim : end] @ b.vecs
         for end, (_, b) in zip(ends, comps)]), n)
     once = [False] + [kind == KIND_RADICAL for kind, _ in comps]
+    sq = _vec(owners) ** 2
+    real = bool((sq[..., ::2].sum(axis=-1)
+                 <= TOL_FRAME ** 2 * sq.sum(axis=-1)).all())
+    if real:
+        owners = 1j * owners.imag
     if n <= 2 or decomp.full.dim >= n * n - 1:
         frame, sizes = np.eye(n), (n,)
     else:
-        frame, sizes = invariant_frame(terms)
-    slots, to_blocks = _block_operator(frame, sizes, owners, once)
-    per_segment = [z for line, z, _, _ in slots if not line]
-    cut = 2 * sum(z * z for z in per_segment)
+        frame, sizes = invariant_frame(owners.reshape(-1, n, n))
+    rotated = skew_hermitian(frame.conj().T @ owners @ frame)
+    slots, to_blocks = _block_operator(rotated, sizes, once, real)
+    per_segment = [slot for slot in slots if not slot[0]]
+    cut = sum(z * z if flat else 2 * z * z for _, z, flat, _, _ in per_segment)
+    ops, line_op = to_blocks[:, :cut], to_blocks[:, cut:]
     running = []
     for start in range(0, len(durs), CHUNK):
         chunk = slice(start, start + CHUNK)
-        steps = _exponentials(rows[chunk] @ to_blocks[:, :cut], per_segment,
-                              durs[chunk])
+        steps = _exponentials(rows[chunk] @ ops, per_segment, durs[chunk])
         running = ([step @ prev for step, prev in zip(steps, running)]
                    if start else steps)
     back = np.eye(n, dtype=complex)[None].repeat(len(owners), axis=0)
     # Skipped for an empty schedule, whose factors stay exact identities.
     if len(durs):
-        lines = _exponentials((durs @ rows)[None] @ to_blocks[:, cut:],
-                              [z for line, z, _, _ in slots if line],
-                              np.ones(1))
+        lines = _exponentials((durs @ rows)[None] @ line_op,
+                              slots[len(per_segment) :], np.ones(1))
         blocks = (block for stack in running + lines for block in stack)
-        for (_, z, o, s), block in zip(slots, blocks):
+        for (_, z, _, o, s), block in zip(slots, blocks):
             back[o, s : s + z, s : s + z] = block
         back = frame @ back @ frame.conj().T
     total, factors = back[0], tuple(back[1:])

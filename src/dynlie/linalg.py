@@ -276,17 +276,37 @@ def expm_skew(a, t=1.0, tol=TOL_HERM):
     k = h - m*I and r = sqrt(k_00^2 + |k_01|^2) (so k^2 = r^2 I),
     exp(-i t m) (cos(t r) I - i t sinc(t r) k), sinc(0) = 1 (Moler & Van
     Loan, SIAM Rev. 45, 2003).  It is unitary to round-off, like the
-    ``eigh`` path.
+    ``eigh`` path.  Larger matrices whose real part is exactly zero, so
+    that i*a is real symmetric, take a real ``eigh`` (:func:`_expm_real`).
     """
-    a = skew_hermitian(a, tol)
-    t = np.asarray(t)
+    return _expm_skew(skew_hermitian(a, tol), np.asarray(t))
+
+
+def _expm_skew(a, t):
+    """exp(t*a) for an exactly skew-Hermitian stack ``a``, unchecked."""
     if a.shape[-1] == 1:
         return np.exp(t[..., None, None] * a)
     if a.shape[-1] == 2:
         return _expm_skew2(a, t)
+    if not a.real.any():
+        return _expm_real(-a.imag, t)
     w, v = np.linalg.eigh(1j * a)
     phases = np.exp(-1j * t[..., None] * w)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _expm_real(h, t):
+    """exp(-i t h) for a stack of real symmetric matrices ``h``, with ``t``
+    broadcast against the stack shape: with one real ``eigh``
+    h = V diag(w) V^T, it is (V cos(t w)) V^T - i (V sin(t w)) V^T."""
+    w, v = np.linalg.eigh(h)
+    tw = t[..., None] * w
+    vt = np.swapaxes(v, -1, -2)
+    re = (v * np.cos(tw)[..., None, :]) @ vt
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = (v * -np.sin(tw)[..., None, :]) @ vt
+    return out
 
 
 def _expm_skew2(a, t):
@@ -328,7 +348,7 @@ def _generic(count):
 def _commutant_element(a, bounds):
     """A generic Hermitian matrix that commutes with every Hermitian matrix
     of ``a`` (k, n, n) and is block diagonal over the index ranges
-    ``bounds[j]:bounds[j + 1]``.
+    ``bounds[j]:bounds[j + 1]``; real symmetric when ``a`` is real.
 
     On that block-diagonal space the commutant is the kernel of the
     positive operator C -> sum_i [a_i, [a_i, C]], whose entry between the
@@ -352,7 +372,7 @@ def _commutant_element(a, bounds):
     lam, vecs = np.linalg.eigh(op)
     kernel = vecs[:, lam <= TOL_RANK * max(lam[-1], 1.0)]
     n = a.shape[-1]
-    c = np.zeros((n, n), dtype=complex)
+    c = np.zeros((n, n), dtype=a.dtype)
     c[ps, qs] = kernel @ _generic(kernel.shape[1])
     return c + c.conj().T
 
@@ -377,8 +397,13 @@ def invariant_frame(terms):
     term's norm, so an inexact split can only merge blocks, never drop a
     coupling.  Columns of W run block by block, blocks in order of their
     first index; an irreducible set gives one block of size n.
+
+    When every i*T is exactly real (a real Hamiltonian), W is real
+    orthogonal, float64; a real block that splits only over C stays one.
     """
     h = 1j * np.asarray(terms, dtype=complex)
+    if not h.imag.any():
+        h = h.real
     n = h.shape[-1]
     flat = h.reshape(len(h), n * n)
     norms = np.sqrt(_sq_norms(h))

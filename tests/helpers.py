@@ -8,8 +8,9 @@ each other.
 
 import numpy as np
 
-from dynlie import LieBasis
+from dynlie import LieBasis, generator
 from dynlie.errors import NotClosedError, NotInSpanError
+from dynlie.linalg import expm_skew, member_coords
 
 
 def commutator(a, b):
@@ -232,6 +233,25 @@ def project_generator(decomp, system, u, tol=1e-8):
     if np.linalg.norm(g - sum(pieces)) > tol * max(1.0, np.linalg.norm(g)):
         raise NotInSpanError("generator leaves the decomposition's span")
     return pieces
+
+
+def loop_reference(decomp, system, schedule):
+    """Total and factors as a loop of single-matrix expm_skew calls, with
+    every segment's generator projected on its own."""
+    n = system.dim
+    factors = [np.eye(n, dtype=complex) for _ in decomp.components]
+    total = np.eye(n, dtype=complex)
+    for dur, u in schedule.segments:
+        g = generator(system, u)
+        coords = member_coords(decomp.adapted, g)
+        offset = 0
+        for c, (_, basis) in enumerate(decomp.components):
+            piece = np.einsum("i,inm->nm", coords[offset:offset + basis.dim],
+                              basis.mats)
+            factors[c] = expm_skew(piece, dur) @ factors[c]
+            offset += basis.dim
+        total = expm_skew(g, dur) @ total
+    return total, factors
 
 
 def staged(stage, algebra, *args, **kwargs):

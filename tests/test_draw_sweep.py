@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -53,3 +54,27 @@ def test_compare_exit_code(tmp_path, capsys, after, code):
         paths.append(str(path))
     assert draw_sweep.main(["--compare", *paths]) == code
     assert "both succeed on" in capsys.readouterr().out
+
+
+def test_compare_counts_real_terms(tmp_path, capsys):
+    # The before sweep predates the key; both still compare.
+    after = [ok("a", real_terms=True), ok("b", real_terms=False),
+             dict(failed("c"), real_terms=True), BEFORE[3]]
+    paths = []
+    for name, lines in (("before", BEFORE), ("after", after)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        paths.append(str(path))
+    assert draw_sweep.main(["--compare", *paths]) == 0
+    out = capsys.readouterr().out
+    assert "before: real terms on 0 draws, complex on 0, not recorded on 4" \
+        in out
+    assert "after: real terms on 2 draws, complex on 1, not recorded on 1" \
+        in out
+
+
+def test_real_terms():
+    h, y = np.diag([1.0, -1.0]), np.array([[0, -1j], [1j, 0]])
+    assert draw_sweep.real_terms([h, h + 0j])
+    assert draw_sweep.real_terms([h, h + 1e-13 * y])
+    assert not draw_sweep.real_terms([h, h + 1e-9 * y])

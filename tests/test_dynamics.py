@@ -22,9 +22,15 @@ from dynlie.dynamics import (
     structure_residuals,
 )
 from dynlie.errors import NotInSpanError
-from dynlie.linalg import expm_skew, invariant_frame, member_coords
+from dynlie.linalg import invariant_frame
 
-from helpers import dense_terms, off_block, project_generator, span_contains
+from helpers import (
+    dense_terms,
+    loop_reference,
+    off_block,
+    project_generator,
+    span_contains,
+)
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
@@ -337,25 +343,6 @@ def random_schedule(rng, n_controls, count):
         for _ in range(count)))
 
 
-def loop_reference(decomp, system, schedule):
-    """Total and factors as a loop of single-matrix expm_skew calls, with
-    every segment's generator projected on its own."""
-    n = system.dim
-    factors = [np.eye(n, dtype=complex) for _ in decomp.components]
-    total = np.eye(n, dtype=complex)
-    for dur, u in schedule.segments:
-        g = generator(system, u)
-        coords = member_coords(decomp.adapted, g)
-        offset = 0
-        for c, (_, basis) in enumerate(decomp.components):
-            piece = np.einsum("i,inm->nm", coords[offset:offset + basis.dim],
-                              basis.mats)
-            factors[c] = expm_skew(piece, dur) @ factors[c]
-            offset += basis.dim
-        total = expm_skew(g, dur) @ total
-    return total, factors
-
-
 def assert_matches_loop(decomp, system, schedule, atol):
     result = propagate(decomp, system, schedule)
     total, factors = loop_reference(decomp, system, schedule)
@@ -474,6 +461,24 @@ class TestInvariantFrame:
         adapted = analyze_system(sys).decomposition.adapted
         assert off_block(frame, got, adapted.mats) <= 1e-12
 
+    @pytest.mark.parametrize("make", [two_spin_system, lambda: ising_x(4)],
+                             ids=["two-spin", "ising-x-4"])
+    def test_real_terms_give_orthogonal_frame(self, make):
+        # A spectator spin doubles every block, so the generic combination
+        # repeats its spectrum and the real commutant separates the copies.
+        sys = make()
+        for spectator in (False, True):
+            terms = -1j * np.stack((sys.drift,) + sys.controls)
+            if spectator:
+                terms = np.stack([np.kron(np.eye(2), t) for t in terms])
+            frame, sizes = invariant_frame(terms)
+            assert frame.dtype == np.float64
+            np.testing.assert_allclose(frame.T @ frame, np.eye(len(frame)),
+                                       rtol=0, atol=1e-14)
+            assert off_block(frame, sizes, terms) <= 1e-12
+        single = invariant_frame(-1j * np.stack((sys.drift,) + sys.controls))
+        assert sorted(sizes) == sorted(2 * single[1])
+
     def test_dense_u3_is_one_block(self):
         drift, ctrl = dense_terms([7, 3, 793], 3)
         assert invariant_frame(-1j * np.stack([drift, ctrl]))[1] == (3,)
@@ -490,6 +495,19 @@ class TestInvariantFrame:
         sched = random_schedule(np.random.default_rng(9), 1, 1000)
         decomp = analyze_system(weak).decomposition
         assert_matches_loop(decomp, weak, sched, 1e-10)
+
+
+    def test_frame_of_the_pieces(self):
+        # B's terms lie in A's algebra su(2) + su(2) but split only as
+        # [3, 1], coarser than A's pieces; a frame of B's terms alone
+        # dropped the pieces' off-block parts, and the factors were wrong
+        # (factorization error 0.1 to 0.3) with no error raised.
+        ctrl = kron(SX, np.eye(2)) + kron(np.eye(2), SX)
+        a = control_system(kron(SZ, np.eye(2)) + 0.7 * kron(np.eye(2), SZ),
+                           [ctrl])
+        b = control_system(kron(SZ, np.eye(2)) + kron(np.eye(2), SZ), [ctrl])
+        sched = ControlSchedule(((0.4, (0.3,)), (0.9, (-1.2,))))
+        assert_matches_loop(analyze_system(a).decomposition, b, sched, 1e-12)
 
 
 class TestRandomDrawRegressions:

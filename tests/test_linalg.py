@@ -18,6 +18,7 @@ from dynlie.linalg import (
     hermitian_part,
     invariant_frame,
 )
+from dynlie import linalg
 from dynlie.errors import NotInSpanError
 
 from conftest import SX, SY, SZ, I2
@@ -417,6 +418,66 @@ class TestExpmSkew:
         self.assert_exact(stack, times, expm_skew(stack, t=times))
 
 
+class TestRealKernel:
+    """Purely imaginary input of size 3 or more, h = i*a real symmetric,
+    takes one real ``eigh``; anything else keeps the complex one."""
+
+    @pytest.fixture
+    def real_calls(self, monkeypatch):
+        calls = []
+
+        def spy(h, t):
+            calls.append(h.dtype)
+            return kernel(h, t)
+
+        kernel = linalg._expm_real
+        monkeypatch.setattr(linalg, "_expm_real", spy)
+        return calls
+
+    @staticmethod
+    def real_symmetric(rng, n, repeated):
+        """A real symmetric matrix of norm about 1, with eigenvalues in
+        two repeated clusters when ``repeated``."""
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w = (np.where(np.arange(n) < n // 2, 0.8, -0.5) if repeated
+             else rng.uniform(-1, 1, n))
+        return (q * w) @ q.T
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_scipy(self, rng, real_calls, n, repeated):
+        # (chunk, count, n, n) stacks with one time per chunk row.  The
+        # phase of an eigenvalue rounded to 1 ulp moves by |t| ulp, and
+        # scipy's expm itself loses digits as |t| grows, so the bound
+        # grows with |t| past 100.
+        for scale in (3.0, 1e3):
+            stack = -1j * np.stack([[self.real_symmetric(rng, n, repeated)
+                                     for _ in range(3)] for _ in range(4)])
+            times = rng.uniform(-scale, scale, size=(4, 1))
+            times[0] = scale
+            out = expm_skew(stack, t=times)
+            TestExpmSkew.assert_exact(stack, times, out,
+                                      tol=1e-13 * max(1.0, scale / 100))
+        # One matrix, several times.
+        out = expm_skew(stack[0, 0], t=times[:, 0])
+        TestExpmSkew.assert_exact(stack[0, 0], times[:, 0], out,
+                                  tol=1e-13 * max(1.0, scale / 100))
+        assert real_calls == [np.float64] * 3
+
+    def test_tiny_real_part_takes_complex_path(self, rng, real_calls):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        a = -1j * self.real_symmetric(rng, 5, False)
+        k = rng.standard_normal((5, 5))
+        k = 1e-14 * (k - k.T) / np.linalg.norm(k - k.T)
+        u = expm_skew(a + k, t=2.0)
+        assert real_calls == []
+        np.testing.assert_allclose(u, scipy_linalg.expm(2.0 * (a + k)),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(u, expm_skew(a, t=2.0), rtol=0,
+                                   atol=1e-13)
+        assert real_calls == [np.float64]
+
+
 class TestInvariantFrame:
     """invariant_frame: a unitary W with every term block diagonal in it."""
 
@@ -450,6 +511,18 @@ class TestInvariantFrame:
         # repeated spectrum, and only the commutant separates the copies.
         _, sizes = self.frame_of([kron(I2, IX), kron(I2, IY)])
         assert sizes == (2, 2)
+
+    def test_real_input_gives_orthogonal_frame(self):
+        # i times real symmetric terms: W stays real, also where the
+        # commutant separates the copies of a repeated irreducible block.
+        for terms, sizes in (([kron(I2, IX), kron(I2, IZ)], (2, 2)),
+                             ([-1j * kron(SX, I2), -1j * kron(SZ, SZ)],
+                              (2, 2))):
+            frame, got = self.frame_of(terms)
+            assert got == sizes
+            assert frame.dtype == np.float64
+            np.testing.assert_allclose(frame.T @ frame, np.eye(4), rtol=0,
+                                       atol=1e-14)
 
     def test_zero_terms_give_single_indices(self):
         assert self.frame_of(np.zeros((2, 3, 3)))[1] == (1, 1, 1)

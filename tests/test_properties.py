@@ -6,16 +6,22 @@ dimension as the number of simple factors; Zeier and Schulte-Herbrueggen,
 J. Math. Phys. 52, 113510, 2011).
 
 Systems are the benchmark's fixed draws: two-qubit Pauli-string systems and
-dense u(3) and u(4) systems.
+dense u(3) and u(4) systems.  Propagation of random real systems, which runs
+in real arithmetic, and of the same systems with a small imaginary part, which
+does not, is checked against the one-segment-at-a-time loop.
 """
 
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dynlie import analyze_system, control_system
+from dynlie import ControlSchedule, analyze_system, control_system, propagate
+from dynlie import dynamics
+
+from helpers import loop_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -77,3 +83,57 @@ def test_structure_invariant_and_matches_oracle(system, how, seed):
     assert len(got["ideal_dims"]) == o.simple_count
     assert sum(got["ideal_dims"]) == o.semisimple_dim
     assert structure(transform(terms, how, seed)) == got
+
+
+def real_terms(rng, n, controls, cut):
+    """Random real symmetric drift and controls, block diagonal over sizes
+    cut and n - cut (one block for cut 0), in a random orthogonal frame."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    terms = []
+    for _ in range(controls + 1):
+        a = rng.standard_normal((n, n))
+        if cut:
+            a[:cut, cut:] = a[cut:, :cut] = 0.0
+        terms.append(q @ (a + a.T) @ q.T / 2)
+    return terms
+
+
+def propagated(decomp, terms, sched):
+    """propagate's result, whether it ran in real arithmetic, and the
+    loop's total and factors."""
+    system = control_system(terms[0], terms[1:])
+    with mock.patch.object(dynamics, "_block_operator",
+                           wraps=dynamics._block_operator) as spy:
+        result = propagate(decomp, system, sched)
+    return result, spy.call_args.args[3], loop_reference(decomp, system,
+                                                         sched)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(3, 6), controls=st.integers(1, 2),
+       cut=st.integers(0, 2), segments=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_real_propagation_matches_loop(n, controls, cut, segments, seed):
+    rng = np.random.default_rng(seed)
+    terms = real_terms(rng, n, controls, cut)
+    decomp = analyze_system(control_system(terms[0], terms[1:])).decomposition
+    sched = ControlSchedule(tuple(
+        (float(rng.uniform(0.05, 1.0)), rng.uniform(-2, 2, controls))
+        for _ in range(segments)))
+    # 1e-9 i A with A real antisymmetric keeps a term Hermitian and inside
+    # the algebra at the rank tolerance, and is far above TOL_FRAME, so the
+    # perturbed system runs in complex arithmetic.
+    a = rng.standard_normal((n, n))
+    bent = list(terms)
+    k = int(rng.integers(len(terms)))
+    bent[k] = bent[k] + 1e-9j * (a - a.T) / np.linalg.norm(a - a.T)
+    totals = []
+    for hs, real in ((terms, True), (bent, False)):
+        result, took_real, (total, factors) = propagated(decomp, hs, sched)
+        assert took_real is real
+        np.testing.assert_allclose(result.total, total, rtol=0, atol=1e-11)
+        assert len(result.factors) == len(factors)
+        for got, want in zip(result.factors, factors):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+        totals.append(result.total)
+    np.testing.assert_allclose(totals[1], totals[0], rtol=0, atol=1e-7)

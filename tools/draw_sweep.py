@@ -2,12 +2,17 @@
 
 The draws are the benchmark's generators (``perfbench/workloads.py``, only
 imported): two-qubit Pauli-string systems ``default_rng([11, 0..1499])`` and
-dense u(3)-u(6) systems draws 0-74.  Each line holds the draw, and either the
-closure dimension, verdict, simple-ideal dimensions, radical line count and
-splitting coefficients and frequencies, or the failing stage and error class.
+dense u(3)-u(6) systems draws 0-74.  Each line holds the draw, whether its
+Hamiltonian terms are real (``real_terms``: every imaginary part at most
+``TOL_FRAME`` times its term's norm; ``propagate`` runs in real arithmetic
+only then), and either the closure dimension, verdict, simple-ideal
+dimensions, radical line count and splitting coefficients and frequencies,
+or the failing stage and error class.
 
 Each analyzed draw is also propagated over a fixed short schedule.  The line
-records the block sizes of the propagation frame, the distance of the total
+records the block sizes of the terms' invariant frame (``propagate`` adds
+the terms' pieces on the components, which lie in the algebra the terms
+generate and so leave the blocks as they are), the distance of the total
 from a product of scipy exponentials of the full generators, and the
 problems ``perfbench/checks.py`` ``check_propagation`` finds (total against
 that product and against the factors, unitary and commuting factors); a draw
@@ -20,10 +25,11 @@ Run from the repository root:
 
 ``--compare`` prints how two sweeps differ: failures on either side, draws
 where both succeed but the structure differs, draws where only the
-splitting element differs, and propagation mismatches on either side.  It
-exits 1 when the after sweep has more failures than the before sweep, when
-the structure differs on any draw, or when a draw mismatches in propagation
-after but not before; else 0.
+splitting element differs, propagation mismatches on either side, and how
+many draws on each side have real terms (sweeps written before the key was
+recorded count as not recorded).  It exits 1 when the after sweep has more
+failures than the before sweep, when the structure differs on any draw, or
+when a draw mismatches in propagation after but not before; else 0.
 """
 
 import argparse
@@ -86,9 +92,17 @@ def propagation(analysis, terms):
                 result.total, result.factors, reference)}
 
 
+def real_terms(terms):
+    """Whether every term is real up to ``TOL_FRAME`` of its norm."""
+    import numpy as np
+    from dynlie.linalg import TOL_FRAME
+    return all(np.linalg.norm(np.imag(h)) <= TOL_FRAME * np.linalg.norm(h)
+               for h in terms)
+
+
 def record(name, terms):
     from dynlie import StageFailure, analyze_system, control_system
-    line = {"draw": name}
+    line = {"draw": name, "real_terms": real_terms(terms)}
     try:
         analysis = analyze_system(control_system(terms[0], terms[1:]))
     except StageFailure as err:
@@ -154,6 +168,9 @@ def compare(before_path, after_path):
               f"{len(mismatched)} propagation mismatches")
         for d in mismatched:
             print(f"  {d['draw']}: {'; '.join(d['propagation_problems'])}")
+        real = [d.get("real_terms") for d in sweep.values()]
+        print(f"{label}: real terms on {real.count(True)} draws, complex on "
+              f"{real.count(False)}, not recorded on {real.count(None)}")
     print(f"both succeed on {both} draws: structure differs on {structure}, "
           f"only the splitting element on {splitting}")
     new = mismatches["after"] - mismatches["before"]
