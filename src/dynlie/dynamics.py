@@ -366,6 +366,7 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
         coords[:, end - b.dim : end] @ b.vecs
         for end, (_, b) in zip(ends, comps)]), n)
     once = [False] + [kind == KIND_RADICAL for kind, _ in comps]
+    # Real arithmetic when every matrix's real part is round-off.
     sq = _vec(owners) ** 2
     real = bool((sq[..., ::2].sum(axis=-1)
                  <= TOL_FRAME ** 2 * sq.sum(axis=-1)).all())

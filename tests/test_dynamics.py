@@ -496,7 +496,6 @@ class TestInvariantFrame:
         decomp = analyze_system(weak).decomposition
         assert_matches_loop(decomp, weak, sched, 1e-10)
 
-
     def test_frame_of_the_pieces(self):
         # B's terms lie in A's algebra su(2) + su(2) but split only as
         # [3, 1], coarser than A's pieces; a frame of B's terms alone
