@@ -20,8 +20,13 @@ every owner.  A chunk of segments costs one matmul and, per block size,
 one stacked exponential (an eigendecomposition, or a closed form for
 sizes 1 and 2); a radical line commutes with everything, so its blocks
 are exponentiated once, from the duration-weighted sum of the rows.
-For a real Hamiltonian (NMR and Ising-type models) all of this runs in
-real arithmetic, with an orthogonal frame and real eigendecompositions.
+Two blocks of one owner that carry the same representation, or complex-
+conjugate ones, are related by a fixed unitary Q (the 4 and 4-bar of
+su(4) in an Ising chain of four spins, say), and only the first is
+exponentiated: the other's product is Q U Q^H, or Q conj(U) Q^H, from
+the first's product U.  For a real Hamiltonian (NMR and Ising-type
+models) all of this runs in real arithmetic, with an orthogonal frame and
+real eigendecompositions.
 """
 
 import itertools
@@ -48,6 +53,8 @@ from .linalg import (
     TOL_FRAME,
     _expm_real,
     _expm_skew,
+    _generic,
+    _intertwiner,
     _unvec,
     _vec,
     from_coords,
@@ -60,9 +67,11 @@ from .primary import PrimaryResult, primary_decompose
 KIND_SIMPLE = "simple"
 KIND_RADICAL = "radical-line"
 
-# Segments per stacked exponential in ``propagate``.  Larger chunks run no
-# faster and hold proportionally larger (CHUNK, n, n) stacks in memory.
-CHUNK = 64
+# Segments per stacked exponential in ``propagate``.  A chunk holds
+# (CHUNK, count, z, z) stacks per block size z.  On the three 10^4-segment
+# benchmark schedules (2-core VM, one BLAS thread) 128 ran about 7% faster
+# than 64 and 256 another 3%, for twice the memory again.
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -251,35 +260,93 @@ def _ordered_product(stack):
     return stack[0]
 
 
+def _equivalent_blocks(rotated, sizes, starts, acting, sq):
+    """Per owner, the blocks a fixed unitary maps from an earlier block.
+
+    ``rotated``, ``sizes`` and ``starts`` are as in :func:`_block_operator`
+    and ``acting`` marks the (owner, block) pairs the owner acts on;
+    ``sq`` holds the squared Frobenius norm of each (owner, matrix).  Two
+    blocks of one owner, of equal size 2 or more, are candidates when one
+    fixed generic combination of the owner's matrices has equal spectra
+    on them, or opposite ones for complex-conjugate blocks, to
+    ``TOL_EIG`` times the largest eigenvalue.  A block is paired with the
+    first candidate before it that has no candidate before it itself,
+    and the pair is kept only when ``linalg._intertwiner`` finds a
+    unitary Q with B_k = Q A_k Q^H, or Q conj(A_k) Q^H, for every matrix
+    k of the owner, to ``TOL_FRAME`` times that matrix's norm.  Returns
+    {(o, b): (r, Q, conj)} for block b of owner o transported from its
+    block r.
+    """
+    found = {}
+    for z in {z for z in sizes if z >= 2 and sizes.count(z) > 1}:
+        same = np.array([size == z for size in sizes])
+        owner, blocks = np.nonzero(acting[:, same])
+        if len(set(owner.tolist())) == len(owner):
+            continue
+        blocks = np.flatnonzero(same)[blocks]
+        mats = np.stack([rotated[o, :, starts[b] : starts[b] + z,
+                                 starts[b] : starts[b] + z]
+                         for o, b in zip(owner, blocks)])
+        lam, vecs = np.linalg.eigh(1j * np.einsum(
+            "k,pkij->pij", _generic(mats.shape[1]), mats))
+        tol = TOL_EIG * max(1.0, np.abs(lam).max())
+        direct = np.abs(lam[:, None] - lam).max(axis=-1) <= tol
+        conj = np.abs(lam[:, None] + lam[:, ::-1]).max(axis=-1) <= tol
+        match = np.tril(direct | conj, -1) & (owner[:, None] == owner)
+        first = match.argmax(axis=1)
+        later = np.flatnonzero(match.any(axis=1))
+        later = later[~match[first[later]].any(axis=1)]
+        if not len(later):
+            continue
+        reps = first[later]
+        flip = ~direct[later, reps]
+        a = np.where(flip[:, None, None, None], mats[reps].conj(), mats[reps])
+        va = np.where(flip[:, None, None], vecs[reps].conj()[..., ::-1],
+                      vecs[reps])
+        q, ok = _intertwiner(a, mats[later], va, vecs[later],
+                             TOL_FRAME * np.sqrt(sq[owner[later]]))
+        for j, r, qj, cj in zip(later[ok], reps[ok], q[ok], flip[ok]):
+            found[int(owner[j]), int(blocks[j])] = (int(blocks[r]), qj,
+                                                    bool(cj))
+    return found
+
+
 def _block_operator(rotated, sizes, once, real):
     """The map from a control row to the diagonal blocks of every owner.
 
     ``rotated`` is a (k, m + 1, n, n) stack in the frame of blocks
     ``sizes``: owner o's generator for the row [1, u] is the row times
     rotated[o].  Every block an owner does not act on as zero (each of
-    its matrices is there at most ``TOL_FRAME`` times its own norm) is
-    one slot (once[o], size, flat, o, start).  A ``flat`` slot, of size 3
-    or more when the matrices are ``real`` (i times real symmetric), is
-    vectorized as h = i * block, the others as _vec(block).  Returns the
-    slots sorted, so those of the owners ``once`` marks come last and
-    each part runs by ascending size, and a real matrix of m + 1 rows
-    whose columns give each slot's block, vectorized, in that order.
+    its matrices is there at most ``TOL_FRAME`` times its own norm) and
+    does not transport from an earlier block (:func:`_equivalent_blocks`)
+    is one slot (once[o], size, flat, o, start).  A ``flat`` slot, of
+    size 3 or more when the matrices are ``real`` (i times real
+    symmetric), is vectorized as h = i * block, the others as
+    _vec(block).  Returns the slots sorted, so those of the owners
+    ``once`` marks come last and each part runs by ascending size, a real
+    matrix of m + 1 rows whose columns give each slot's block,
+    vectorized, in that order, and the transported blocks as
+    (o, start, start of the block it comes from, Q, conj).
     """
     starts = [0, *itertools.accumulate(sizes[:-1])]
     sq = rotated.real ** 2 + rotated.imag ** 2
     on_block = np.add.reduceat(np.add.reduceat(sq, starts, axis=-1), starts,
                                axis=-2).diagonal(axis1=-2, axis2=-1)
-    acting = (on_block > TOL_FRAME ** 2 * sq.sum(axis=(-2, -1))[..., None]
-              ).any(axis=1)
+    sq = sq.sum(axis=(-2, -1))
+    acting = (on_block > TOL_FRAME ** 2 * sq[..., None]).any(axis=1)
+    copies = _equivalent_blocks(rotated, sizes, starts, acting, sq)
     slots = sorted((once[o], sizes[b], real and sizes[b] >= 3, o, starts[b])
-                   for o, b in zip(*np.nonzero(acting)))
+                   for o, b in zip(*np.nonzero(acting))
+                   if (o, b) not in copies)
     columns = []
     for _, z, flat, o, s in slots:
         block = rotated[o, :, s : s + z, s : s + z]
         columns.append(-block.imag.reshape(-1, z * z) if flat
                        else _vec(block))
     return slots, np.concatenate(
-        [np.zeros((rotated.shape[1], 0))] + columns, axis=1)
+        [np.zeros((rotated.shape[1], 0))] + columns, axis=1), [
+        (o, starts[b], starts[r], q, conj)
+        for (o, b), (r, q, conj) in copies.items()]
 
 
 def _exponentials(blocks, slots, t):
@@ -322,16 +389,25 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     coarsely than the terms for a decomposition of a larger algebra than
     they generate).  The frame costs an ``eigh`` of one n x n generic
     combination and, only where its spectrum repeats, a solve for a
-    commutant element over the repeated clusters; it is skipped (the
-    identity, one block) for n <= 2, which the closed form covers, and
-    for an algebra of dimension n^2 - 1 or more, which is su(n) or u(n)
-    and so splits nothing.  When every owner's matrix is i times a real
-    symmetric one to ``TOL_FRAME`` of its norm (a real Hamiltonian),
-    decided once per call, the real parts are zeroed and the frame is
-    orthogonal.  The rotated matrices are checked and projected to
+    commutant element over the repeated clusters; it is skipped (one
+    block, nothing rotated in or back) for n <= 2, which the closed form
+    covers, and for an algebra of dimension n^2 - 1 or more, which is
+    su(n) or u(n) and so splits nothing.  When every owner's matrix is i
+    times a real symmetric one to ``TOL_FRAME`` of its norm (a real
+    Hamiltonian), decided once per call, the real parts are zeroed and
+    the frame is orthogonal.  The rotated matrices are checked and projected to
     exactly skew-Hermitian once, by ``skew_hermitian``.  One real matrix
     maps a row to every diagonal block of every owner, an owner skipping
-    the blocks it acts on as zero.  Segments run in chunks of ``CHUNK``:
+    the blocks it acts on as zero and the blocks it transports.  Block B
+    of an owner is transported from an earlier block A of that owner when
+    a fixed unitary Q gives B_k = Q A_k Q^H for every matrix k of the
+    owner, or B_k = Q conj(A_k) Q^H where B carries the complex-conjugate
+    representation (:func:`_equivalent_blocks`, which accepts Q only
+    after checking it).  Conjugation by Q and complex conjugation are
+    homomorphisms, so B's product is Q U Q^H, or Q conj(U) Q^H, from A's
+    product U, set once at the end.  No block is shared between owners:
+    the reference total is exponentiated from the terms alone.  Segments
+    run in chunks of ``CHUNK``:
     one matmul gives the chunk's blocks of the total and of each simple
     ideal, and the blocks of each size take one stacked exponential (the
     closed form for sizes 1 and 2, else a batched ``eigh``, real on the
@@ -373,11 +449,12 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     if real:
         owners = 1j * owners.imag
     if n <= 2 or decomp.full.dim >= n * n - 1:
-        frame, sizes = np.eye(n), (n,)
+        frame, sizes = None, (n,)
+        rotated = skew_hermitian(owners)
     else:
         frame, sizes = invariant_frame(owners.reshape(-1, n, n))
-    rotated = skew_hermitian(frame.conj().T @ owners @ frame)
-    slots, to_blocks = _block_operator(rotated, sizes, once, real)
+        rotated = skew_hermitian(frame.conj().T @ owners @ frame)
+    slots, to_blocks, copies = _block_operator(rotated, sizes, once, real)
     per_segment = [slot for slot in slots if not slot[0]]
     cut = sum(z * z if flat else 2 * z * z for _, z, flat, _, _ in per_segment)
     ops, line_op = to_blocks[:, :cut], to_blocks[:, cut:]
@@ -395,7 +472,13 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
         blocks = (block for stack in running + lines for block in stack)
         for (_, z, _, o, s), block in zip(slots, blocks):
             back[o, s : s + z, s : s + z] = block
-        back = frame @ back @ frame.conj().T
+        for o, s, r, q, conj in copies:
+            z = len(q)
+            u = back[o, r : r + z, r : r + z]
+            back[o, s : s + z, s : s + z] = (
+                q @ (u.conj() if conj else u) @ q.conj().T)
+        if frame is not None:
+            back = frame @ back @ frame.conj().T
     total, factors = back[0], tuple(back[1:])
     product = np.eye(n, dtype=complex)
     for kind in (KIND_RADICAL, KIND_SIMPLE):

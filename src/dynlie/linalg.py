@@ -377,6 +377,40 @@ def _commutant_element(a, bounds):
     return c + c.conj().T
 
 
+def _intertwiner(a, b, va, vb, bound):
+    """Unitaries Q with b[p, k] = Q a[p, k] Q^H, one per pair p of the
+    stacks ``a`` and ``b`` (P, k, z, z), and whether each passed its check.
+
+    ``va[p]`` and ``vb[p]`` hold the eigenvectors of one Hermitian
+    combination of a[p] and of b[p], with equal eigenvalues in the same
+    order.  Where those are simple, any such Q maps each column of va[p]
+    to the same column of vb[p] up to a phase, Q = vb[p] D va[p]^H with D
+    diagonal, and the phases are the kernel of d -> b' d - d a' over
+    every k, with a' and b' the matrices in the eigenvector bases: the
+    eigenvector of the least eigenvalue of that map's z x z normal
+    matrix.  A pair passes when Q is unitary to ``TOL_FRAME`` and
+    ||b[p, k] - Q a[p, k] Q^H||_F <= bound[p, k] for every k.
+    """
+    vah = np.swapaxes(va.conj(), -1, -2)[:, None]
+    ap = vah @ a @ va[:, None]
+    bp = np.swapaxes(vb.conj(), -1, -2)[:, None] @ b @ vb[:, None]
+    # sum_k ||b'_k D - D a'_k||_F^2 = d^H N d with this normal matrix N.
+    cross = (ap.conj() * bp).sum(axis=1)
+    normal = -cross - np.swapaxes(cross.conj(), -1, -2)
+    idx = np.arange(a.shape[-1])
+    normal[:, idx, idx] += ((np.abs(ap) ** 2).sum(axis=(1, 3))
+                            + (np.abs(bp) ** 2).sum(axis=(1, 2)))
+    d = np.linalg.eigh(normal)[1][..., 0]
+    mod = np.abs(d)
+    # An exactly zero entry (scalar blocks, where any phase will do) is 1.
+    d = np.where(mod > 0, d / np.where(mod > 0, mod, 1.0), 1.0)
+    q = (vb * d[:, None, :]) @ vah[:, 0]
+    qh = np.swapaxes(q.conj(), -1, -2)
+    unitary = np.abs(qh @ q - np.eye(len(idx))).max(axis=(-2, -1)) <= TOL_FRAME
+    resid = np.sqrt(_sq_norms(b - q[:, None] @ a @ qh[:, None]))
+    return q, unitary & (resid <= bound).all(axis=1)
+
+
 def invariant_frame(terms):
     """Unitary W and block sizes such that W^H T W is block diagonal for
     every matrix T of the skew-Hermitian stack ``terms`` (k, n, n).
