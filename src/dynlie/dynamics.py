@@ -260,15 +260,15 @@ def _ordered_product(stack):
     return stack[0]
 
 
-def _equivalent_blocks(rotated, sizes, starts, acting, sq):
+def _equivalent_blocks(rotated, sizes, starts, acting, sq_norms):
     """Per owner, the blocks a fixed unitary maps from an earlier block.
 
     ``rotated``, ``sizes`` and ``starts`` are as in :func:`_block_operator`
     and ``acting`` marks the (owner, block) pairs the owner acts on;
-    ``sq`` holds the squared Frobenius norm of each (owner, matrix).  Two
-    blocks of one owner, of equal size 2 or more, are candidates when one
-    fixed generic combination of the owner's matrices has equal spectra
-    on them, or opposite ones for complex-conjugate blocks, to
+    ``sq_norms`` holds the squared Frobenius norm of each (owner, matrix).
+    Two blocks of one owner, of equal size 2 or more, are candidates when
+    one fixed generic combination of the owner's matrices has equal
+    spectra on them, or opposite ones for complex-conjugate blocks, to
     ``TOL_EIG`` times the largest eigenvalue.  A block is paired with the
     first candidate before it that has no candidate before it itself,
     and the pair is kept only when ``linalg._intertwiner`` finds a
@@ -304,7 +304,7 @@ def _equivalent_blocks(rotated, sizes, starts, acting, sq):
         va = np.where(flip[:, None, None], vecs[reps].conj()[..., ::-1],
                       vecs[reps])
         q, ok = _intertwiner(a, mats[later], va, vecs[later],
-                             TOL_FRAME * np.sqrt(sq[owner[later]]))
+                             TOL_FRAME * np.sqrt(sq_norms[owner[later]]))
         for j, r, qj, cj in zip(later[ok], reps[ok], q[ok], flip[ok]):
             found[int(owner[j]), int(blocks[j])] = (int(blocks[r]), qj,
                                                     bool(cj))
@@ -332,9 +332,9 @@ def _block_operator(rotated, sizes, once, real):
     sq = rotated.real ** 2 + rotated.imag ** 2
     on_block = np.add.reduceat(np.add.reduceat(sq, starts, axis=-1), starts,
                                axis=-2).diagonal(axis1=-2, axis2=-1)
-    sq = sq.sum(axis=(-2, -1))
-    acting = (on_block > TOL_FRAME ** 2 * sq[..., None]).any(axis=1)
-    copies = _equivalent_blocks(rotated, sizes, starts, acting, sq)
+    sq_norms = sq.sum(axis=(-2, -1))
+    acting = (on_block > TOL_FRAME ** 2 * sq_norms[..., None]).any(axis=1)
+    copies = _equivalent_blocks(rotated, sizes, starts, acting, sq_norms)
     slots = sorted((once[o], sizes[b], real and sizes[b] >= 3, o, starts[b])
                    for o, b in zip(*np.nonzero(acting))
                    if (o, b) not in copies)

@@ -6,9 +6,12 @@ brute-force all-pairs bracketing, so the two implementations can check
 each other.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
-from dynlie import LieBasis, generator
+from dynlie import LieBasis, dynamics, generator
 from dynlie.errors import NotClosedError, NotInSpanError
 from dynlie.linalg import expm_skew, member_coords
 
@@ -252,6 +255,22 @@ def loop_reference(decomp, system, schedule):
             offset += basis.dim
         total = expm_skew(g, dur) @ total
     return total, factors
+
+
+@contextlib.contextmanager
+def block_pairings():
+    """Record what ``dynamics._equivalent_blocks`` returns while the block
+    runs: yields a list that gets, per call, the frame's block sizes and
+    {(owner, block): (block it comes from, Q, conj)}."""
+    pairing, calls = dynamics._equivalent_blocks, []
+
+    def spy(rotated, sizes, starts, acting, sq_norms):
+        calls.append((sizes, pairing(rotated, sizes, starts, acting,
+                                     sq_norms)))
+        return calls[-1][1]
+
+    with mock.patch.object(dynamics, "_equivalent_blocks", spy):
+        yield calls
 
 
 def staged(stage, algebra, *args, **kwargs):

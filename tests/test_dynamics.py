@@ -1,4 +1,5 @@
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dynlie import (
     propagate,
     two_spin_system,
 )
+from dynlie import dynamics, linalg
 from dynlie.dynamics import (
     KIND_RADICAL,
     KIND_SIMPLE,
@@ -25,10 +27,12 @@ from dynlie.errors import NotInSpanError
 from dynlie.linalg import invariant_frame
 
 from helpers import (
+    block_pairings,
     dense_terms,
     loop_reference,
     off_block,
     project_generator,
+    random_skew,
     span_contains,
 )
 
@@ -358,7 +362,7 @@ class TestBatchedPropagate:
     """propagate runs segments in stacked chunks; it must agree with the
     one-segment-at-a-time loop."""
 
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
                                       lambda: ising_x(4), dense_u3,
                                       lambda: control_system(SZ, [SX])],
@@ -507,6 +511,81 @@ class TestInvariantFrame:
         b = control_system(kron(SZ, np.eye(2)) + kron(np.eye(2), SZ), [ctrl])
         sched = ControlSchedule(((0.4, (0.3,)), (0.9, (-1.2,))))
         assert_matches_loop(analyze_system(a).decomposition, b, sched, 1e-12)
+
+
+def transported(sys):
+    """The frame's block sizes and the transported blocks propagate finds
+    for ``sys``, as {(owner, block): (block it comes from, conj)}; owner 0
+    is the reference total, owner 1 + c component c."""
+    sched = ControlSchedule(((0.3, np.full(sys.n_controls, 0.5)),))
+    with block_pairings() as calls:
+        propagate(analyze_system(sys).decomposition, sys, sched)
+    (sizes, found), = calls
+    return sizes, {key: (r, conj) for key, (r, _, conj) in found.items()}
+
+
+def equivalent_pair(rng, z, conj, perturb=0.0):
+    """One owner of three random skew-Hermitian matrices on two z x z
+    blocks, the second Q A_k Q^H (or Q conj(A_k) Q^H) of the first for a
+    random unitary Q, and ``perturb`` times a unit-norm skew-Hermitian
+    matrix added to the first matrix's second block.  Returns the
+    arguments of _equivalent_blocks and Q."""
+    a = np.stack([random_skew(rng, z) for _ in range(3)])
+    q = np.linalg.qr(rng.standard_normal((z, z))
+                     + 1j * rng.standard_normal((z, z)))[0]
+    b = q @ (a.conj() if conj else a) @ q.conj().T
+    bump = random_skew(rng, z)
+    b[0] += perturb * bump / np.linalg.norm(bump)
+    rotated = np.zeros((1, 3, 2 * z, 2 * z), dtype=complex)
+    rotated[0, :, :z, :z] = a
+    rotated[0, :, z:, z:] = b
+    sq = (np.abs(rotated) ** 2).sum(axis=(-2, -1))
+    return (rotated, (z, z), [0, z], np.ones((1, 2), dtype=bool), sq), q
+
+
+class TestEquivalentBlocks:
+    """propagate exponentiates only the first of each owner's blocks that
+    a fixed unitary relates, and transports the product to the others."""
+
+    def test_ising_4_and_4bar_in_every_owner(self):
+        # Blocks 4, 6, 1, 4, 1: the two 4-blocks are the 4 and 4-bar of
+        # su(4) in the total, in the ideal and in the radical line.
+        sizes, found = transported(ising_x(4))
+        assert sizes == (4, 6, 1, 4, 1)
+        assert found == {(0, 3): (0, True), (1, 3): (0, True),
+                         (2, 3): (0, True)}
+
+    def test_three_qubit_ideal_has_three_partners(self):
+        sizes, found = transported(three_qubit())
+        assert sizes == (2, 2, 2, 2)
+        assert {b: r for (o, b), (r, _) in found.items() if o == 1} == {
+            1: 0, 2: 0, 3: 0}
+
+    def test_two_spin_blocks_inequivalent(self):
+        assert transported(two_spin_system()) == ((2, 2), {})
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["same", "conj"])
+    @pytest.mark.parametrize("z", [2, 3, 5])
+    def test_pair_found_and_checked(self, z, conj):
+        args, q = equivalent_pair(np.random.default_rng([z, conj]), z, conj)
+        (key, (r, got, flip)), = dynamics._equivalent_blocks(*args).items()
+        assert key == (0, 1) and r == 0 and flip is conj
+        a, b = args[0][0, :, :z, :z], args[0][0, :, z:, z:]
+        moved = got @ (a.conj() if conj else a) @ got.conj().T
+        np.testing.assert_allclose(moved, b, rtol=0, atol=1e-13)
+        # Q is fixed up to a phase by the irreducible pair.
+        phase = np.vdot(q, got) / z
+        np.testing.assert_allclose(got, phase * q, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["same", "conj"])
+    def test_perturbed_block_not_paired(self, conj):
+        # 1e-9 passes the spectral screen (TOL_EIG) but not the check of
+        # the solved unitary (TOL_FRAME).
+        args, _ = equivalent_pair(np.random.default_rng(4), 4, conj, 1e-9)
+        with mock.patch.object(dynamics, "_intertwiner",
+                               wraps=linalg._intertwiner) as solve:
+            assert dynamics._equivalent_blocks(*args) == {}
+        assert solve.call_count == 1
 
 
 class TestRandomDrawRegressions:

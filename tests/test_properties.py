@@ -8,7 +8,10 @@ J. Math. Phys. 52, 113510, 2011).
 Systems are the benchmark's fixed draws: two-qubit Pauli-string systems and
 dense u(3) and u(4) systems.  Propagation of random real systems, which runs
 in real arithmetic, and of the same systems with a small imaginary part, which
-does not, is checked against the one-segment-at-a-time loop.
+does not, is checked against the one-segment-at-a-time loop.  So is
+propagation of systems whose frame blocks carry equivalent or complex-
+conjugate representations, which exponentiates only one block of each
+class, and of those systems after a random unitary conjugation.
 """
 
 import os
@@ -21,7 +24,7 @@ import pytest
 from dynlie import ControlSchedule, analyze_system, control_system, propagate
 from dynlie import dynamics
 
-from helpers import loop_reference
+from helpers import block_pairings, loop_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -137,3 +140,71 @@ def test_real_propagation_matches_loop(n, controls, cut, segments, seed):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
         totals.append(result.total)
     np.testing.assert_allclose(totals[1], totals[0], rtol=0, atol=1e-7)
+
+
+def conjugated(terms, seed):
+    """The terms conjugated by a random unitary, and that unitary."""
+    rng = np.random.default_rng(seed)
+    n = terms[0].shape[0]
+    u = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return [u @ h @ u.conj().T for h in terms], u
+
+
+MODELS = {
+    "two-spin": workloads.two_spin,
+    "three-qubit": workloads.three_qubit,
+    "ising-x-3": lambda: workloads.ising(3, "x"),
+    "ising-x-4": lambda: workloads.ising(4, "x"),
+    "ising-x-5": lambda: workloads.ising(5, "x"),
+}
+
+
+@pytest.mark.parametrize("name", ["ising-x-4", "ising-x-5", "three-qubit",
+                                  "ising-x-4-complex"])
+def test_transported_blocks_match_loop_and_expm(name):
+    terms = MODELS[name.removesuffix("-complex")]()
+    if name.endswith("complex"):
+        # Complex terms, with the 4 and 4-bar blocks of the real chain.
+        terms = conjugated(terms, 5)[0]
+    decomp = analyze_system(control_system(terms[0], terms[1:])).decomposition
+    rng = np.random.default_rng(len(name))
+    segs = [(float(rng.uniform(0.05, 1.0)), rng.uniform(-2, 2, 1))
+            for _ in range(150)]
+    sched = ControlSchedule(tuple(segs))
+    with block_pairings() as calls:
+        result, real, (total, factors) = propagated(decomp, terms, sched)
+    assert real is not name.endswith("complex")
+    assert calls[0][1]
+    np.testing.assert_allclose(result.total, total, rtol=0, atol=1e-10)
+    for got, want in zip(result.factors, factors):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    assert checks.check_propagation(result.total, result.factors,
+                                    checks.expm_product(terms, segs)) == []
+
+
+@pytest.mark.parametrize("name", ["two-spin", "three-qubit", "ising-x-3",
+                                  "ising-x-4"])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(segments=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_unitary_conjugation_leaves_propagator(name, segments, seed):
+    terms = MODELS[name]()
+    moved, u = conjugated(terms, seed)
+    rng = np.random.default_rng(seed)
+    sched = ControlSchedule(tuple(
+        (float(rng.uniform(0.05, 1.0)), rng.uniform(-2, 2, len(terms) - 1))
+        for _ in range(segments)))
+    results = []
+    for hs in (terms, moved):
+        system = control_system(hs[0], hs[1:])
+        decomp = analyze_system(system).decomposition
+        results.append((decomp, propagate(decomp, system, sched)))
+    (decomp, plain), (_, result) = results
+    back = u.conj().T @ np.stack((result.total,) + result.factors) @ u
+    np.testing.assert_allclose(back[0], plain.total, rtol=0, atol=1e-10)
+    assert result.factorization_error < 1e-10
+    # Radical lines are any orthonormal basis of the radical, so only the
+    # simple ideals' factors are matched, in any order.
+    for (kind, _), want in zip(decomp.components, plain.factors):
+        if kind == dynamics.KIND_SIMPLE:
+            assert min(np.abs(got - want).max() for got in back[1:]) < 1e-10
