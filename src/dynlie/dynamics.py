@@ -17,16 +17,18 @@ The exponentials run in the frame of the invariant subspaces of every
 owner's matrices (``linalg.invariant_frame``), where everything is block
 diagonal, and one real matrix maps a row to every diagonal block of
 every owner.  A chunk of segments costs one matmul and, per block size,
-one stacked exponential (an eigendecomposition, or a closed form for
-sizes 1 and 2); a radical line commutes with everything, so its blocks
-are exponentiated once, from the duration-weighted sum of the rows.
+one stacked exponential (a closed form for sizes 1 and 2, else a series
+in real matrix products or an eigendecomposition) and one pairwise
+product, on the real form [[Re, -Im], [Im, Re]] of each block; a radical
+line commutes with everything, so its blocks are exponentiated once,
+from the duration-weighted sum of the rows.
 Two blocks of one owner that carry the same representation, or complex-
 conjugate ones, are related by a fixed unitary Q (the 4 and 4-bar of
 su(4) in an Ising chain of four spins, say), and only the first is
 exponentiated: the other's product is Q U Q^H, or Q conj(U) Q^H, from
 the first's product U.  For a real Hamiltonian (NMR and Ising-type
 models) all of this runs in real arithmetic, with an orthogonal frame and
-real eigendecompositions.
+the exponential of a block h from real products for cos(t h) and sin(t h).
 """
 
 import itertools
@@ -51,10 +53,12 @@ from .linalg import (
     TOL_EIG,
     TOL_RANK,
     TOL_FRAME,
-    _expm_real,
+    _complex_form,
+    _cos_sin,
     _expm_skew,
     _generic,
     _intertwiner,
+    _real_form,
     _unvec,
     _vec,
     from_coords,
@@ -352,16 +356,23 @@ def _block_operator(rotated, sizes, once, real):
 def _exponentials(blocks, slots, t):
     """Per run of ``slots`` of equal size and layout, the stacked products
     over the rows of ``blocks`` of exp(t[row] * block), later rows on the
-    left.  Row i of ``blocks`` holds one vectorized block per slot, in the
-    layout of :func:`_block_operator`."""
+    left, each in the real form of ``linalg._real_form``.  Row i of
+    ``blocks`` holds one vectorized block per slot, in the layout of
+    :func:`_block_operator`."""
     out, at = [], 0
     for (size, flat), run in itertools.groupby(s[1:3] for s in slots):
         count = len(list(run))
         width = size * size if flat else 2 * size * size
         part = blocks[:, at : at + count * width].reshape(-1, count, width)
-        out.append(_ordered_product(
-            _expm_real(part.reshape(-1, count, size, size), t[:, None])
-            if flat else _expm_skew(_unvec(part, size), t[:, None])))
+        if flat:
+            # exp(-i t h) = C - i S, whose real form is [[C, S], [-S, C]].
+            cosine, sine = _cos_sin(t[:, None, None, None]
+                                    * part.reshape(-1, count, size, size))
+            form = _real_form(cosine, -sine)
+        else:
+            e = _expm_skew(_unvec(part, size), t[:, None])
+            form = _real_form(e.real, e.imag)
+        out.append(_ordered_product(form))
         at += count * width
     return out
 
@@ -392,10 +403,13 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     commutant element over the repeated clusters; it is skipped (one
     block, nothing rotated in or back) for n <= 2, which the closed form
     covers, and for an algebra of dimension n^2 - 1 or more, which is
-    su(n) or u(n) and so splits nothing.  When every owner's matrix is i
-    times a real symmetric one to ``TOL_FRAME`` of its norm (a real
-    Hamiltonian), decided once per call, the real parts are zeroed and
-    the frame is orthogonal.  The rotated matrices are checked and projected to
+    su(n) or u(n) and so splits nothing.  A piece whose norm is at most
+    ``TOL_FRAME`` times its term's is set to exactly zero first, so that
+    round-off, which a change of basis moves, cannot steer the frame and
+    the order of its blocks.  When every owner's matrix is i times a real
+    symmetric one to ``TOL_FRAME`` of its norm (a real Hamiltonian),
+    decided once per call, the real parts are zeroed and the frame is
+    orthogonal.  The rotated matrices are checked and projected to
     exactly skew-Hermitian once, by ``skew_hermitian``.  One real matrix
     maps a row to every diagonal block of every owner, an owner skipping
     the blocks it acts on as zero and the blocks it transports.  Block B
@@ -407,14 +421,18 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     homomorphisms, so B's product is Q U Q^H, or Q conj(U) Q^H, from A's
     product U, set once at the end.  No block is shared between owners:
     the reference total is exponentiated from the terms alone.  Segments
-    run in chunks of ``CHUNK``:
-    one matmul gives the chunk's blocks of the total and of each simple
-    ideal, and the blocks of each size take one stacked exponential (the
-    closed form for sizes 1 and 2, else a batched ``eigh``, real on the
-    real path) and a pairwise product.  A radical line commutes with
-    everything, so its blocks come from the duration-weighted sum of the
-    rows and are exponentiated once, through the same code.  Factors are
-    rotated back to n x n once, at the end.
+    run in chunks of ``CHUNK``: one matmul gives the chunk's blocks of the
+    total and of each simple ideal, and the blocks of each size take one
+    stacked exponential (the closed form for sizes 1 and 2; on the real
+    path ``linalg._cos_sin``, real matrix products up to an angle of 16,
+    a real ``eigh`` beyond; else a batched complex ``eigh``) and a
+    pairwise product.  Every product is held in the real 2z x 2z form
+    [[Re, -Im], [Im, Re]] of its z x z block (``linalg._real_form``), a
+    homomorphism under which each product is one real matmul.  A radical
+    line commutes with everything, so its blocks come from the
+    duration-weighted sum of the rows and are exponentiated once, through
+    the same code.  The blocks return to complex once, and the factors
+    are rotated back to n x n once, at the end.
     """
     n = system.dim
     comps = decomp.components
@@ -438,14 +456,19 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
                 "inconsistent with the decomposition")
     # Owner 0 is the reference total, owner 1 + c the c-th component.
     ends = itertools.accumulate(b.dim for _, b in comps)
-    owners = _unvec(np.stack([_vec(terms)] + [
+    vecs = np.stack([_vec(terms)] + [
         coords[:, end - b.dim : end] @ b.vecs
-        for end, (_, b) in zip(ends, comps)]), n)
+        for end, (_, b) in zip(ends, comps)])
+    # A piece at round-off of its term's norm is exactly zero, so that
+    # round-off cannot steer the frame.
+    sq = vecs ** 2
+    norms = sq.sum(axis=-1)
+    zero = norms <= TOL_FRAME ** 2 * norms[0]
+    vecs[zero] = sq[zero] = 0.0
+    owners = _unvec(vecs, n)
     once = [False] + [kind == KIND_RADICAL for kind, _ in comps]
     # Real arithmetic when every matrix's real part is round-off.
-    sq = _vec(owners) ** 2
-    real = bool((sq[..., ::2].sum(axis=-1)
-                 <= TOL_FRAME ** 2 * sq.sum(axis=-1)).all())
+    real = bool((sq[..., ::2].sum(axis=-1) <= TOL_FRAME ** 2 * norms).all())
     if real:
         owners = 1j * owners.imag
     if n <= 2 or decomp.full.dim >= n * n - 1:
@@ -469,7 +492,8 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     if len(durs):
         lines = _exponentials((durs @ rows)[None] @ line_op,
                               slots[len(per_segment) :], np.ones(1))
-        blocks = (block for stack in running + lines for block in stack)
+        blocks = (block for stack in running + lines
+                  for block in _complex_form(stack))
         for (_, z, _, o, s), block in zip(slots, blocks):
             back[o, s : s + z, s : s + z] = block
         for o, s, r, q, conj in copies:

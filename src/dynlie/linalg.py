@@ -6,9 +6,9 @@ Euclidean.  Everything downstream -- closures, centralizers, nullspace
 splits -- reduces to orthonormal bases of subspaces of that space, so
 this module owns the basis bookkeeping: Gram-Schmidt extension with a
 re-orthogonalization pass, the all-pairs bracket, the span projection
-behind every membership test and coordinate map, the exact
-exponential of a skew-Hermitian matrix, and the unitary frame in which a
-set of matrices is block diagonal.
+behind every membership test and coordinate map, the exponential of a
+skew-Hermitian matrix, and the unitary frame in which a set of matrices
+is block diagonal.
 
 A matrix is vectorized as its row-major entries with the real and
 imaginary part of each entry interleaved.  That is numpy's own memory
@@ -23,6 +23,7 @@ which an entry of a rotated matrix counts as zero.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -97,6 +98,25 @@ def _unvec(vecs, n):
     for a C-contiguous float64 input."""
     v = np.ascontiguousarray(vecs, dtype=float)
     return v.view(complex).reshape(v.shape[:-1] + (n, n))
+
+
+def _real_form(re, im):
+    """The real 2n x 2n form [[re, -im], [im, re]] of the complex stack
+    re + i im (..., n, n).  The map is a homomorphism, so a product of
+    complex matrices is one real matmul in this form."""
+    n = re.shape[-1]
+    out = np.empty(re.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = re
+    out[..., :n, n:] = -im
+    out[..., n:, :n] = im
+    return out
+
+
+def _complex_form(r):
+    """Inverse of :func:`_real_form`: the complex stack (..., n, n) that
+    the real stack ``r`` (..., 2n, 2n) holds."""
+    n = r.shape[-1] // 2
+    return r[..., :n, :n] + 1j * r[..., n:, :n]
 
 
 class LieBasis:
@@ -262,22 +282,25 @@ def nullspace(mat, tol=TOL_RANK):
 
 
 def expm_skew(a, t=1.0, tol=TOL_HERM):
-    """exp(t*a) for skew-Hermitian ``a``, exactly unitary by construction.
+    """exp(t*a) for skew-Hermitian ``a``, unitary to round-off.
 
-    Diagonalizes the Hermitian matrix i*a and exponentiates the phases,
-    so the result is a product of unitaries rather than a Pade or
-    squaring approximation.  ``a`` may be a stack (..., n, n), with ``t``
-    broadcast against the stack shape, one time per matrix; the stack is
-    then diagonalized by one batched ``eigh``.  np.linalg.LinAlgError
-    propagates if the eigensolver fails to converge.
+    ``a`` may be a stack (..., n, n), with ``t`` broadcast against the
+    stack shape, one time per matrix.  How the exponential is taken
+    depends on the size and kind of the matrices:
 
-    Matrices of size 1 and 2 skip the eigensolver and use the closed
-    form: exp(t*a) for n = 1, and for n = 2, with h = i*a, m = tr(h)/2,
-    k = h - m*I and r = sqrt(k_00^2 + |k_01|^2) (so k^2 = r^2 I),
-    exp(-i t m) (cos(t r) I - i t sinc(t r) k), sinc(0) = 1 (Moler & Van
-    Loan, SIAM Rev. 45, 2003).  It is unitary to round-off, like the
-    ``eigh`` path.  Larger matrices whose real part is exactly zero, so
-    that i*a is real symmetric, take a real ``eigh`` (:func:`_expm_real`).
+    - n = 1: exp(t*a).
+    - n = 2: with h = i*a, m = tr(h)/2, k = h - m*I and r = sqrt(k_00^2 +
+      |k_01|^2) (so k^2 = r^2 I), the closed form
+      exp(-i t m) (cos(t r) I - i t sinc(t r) k), sinc(0) = 1 (Moler &
+      Van Loan, SIAM Rev. 45, 2003).
+    - Larger matrices whose real part is exactly zero, so that h = i*a is
+      real symmetric: cos(t h) - i sin(t h) (:func:`_expm_real`), from a
+      Taylor series of cos and sin after scaling by a power of 2 and
+      squaring back, all in real matrix products; an angle |t| ||h||_inf
+      above 16 takes a real ``eigh`` instead (:func:`_cos_sin`).
+    - Other matrices: one batched ``eigh`` of i*a, whose phases are
+      exponentiated.  np.linalg.LinAlgError propagates if the
+      eigensolver fails to converge.
     """
     return _expm_skew(skew_hermitian(a, tol), np.asarray(t))
 
@@ -297,16 +320,86 @@ def _expm_skew(a, t):
 
 def _expm_real(h, t):
     """exp(-i t h) for a stack of real symmetric matrices ``h``, with ``t``
-    broadcast against the stack shape: with one real ``eigh``
-    h = V diag(w) V^T, it is (V cos(t w)) V^T - i (V sin(t w)) V^T."""
-    w, v = np.linalg.eigh(h)
-    tw = t[..., None] * w
-    vt = np.swapaxes(v, -1, -2)
-    re = (v * np.cos(tw)[..., None, :]) @ vt
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = (v * -np.sin(tw)[..., None, :]) @ vt
+    broadcast against the stack shape: C - i S from :func:`_cos_sin`."""
+    c, s = _cos_sin(t[..., None, None] * h)
+    out = np.empty(c.shape, dtype=complex)
+    out.real = c
+    out.imag = -s
     return out
+
+
+# Largest angle |t| * ||h||_inf that :func:`_cos_sin` takes through the
+# series.  Each squaring doubles the error it inherits; at angles near 1e3
+# ten squarings lose unitarity to a few 1e-13, so larger angles keep the
+# eigendecomposition.
+_SERIES_ANGLE = 16.0
+# Taylor coefficients of cos(x) and sin(x) / x in y = x^2 through y^8,
+# (-1)^k / (2k)! and (-1)^k / (2k + 1)!, in Paterson-Stockmeyer blocks:
+# _TAYLOR[j, 0, i] multiplies y^(3j + i) in cos, _TAYLOR[j, 1, i] in sinc.
+_TAYLOR = np.array([[[(-1) ** k / math.factorial(2 * k + p)
+                      for k in range(3 * j, 3 * j + 3)] for p in (0, 1)]
+                    for j in range(3)])
+
+
+def _cos_sin(x):
+    """cos(x) and sin(x) for a stack of real symmetric matrices ``x``, so
+    that exp(-i x) = cos(x) - i sin(x).
+
+    A matrix whose infinity norm exceeds ``_SERIES_ANGLE`` takes one real
+    ``eigh``, x = V diag(w) V^T, and cos(x) = (V cos(w)) V^T, sin(x)
+    likewise.  The others take real matrix products only: x is scaled by
+    2^-s to norm at most 1, the Taylor series of cos and sin run to
+    degree 16 and 17 with Paterson-Stockmeyer in y = x^2, and s squarings
+    cos <- cos^2 - sin^2, sin <- 2 sin cos undo the scaling (Moler & Van
+    Loan, SIAM Rev. 45, 2003; Al-Mohy, Higham & Relton, SIAM J. Sci.
+    Comput. 37, 2015).  At norm 1 the first omitted terms are 1.6e-16 and
+    8e-18, so the result is orthogonal to round-off like the ``eigh``
+    path's.
+    """
+    z = x.shape[-1]
+    # Row sums as one matrix-vector product: numpy's sum over a short last
+    # axis is slower.
+    rows = np.abs(x).reshape(-1, z) @ np.ones(z)
+    angle = rows.reshape(x.shape[:-1]).max(axis=-1)
+    big = angle > _SERIES_ANGLE
+    if not big.any():
+        return _cos_sin_series(x, angle)
+    c, s = np.empty_like(x), np.empty_like(x)
+    w, v = np.linalg.eigh(x[big])
+    vt = np.swapaxes(v, -1, -2)
+    c[big] = (v * np.cos(w)[..., None, :]) @ vt
+    s[big] = (v * np.sin(w)[..., None, :]) @ vt
+    if not big.all():
+        small = ~big
+        c[small], s[small] = _cos_sin_series(x[small], angle[small])
+    return c, s
+
+
+def _cos_sin_series(x, angle):
+    """:func:`_cos_sin` by the scaled series, for a stack ``x`` of infinity
+    norms ``angle``.  Each matrix is scaled and squared back by its own
+    s; sorted by s, most first, each squaring runs on a leading slice."""
+    shape, z = x.shape, x.shape[-1]
+    squarings = np.maximum(np.frexp(angle.reshape(-1))[1], 0)
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    x = x.reshape(-1, z, z)[order] * np.ldexp(1.0, -squarings)[:, None, None]
+    powers = np.empty((3,) + x.shape)
+    powers[0] = np.eye(z)
+    y = np.matmul(x, x, out=powers[1])
+    y3 = np.matmul(y, y, out=powers[2]) @ y
+    # Block j of both series, sum_i _TAYLOR[j, :, i] y^i, in one product.
+    b = (_TAYLOR.reshape(6, 3) @ powers.reshape(3, -1)).reshape(
+        (3, 2) + x.shape)
+    p = b[0] + y3 @ (b[1] + y3 @ b[2])
+    c, s = p[0], x @ p[1]
+    for k in range(squarings.max(initial=0)):
+        m = np.count_nonzero(squarings > k)
+        ck, sk = c[:m], s[:m]
+        c[:m], s[:m] = ck @ ck - sk @ sk, 2.0 * (sk @ ck)
+    out = np.empty((2,) + x.shape)
+    out[0, order], out[1, order] = c, s
+    return out[0].reshape(shape), out[1].reshape(shape)
 
 
 def _expm_skew2(a, t):

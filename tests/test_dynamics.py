@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 from unittest import mock
 
@@ -8,6 +9,7 @@ from dynlie import (
     CONTROLLABLE_SU,
     UNCONTROLLABLE,
     ControlSchedule,
+    LieBasis,
     analyze_system,
     control_system,
     generator,
@@ -34,6 +36,8 @@ from helpers import (
     project_generator,
     random_skew,
     span_contains,
+    unvec,
+    vec,
 )
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
@@ -358,6 +362,23 @@ def assert_matches_loop(decomp, system, schedule, atol):
     assert result.times == pytest.approx(schedule.total_time)
 
 
+class TestRealForm:
+    """Per-segment products run on the real form [[Re, -Im], [Im, Re]]
+    of each block, a homomorphism, converted back once."""
+
+    @pytest.mark.parametrize("count", [1, 2, 13])
+    @pytest.mark.parametrize("z", [1, 2, 4, 6])
+    def test_ordered_product_matches_complex(self, rng, z, count):
+        stack = np.stack([linalg.expm_skew(random_skew(rng, z))
+                          for _ in range(count)])
+        form = linalg._real_form(stack.real, stack.imag)
+        assert form.shape == (count, 2 * z, 2 * z) and form.dtype == float
+        np.testing.assert_array_equal(linalg._complex_form(form), stack)
+        want = reduce(lambda acc, u: u @ acc, stack)
+        got = linalg._complex_form(dynamics._ordered_product(form))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 class TestBatchedPropagate:
     """propagate runs segments in stacked chunks; it must agree with the
     one-segment-at-a-time loop."""
@@ -513,15 +534,33 @@ class TestInvariantFrame:
         assert_matches_loop(analyze_system(a).decomposition, b, sched, 1e-12)
 
 
-def transported(sys):
+def transported(sys, decomp=None):
     """The frame's block sizes and the transported blocks propagate finds
-    for ``sys``, as {(owner, block): (block it comes from, conj)}; owner 0
-    is the reference total, owner 1 + c component c."""
+    for ``sys`` on ``decomp`` (by default its own analysis), as
+    {(owner, block): (block it comes from, conj)}; owner 0 is the
+    reference total, owner 1 + c component c."""
+    if decomp is None:
+        decomp = analyze_system(sys).decomposition
     sched = ControlSchedule(((0.3, np.full(sys.n_controls, 0.5)),))
     with block_pairings() as calls:
-        propagate(analyze_system(sys).decomposition, sys, sched)
+        propagate(decomp, sys, sched)
     (sizes, found), = calls
     return sizes, {key: (r, conj) for key, (r, _, conj) in found.items()}
+
+
+def rebased(decomp, rng):
+    """``decomp`` with each component's basis replaced by a random
+    orthonormal basis of its span: a random rotation of the basis, moved
+    by 1e-15 (round-off) and orthonormalized again."""
+    comps = []
+    for kind, b in decomp.components:
+        rot = np.linalg.qr(rng.standard_normal((b.dim, b.dim)))[0]
+        mats = np.einsum("ij,jkl->ikl", rot, b.mats) + 1e-15 * np.stack(
+            [random_skew(rng, b.n) for _ in range(b.dim)])
+        comps.append((kind, LieBasis(b.n, unvec(
+            np.linalg.qr(vec(mats).T)[0].T, b.n))))
+    return replace(decomp, components=tuple(comps), adapted=LieBasis(
+        decomp.adapted.n, np.concatenate([b.mats for _, b in comps])))
 
 
 def equivalent_pair(rng, z, conj, perturb=0.0):
@@ -548,12 +587,26 @@ class TestEquivalentBlocks:
     a fixed unitary relates, and transports the product to the others."""
 
     def test_ising_4_and_4bar_in_every_owner(self):
-        # Blocks 4, 6, 1, 4, 1: the two 4-blocks are the 4 and 4-bar of
+        # Blocks 6, 4, 4, 1, 1: the two 4-blocks are the 4 and 4-bar of
         # su(4) in the total, in the ideal and in the radical line.
         sizes, found = transported(ising_x(4))
-        assert sizes == (4, 6, 1, 4, 1)
-        assert found == {(0, 3): (0, True), (1, 3): (0, True),
-                         (2, 3): (0, True)}
+        assert sizes == (6, 4, 4, 1, 1)
+        assert found == {(0, 2): (1, True), (1, 2): (1, True),
+                         (2, 2): (1, True)}
+
+    @pytest.mark.parametrize("make", [lambda: ising_x(3), lambda: ising_x(4),
+                                      three_qubit],
+                             ids=["ising-x-3", "ising-x-4", "three-qubit"])
+    def test_change_of_basis_keeps_blocks_and_pairs(self, make):
+        # The X drive's piece on the radical line of Ising-x is round-off
+        # (4.4e-16 for k=4); scaled to unit norm it would steer the frame,
+        # so another basis reordered the blocks unless it counts as zero.
+        sys = make()
+        decomp = analyze_system(sys).decomposition
+        want = transported(sys, decomp)
+        for seed in range(5):
+            assert transported(
+                sys, rebased(decomp, np.random.default_rng(seed))) == want
 
     def test_three_qubit_ideal_has_three_partners(self):
         sizes, found = transported(three_qubit())

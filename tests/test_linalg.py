@@ -420,7 +420,9 @@ class TestExpmSkew:
 
 class TestRealKernel:
     """Purely imaginary input of size 3 or more, h = i*a real symmetric,
-    takes one real ``eigh``; anything else keeps the complex one."""
+    takes the real kernel: a scaled series in real matrix products up to
+    the angle |t| ||h||_inf = ``_SERIES_ANGLE``, one real ``eigh`` beyond
+    it.  Anything else keeps the complex ``eigh``."""
 
     @pytest.fixture
     def real_calls(self, monkeypatch):
@@ -463,6 +465,57 @@ class TestRealKernel:
         TestExpmSkew.assert_exact(stack[0, 0], times[:, 0], out,
                                   tol=1e-13 * max(1.0, scale / 100))
         assert real_calls == [np.float64] * 3
+
+    @pytest.fixture
+    def series_counts(self, monkeypatch):
+        """How many matrices each call of the series took."""
+        counts = []
+
+        def spy(x, angle):
+            counts.append(angle.size)
+            return series(x, angle)
+
+        series = linalg._cos_sin_series
+        monkeypatch.setattr(linalg, "_cos_sin_series", spy)
+        return counts
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_both_sides_of_the_angle_bound(self, rng, series_counts, n):
+        # With ||h||_inf = 1 the angle is |t|: the first seven times take
+        # the series, the last four the eigh.
+        h = self.real_symmetric(rng, n, False)
+        h /= np.abs(h).sum(axis=1).max()
+        bound = linalg._SERIES_ANGLE
+        below, above = bound * (1 - 1e-9), bound * (1 + 1e-9)
+        times = np.array([0.0, 1e-3, -0.7, 3.0, -9.0, below, -below,
+                          above, -above, 40.0, -100.0])
+        out = expm_skew(-1j * h, t=times)
+        TestExpmSkew.assert_exact(-1j * h, times, out)
+        assert series_counts == [7]
+        np.testing.assert_array_equal(out[0], np.eye(n))
+
+    def test_zero_matrix_is_exact_identity(self, series_counts):
+        out = expm_skew(np.zeros((2, 5, 5), dtype=complex) * 1j,
+                        t=np.array([0.0, -3.0]))
+        assert series_counts == [2]
+        np.testing.assert_array_equal(out, np.eye(5)[None].repeat(2, 0))
+
+    def test_stack_mixing_small_and_large_angles(self, rng, real_calls,
+                                                 series_counts):
+        # (chunk, count, n, n) with one time per chunk row, a zero matrix
+        # among them; angles from 0 to about 200.
+        stack = -1j * np.stack([[self.real_symmetric(rng, 6, False)
+                                 for _ in range(3)] for _ in range(4)])
+        stack[1, 2] = 0.0
+        times = np.array([[0.5], [-40.0], [-2.0], [60.0]])
+        angles = np.abs(times[..., None, None]
+                        * stack.imag).sum(axis=-1).max(axis=-1)
+        small = int((angles <= linalg._SERIES_ANGLE).sum())
+        assert 0 < small < angles.size
+        out = expm_skew(stack, t=times)
+        TestExpmSkew.assert_exact(stack, times, out,
+                                  tol=1e-13 * max(1.0, angles.max() / 100))
+        assert real_calls == [np.float64] and series_counts == [small]
 
     def test_tiny_real_part_takes_complex_path(self, rng, real_calls):
         scipy_linalg = pytest.importorskip("scipy.linalg")
