@@ -20,7 +20,7 @@ import numpy as np
 from .adjoint import adjoint, bracket_coords, is_semisimple, restrict
 from .errors import NotInSpanError, NotSemisimpleError
 from .levi import levi_split
-from .linalg import LieBasis, TOL_RANK, from_coords, nullspace, span_coords
+from .linalg import LieBasis, TOL_RANK, nullspace, span_coords
 
 
 def centralizer(c, rows, x, tol=TOL_RANK):
@@ -50,8 +50,13 @@ class CartanResult:
 
     cartan: LieBasis
     iterations: int
-    pivot_elements: tuple
+    pivot_rows: np.ndarray  # one per iteration, over cartan's stack
     abelian_residual: float  # worst ||[h, h']||_F over the basis
+
+    @property
+    def pivot_elements(self):
+        """The pivots as matrices, computed on access."""
+        return tuple(np.tensordot(self.pivot_rows, self.cartan.stack, axes=1))
 
 
 def cartan_subalgebra(semisimple, c, pivots=None, tol=TOL_RANK):
@@ -86,10 +91,9 @@ def cartan_subalgebra(semisimple, c, pivots=None, tol=TOL_RANK):
             if resid > tol * np.linalg.norm(pivot):
                 raise NotInSpanError(
                     f"Cartan pivot is not inside the working span (tol={tol:g})")
-            used.append(pivot)
         else:
             x = current[0]
-            used.append(from_coords(semisimple, x)[0])
+        used.append(x)
         dee = centralizer(c, current, x, tol)
         split, semi_dim = levi_split(restrict(c, dee), tol)[:2]
         centers.append(split[semi_dim:] @ dee)
@@ -98,7 +102,7 @@ def cartan_subalgebra(semisimple, c, pivots=None, tol=TOL_RANK):
     # orthogonal to every center banked so far.
     rows = np.concatenate(centers)
     worst = np.linalg.norm(bracket_coords(c, rows, rows), axis=-1).max()
-    return CartanResult(
-        cartan=LieBasis(semisimple.n, from_coords(semisimple, rows)),
-        iterations=len(used), pivot_elements=tuple(used),
-        abelian_residual=float(worst))
+    lift = np.eye(len(c)) if semisimple.rows is None else semisimple.rows
+    return CartanResult(cartan=semisimple.span(rows), iterations=len(used),
+                        pivot_rows=np.array(used) @ lift,
+                        abelian_residual=float(worst))

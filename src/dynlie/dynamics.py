@@ -7,28 +7,13 @@ commuting product of per-piece propagators.  For piecewise-constant
 schedules each factor is an exact product of matrix exponentials, so the
 factorization error stays at numerical noise.
 
-H(u) is affine in u, so propagation is one linear map of the control row
-[1, u].  The drift and control terms are projected onto the adapted
-basis once per call; the reference total and every piece then own the
-terms, or the terms' parts on that piece, and a row combines them into
-the owner's generator.  Membership is checked the same way: a segment's
-part outside the algebra is its row times the terms' parts outside it.
-The exponentials run in the frame of the invariant subspaces of every
-owner's matrices (``linalg.invariant_frame``), where everything is block
-diagonal, and one real matrix maps a row to every diagonal block of
-every owner.  A chunk of segments costs one matmul and, per block size,
-one stacked exponential (a closed form for sizes 1 and 2, else a series
-in real matrix products or an eigendecomposition) and one pairwise
-product, on the real form [[Re, -Im], [Im, Re]] of each block; a radical
-line commutes with everything, so its blocks are exponentiated once,
-from the duration-weighted sum of the rows.
-Two blocks of one owner that carry the same representation, or complex-
-conjugate ones, are related by a fixed unitary Q (the 4 and 4-bar of
-su(4) in an Ising chain of four spins, say), and only the first is
-exponentiated: the other's product is Q U Q^H, or Q conj(U) Q^H, from
-the first's product U.  For a real Hamiltonian (NMR and Ising-type
-models) all of this runs in real arithmetic, with an orthogonal frame and
-the exponential of a block h from real products for cos(t h) and sin(t h).
+An analysis holds one matrix stack, the closure basis; every later basis
+is orthonormal coordinate rows over it.  Propagation is one linear map
+of the control row [1, u] to the diagonal blocks, in the frame of the
+invariant subspaces of every piece (``linalg.invariant_frame``), of the
+total and of each piece; :func:`propagate` says how the blocks are
+exponentiated, shared and multiplied, in real arithmetic for a real
+Hamiltonian (NMR and Ising-type models).
 """
 
 import itertools
@@ -61,10 +46,8 @@ from .linalg import (
     _real_form,
     _unvec,
     _vec,
-    from_coords,
     invariant_frame,
     skew_hermitian,
-    span_coords,
 )
 from .primary import PrimaryResult, primary_decompose
 
@@ -84,7 +67,7 @@ class ComponentDecomposition:
 
     ``components`` holds (kind, basis) pairs, simple ideals first and
     radical lines last; ``adapted`` is the concatenated basis of the
-    whole algebra in that order.
+    whole algebra in that order, each a basis of rows over ``full``.
     """
 
     full: LieBasis
@@ -192,7 +175,7 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
     semi = levi.semisimple
     if semi.dim > 0:
         # From here on c holds the constants of the semisimple part.
-        c = restrict(c, span_coords(basis, semi.mats)[0])
+        c = restrict(c, semi.rows)
         cartan = _stage("cartan", cartan_subalgebra, semi, c, pivots=pivots,
                         tol=tol)
         coeffs = None if splitting_coeffs is None else [splitting_coeffs]
@@ -200,45 +183,33 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
                          tol=tol, eig_tol=eig_tol, coeffs=coeffs)
         ideal_set = _stage("ideals", simple_decompose, semi, c, primary, tol)
         simple_bases = ideal_set.ideals
-    n = basis.n
-    mats = np.concatenate([b.mats for b in simple_bases] + [levi.radical.mats])
-    mats.flags.writeable = False
-    try:
-        adapted = LieBasis(n, mats)
-    except ValueError as err:
+    # The adapted rows over the closure basis: ideals, then radical lines.
+    rows = np.concatenate([_stage("assembly", basis.coords, b, tol)
+                           for b in simple_bases] + [levi.radical.rows])
+    defect = np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0)
+    if defect > 1e-9:
         raise StageFailure("assembly", DecompositionError(
-            f"components are not mutually orthogonal: {err}")) from err
-    if adapted.dim != basis.dim:
+            f"components are not mutually orthogonal, Gram defect "
+            f"{defect:.3e}"))
+    if len(rows) != basis.dim:
         raise StageFailure("assembly", NotInSpanError(
             "adapted basis does not span the full algebra"))
-    # The components, and the ideals and Levi parts reported with them,
-    # are slices of the adapted basis, so the analysis holds their
-    # matrices once: the semisimple part is reported in the ideals' basis.
-    ends = np.cumsum([b.dim for b in simple_bases])
-    ideals = tuple(LieBasis(n, mats[end - b.dim : end])
-                   for end, b in zip(ends, simple_bases))
-    s = semi.dim
-    levi = replace(levi, semisimple=LieBasis(n, mats[:s]),
-                   radical=LieBasis(n, mats[s:]), radical_lines=tuple(
-                       LieBasis(n, mats[i : i + 1]) for i in range(s, len(mats))))
+    # The components, ideals and Levi parts all share the adapted rows: the
+    # semisimple part is reported in the ideals' basis.
+    adapted = basis.span(rows)
+    semi, radical = adapted.parts([semi.dim, len(rows) - semi.dim])
+    ideals = semi.parts([b.dim for b in simple_bases])
+    lines = radical.parts([1] * radical.dim)
+    levi = replace(levi, semisimple=semi, radical=radical, radical_lines=lines)
     if ideal_set is not None:
         ideal_set = replace(ideal_set, ideals=ideals)
     components = tuple([(KIND_SIMPLE, b) for b in ideals]
-                       + [(KIND_RADICAL, b) for b in levi.radical_lines])
+                       + [(KIND_RADICAL, b) for b in lines])
     decomposition = ComponentDecomposition(full=basis, components=components,
                                            adapted=adapted)
     return SystemAnalysis(system=system, closure=closure, verdict=verdict,
                           levi=levi, cartan=cartan, primary=primary,
                           ideals=ideal_set, decomposition=decomposition)
-
-
-def _terms(system):
-    """The generator's terms -i H0, -i H1, ... as one stack.
-
-    H(u) is affine in u, so the generator of the control row [1, u] is
-    that row times them.
-    """
-    return -1j * np.array((system.drift,) + system.controls)
 
 
 def _control_rows(system, schedule):
@@ -323,14 +294,15 @@ def _block_operator(rotated, sizes, once, real):
     rotated[o].  Every block an owner does not act on as zero (each of
     its matrices is there at most ``TOL_FRAME`` times its own norm) and
     does not transport from an earlier block (:func:`_equivalent_blocks`)
-    is one slot (once[o], size, flat, o, start).  A ``flat`` slot, of
-    size 3 or more when the matrices are ``real`` (i times real
+    is one slot (once, size, flat, o, start), ``once`` for the owners
+    ``once`` marks and for 1 x 1 blocks, which commute.  A ``flat`` slot,
+    of size 3 or more when the matrices are ``real`` (i times real
     symmetric), is vectorized as h = i * block, the others as
-    _vec(block).  Returns the slots sorted, so those of the owners
-    ``once`` marks come last and each part runs by ascending size, a real
-    matrix of m + 1 rows whose columns give each slot's block,
-    vectorized, in that order, and the transported blocks as
-    (o, start, start of the block it comes from, Q, conj).
+    _vec(block).  Returns the slots sorted, so the ``once`` slots come
+    last and each part runs by ascending size, a real matrix of m + 1
+    rows whose columns give each slot's block, vectorized, in that order,
+    and the transported blocks as (o, start, start of the block it comes
+    from, Q, conj).
     """
     starts = [0, *itertools.accumulate(sizes[:-1])]
     sq = rotated.real ** 2 + rotated.imag ** 2
@@ -339,7 +311,8 @@ def _block_operator(rotated, sizes, once, real):
     sq_norms = sq.sum(axis=(-2, -1))
     acting = (on_block > TOL_FRAME ** 2 * sq_norms[..., None]).any(axis=1)
     copies = _equivalent_blocks(rotated, sizes, starts, acting, sq_norms)
-    slots = sorted((once[o], sizes[b], real and sizes[b] >= 3, o, starts[b])
+    slots = sorted((once[o] or sizes[b] == 1, sizes[b],
+                    real and sizes[b] >= 3, o, starts[b])
                    for o, b in zip(*np.nonzero(acting))
                    if (o, b) not in copies)
     columns = []
@@ -387,77 +360,68 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     radical lines first, then simple ideals.
 
     H(u) is affine in u, so propagation is one linear map of the control
-    rows [1, u]: the terms are projected onto the adapted basis once, and
-    the reference total, each simple ideal and each radical line owns an
-    (m + 1)-stack of matrices, the terms or their pieces on it, that a
-    row combines into the owner's generator.  Before any exponential,
-    each segment's part outside the algebra, its row times the terms'
-    parts outside it, is checked against ``tol * max(1, ||g||_F)`` for its
-    generator g, else NotInSpanError.
+    rows [1, u].  The terms' coordinates in the adapted basis are
+    (terms V^T) A^T, for the closure basis V (``decomp.full``) and the
+    adapted rows A over it, and their piece on component c is those on c
+    times A_c, times V.  The reference total and each component own an
+    (m + 1)-stack of matrices, the terms or their pieces, that a row
+    combines into the owner's generator.  Each segment's part outside the
+    algebra, its row times the terms' parts outside it, must be at most
+    ``tol * max(1, ||g||_F)`` for its generator g, else NotInSpanError.
 
     The exponentials are taken in the frame of ``invariant_frame`` of
-    every owner's matrices, the terms and their pieces (which split more
-    coarsely than the terms for a decomposition of a larger algebra than
-    they generate).  The frame costs an ``eigh`` of one n x n generic
-    combination and, only where its spectrum repeats, a solve for a
-    commutant element over the repeated clusters; it is skipped (one
-    block, nothing rotated in or back) for n <= 2, which the closed form
-    covers, and for an algebra of dimension n^2 - 1 or more, which is
-    su(n) or u(n) and so splits nothing.  A piece whose norm is at most
-    ``TOL_FRAME`` times its term's is set to exactly zero first, so that
-    round-off, which a change of basis moves, cannot steer the frame and
-    the order of its blocks.  When every owner's matrix is i times a real
-    symmetric one to ``TOL_FRAME`` of its norm (a real Hamiltonian),
-    decided once per call, the real parts are zeroed and the frame is
-    orthogonal.  The rotated matrices are checked and projected to
-    exactly skew-Hermitian once, by ``skew_hermitian``.  One real matrix
-    maps a row to every diagonal block of every owner, an owner skipping
-    the blocks it acts on as zero and the blocks it transports.  Block B
-    of an owner is transported from an earlier block A of that owner when
-    a fixed unitary Q gives B_k = Q A_k Q^H for every matrix k of the
-    owner, or B_k = Q conj(A_k) Q^H where B carries the complex-conjugate
-    representation (:func:`_equivalent_blocks`, which accepts Q only
-    after checking it).  Conjugation by Q and complex conjugation are
-    homomorphisms, so B's product is Q U Q^H, or Q conj(U) Q^H, from A's
-    product U, set once at the end.  No block is shared between owners:
-    the reference total is exponentiated from the terms alone.  Segments
-    run in chunks of ``CHUNK``: one matmul gives the chunk's blocks of the
-    total and of each simple ideal, and the blocks of each size take one
-    stacked exponential (the closed form for sizes 1 and 2; on the real
-    path ``linalg._cos_sin``, real matrix products up to an angle of 16,
-    a real ``eigh`` beyond; else a batched complex ``eigh``) and a
-    pairwise product.  Every product is held in the real 2z x 2z form
-    [[Re, -Im], [Im, Re]] of its z x z block (``linalg._real_form``), a
-    homomorphism under which each product is one real matmul.  A radical
-    line commutes with everything, so its blocks come from the
-    duration-weighted sum of the rows and are exponentiated once, through
-    the same code.  The blocks return to complex once, and the factors
-    are rotated back to n x n once, at the end.
+    every owner's matrices; it is skipped for n <= 2 and for an algebra
+    of dimension n^2 - 1 or more (su(n) or u(n), which split nothing).
+    A piece whose norm is at most ``TOL_FRAME`` times its term's is set
+    to exactly zero first, so that round-off, which a change of basis
+    moves, cannot steer the frame and the order of its blocks.  When
+    every owner's matrix is i times a real symmetric one to ``TOL_FRAME``
+    of its norm (a real Hamiltonian), the real parts are zeroed and the
+    frame is orthogonal.  The rotated matrices are projected to exactly
+    skew-Hermitian once, by ``skew_hermitian``.  One real matrix maps a
+    row to every diagonal block of every owner (:func:`_block_operator`),
+    an owner skipping the blocks it acts on as zero and the blocks it
+    transports: block B is transported from an earlier block A when a
+    checked fixed unitary Q gives B_k = Q A_k Q^H, or Q conj(A_k) Q^H, for
+    every matrix k of the owner (:func:`_equivalent_blocks`), and B's
+    product is then Q U Q^H, or Q conj(U) Q^H, from A's product U.
+    Segments run in chunks of ``CHUNK``: one matmul gives the chunk's
+    blocks, and the blocks of each size take one stacked exponential (the
+    closed form for sizes 1 and 2; on the real path ``linalg._cos_sin``;
+    else a batched complex ``eigh``) and a pairwise product, each product
+    in the real 2z x 2z form [[Re, -Im], [Im, Re]] of its z x z block
+    (``linalg._real_form``), a homomorphism.  A radical line commutes
+    with everything, and a 1 x 1 block is a scalar, so their blocks are
+    exponentiated once, from the duration-weighted sum of the rows.  The
+    blocks return to complex, and the factors to n x n, once at the end.
     """
     n = system.dim
     comps = decomp.components
-    adapted = decomp.adapted
-    terms = _terms(system)
+    full = decomp.full
+    basis = full.vecs
+    terms = _vec(-1j * np.array((system.drift,) + system.controls))
     rows = _control_rows(system, schedule)
     durs = schedule.durations
-    coords, outside = span_coords(adapted, terms)
+    adapted = full.coords(decomp.adapted)
+    coords = (terms @ basis.T) @ adapted.T
+    outside = terms - (coords @ adapted) @ basis
     # A row's part outside the algebra is the row times the terms' parts
-    # outside it, so its norm is at most |row| @ outside.  Where that bound
-    # exceeds tol, outside^T = q r makes the part's norm that of the row
-    # times r^T, and the generator's norm adds the row's coordinates.
-    loose = rows[np.abs(rows) @ outside > tol]
+    # outside it, so its norm is at most |row| @ their norms.  Where that
+    # bound exceeds tol, outside^T = q r makes the part's norm that of the
+    # row times r^T, and the generator's norm adds the row's coordinates.
+    loose = rows[np.abs(rows) @ np.linalg.norm(outside, axis=-1) > tol]
     if len(loose):
-        r = np.linalg.qr((_vec(terms) - coords @ adapted.vecs).T, mode="r")
+        r = np.linalg.qr(outside.T, mode="r")
         sq = (loose @ np.concatenate([coords, r.T], axis=1)) ** 2
-        if np.any(sq[:, adapted.dim :].sum(axis=1)
+        if np.any(sq[:, len(adapted) :].sum(axis=1)
                   > tol * tol * np.maximum(1.0, sq.sum(axis=1))):
             raise NotInSpanError(
                 "generator leaves the dynamical algebra; controls "
                 "inconsistent with the decomposition")
     # Owner 0 is the reference total, owner 1 + c the c-th component.
     ends = itertools.accumulate(b.dim for _, b in comps)
-    vecs = np.stack([_vec(terms)] + [
-        coords[:, end - b.dim : end] @ b.vecs
+    vecs = np.stack([terms] + [
+        (coords[:, end - b.dim : end] @ full.coords(b)) @ basis
         for end, (_, b) in zip(ends, comps)])
     # A piece at round-off of its term's norm is exactly zero, so that
     # round-off cannot steer the frame.
@@ -536,9 +500,9 @@ def structure_residuals(analysis):
         res["splitting_real_parts"] = analysis.primary.splitting.real_part
     if analysis.ideals is not None:
         res["ideals_commute"] = analysis.ideals.commutation_residual
+    # Closure basis element i rebuilt from the adapted rows A: row i of A^T A.
     basis = analysis.closure.basis
-    adapted = analysis.decomposition.adapted
-    coords, _ = span_coords(adapted, basis.mats)
+    a = basis.coords(analysis.decomposition.adapted)
     res["adapted_reconstruction"] = float(np.linalg.norm(
-        from_coords(adapted, coords) - basis.mats, axis=(1, 2)).max(initial=0.0))
+        a.T @ a - np.eye(basis.dim), axis=1).max(initial=0.0))
     return res

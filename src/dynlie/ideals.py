@@ -26,7 +26,7 @@ from .adjoint import (
     restrict,
 )
 from .errors import DecompositionError, NotSemisimpleError
-from .linalg import LieBasis, TOL_RANK, from_coords, span_coords
+from .linalg import TOL_RANK, from_coords
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     at ``tol`` on c restricted to the ideal.
     """
     s = semisimple.dim
-    mats = np.concatenate([comp.mats for _, comp in primary.components])
-    planes = span_coords(semisimple, mats)[0]
+    planes = np.concatenate([semisimple.coords(comp, tol)
+                             for _, comp in primary.components])
     pair = bracket_coords(c, planes, planes)
     m = len(planes) // 2
     norms = np.linalg.norm(pair, axis=-1).reshape(m, 2, m, 2).max(axis=(1, 3))
@@ -91,11 +91,8 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     if worst_inv > 1e-8:
         raise DecompositionError(
             f"an ideal is not ad-invariant, residual {worst_inv:.3e}")
-    mats = from_coords(semisimple, np.concatenate(rows))
-    mats.flags.writeable = False
-    ends = np.cumsum([len(r) for r in rows])
-    ideals = tuple(LieBasis(semisimple.n, mats[end - len(r) : end])
-                   for end, r in zip(ends, rows))
+    ideals = semisimple.span(np.concatenate(rows)).parts(
+        [len(r) for r in rows])
     return IdealSet(ideals=ideals, origin=tuple(origin.tolist()),
                     commutation_residual=float(worst_cross),
                     invariance_residual=float(worst_inv),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError
-from .linalg import LieBasis, TOL_RANK, from_coords
+from .linalg import LieBasis, TOL_RANK
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,7 @@ def levi_decompose(basis, c, tol=TOL_RANK):
     :func:`levi_split`.  Both residuals are stored on the result.
     """
     rows, semi_dim, worst, abelian = levi_split(c, tol)
-    mats = from_coords(basis, rows)
-    mats.flags.writeable = False
-    rad = LieBasis(basis.n, mats[semi_dim:])
-    lines = tuple(LieBasis(basis.n, rad.mats[i : i + 1]) for i in range(rad.dim))
-    return LeviResult(radical=rad, semisimple=LieBasis(basis.n, mats[:semi_dim]),
-                      radical_lines=lines, commutation_residual=worst,
-                      abelian_residual=abelian)
+    semi, rad = basis.span(rows).parts([semi_dim, len(rows) - semi_dim])
+    return LeviResult(radical=rad, semisimple=semi,
+                      radical_lines=rad.parts([1] * rad.dim),
+                      commutation_residual=worst, abelian_residual=abelian)

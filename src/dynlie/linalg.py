@@ -13,7 +13,7 @@ is block diagonal.
 A matrix is vectorized as its row-major entries with the real and
 imaginary part of each entry interleaved.  That is numpy's own memory
 layout of a complex array, so vectorizing is a zero-copy view and a
-LieBasis keeps a single array.
+LieBasis keeps a single array, its matrix stack or its coordinate rows.
 
 Tolerance conventions: rank/membership decisions are relative at
 ``TOL_RANK``, skew-Hermiticity is enforced at ``TOL_HERM``, and both are
@@ -23,6 +23,7 @@ which an entry of a rotated matrix counts as zero.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -122,15 +123,18 @@ def _complex_form(r):
 class LieBasis:
     """Ordered, HS-orthonormal basis of a real subspace of u(n).
 
-    Immutable.  ``mats`` stacks the d elements as a (d, n, n) complex
-    array; ``vecs`` is a view of the same memory as d rows of real
-    vectorizations (see :func:`_vec`), so span projections and
-    coordinate maps are single matrix products.  A read-only contiguous
-    complex stack (say a slice of another basis) is wrapped as it is;
-    any other input is copied.
+    Immutable.  A basis holds its d elements as a (d, n, n) complex
+    ``stack`` (``rows`` is None), or as orthonormal real coordinate
+    ``rows`` (d, D) over such a stack: every basis a stage derives from
+    its input basis (:meth:`span`), so an analysis keeps one stack.
+    ``mats`` stacks the elements and ``vecs`` holds their real
+    vectorizations (see :func:`_vec`); a basis of rows computes both on
+    access and keeps neither.  A read-only contiguous complex stack (say a
+    slice of another basis) is wrapped as it is; any other input is
+    copied.
     """
 
-    __slots__ = ("n", "mats", "vecs")
+    __slots__ = ("n", "stack", "rows")
 
     def __init__(self, n, mats=None):
         n = int(n)
@@ -144,27 +148,71 @@ class LieBasis:
             raise ValueError(
                 f"expected a stack of {n}x{n} matrices, got shape {m.shape}")
         m.flags.writeable = False
-        v = _vec(m)
         if len(m):
-            gram = v @ v.T
-            if np.abs(gram - np.eye(len(m))).max() > 1e-9:
+            v = _vec(m)
+            if np.abs(v @ v.T - np.eye(len(m))).max() > 1e-9:
                 raise ValueError("basis elements are not orthonormal")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mats", m)
-        object.__setattr__(self, "vecs", v)
+        for name, value in zip(self.__slots__, (n, m, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieBasis is immutable")
 
+    def span(self, rows):
+        """The basis of the elements ``rows`` @ self, held as rows over this
+        basis's stack; ``rows`` must be orthonormal, which is not checked."""
+        rows = np.asarray(rows, dtype=float)
+        rows = rows.view() if self.rows is None else rows @ self.rows
+        rows.flags.writeable = False
+        return self._over(rows)
+
+    def parts(self, sizes):
+        """Consecutive pieces of a basis of rows with ``sizes`` elements
+        each, sharing its rows."""
+        ends = itertools.accumulate(sizes)
+        return tuple(self._over(self.rows[end - z : end])
+                     for end, z in zip(ends, sizes))
+
+    def _over(self, rows):
+        out = object.__new__(LieBasis)
+        for name, value in zip(self.__slots__, (self.n, self.stack, rows)):
+            object.__setattr__(out, name, value)
+        return out
+
+    def coords(self, other, tol=TOL_RANK):
+        """Coordinate rows of the elements of ``other``: over one stack a
+        product of rows, ``other`` taken to lie in this span; else each is
+        projected, and NotInSpanError raised when its part outside the
+        span exceeds ``tol * max(1, norm)``."""
+        if other.stack is self.stack:
+            rows = np.eye(other.dim) if other.rows is None else other.rows
+            return rows if self.rows is None else rows @ self.rows.T
+        mats = other.mats
+        coords, resid = span_coords(self, mats)
+        if np.any(resid > tol * np.maximum(1.0, np.sqrt(_sq_norms(mats)))):
+            raise NotInSpanError(f"basis is not inside the span (tol={tol:g})")
+        return coords
+
+    @property
+    def mats(self):
+        return self[:]
+
+    @property
+    def vecs(self):
+        v = _vec(self.stack)
+        return v if self.rows is None else self.rows @ v
+
     @property
     def dim(self):
-        return self.mats.shape[0]
+        return len(self.stack if self.rows is None else self.rows)
 
     def __len__(self):
-        return self.mats.shape[0]
+        return self.dim
 
     def __getitem__(self, i):
-        return self.mats[i]
+        if self.rows is None:
+            return self.stack[i]
+        return np.tensordot(self.rows[i], self.stack, axes=1)
 
     def __iter__(self):
         return iter(self.mats)
@@ -241,14 +289,6 @@ def member_coords(basis, x, tol=TOL_RANK):
     coords, resid = span_coords(basis, x)
     if resid > tol * max(1.0, np.linalg.norm(x)):
         return None
-    return coords
-
-
-def coords_strict(basis, x, tol=TOL_RANK, what="element"):
-    """Like :func:`member_coords` but raises NotInSpanError on failure."""
-    coords = member_coords(basis, x, tol)
-    if coords is None:
-        raise NotInSpanError(f"{what} is not inside the span (tol={tol:g})")
     return coords
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .adjoint import adjoint
 from .errors import DecompositionError, SplittingSearchError
-from .linalg import LieBasis, TOL_EIG, TOL_RANK, coords_strict, from_coords
+from .linalg import LieBasis, TOL_EIG, TOL_RANK
 
 # The lexicographic integer sweep is astronomically large for Cartan
 # dimension above ~4, so cap the number of candidates examined before
@@ -115,7 +115,8 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     ``c`` holds the structure constants of ``semisimple``.  The first
     candidate X whose adjoint spectrum splits (see
     :func:`_split_spectrum`) gives the components, one eigenvector plane
-    per frequency a_j, ordered by strictly decreasing a_j.  The
+    per frequency a_j, ordered by strictly decreasing a_j.  ``cartan``
+    enters by its coordinates (:meth:`LieBasis.coords`).  The
     Cartan-invariance residual of the components (at 1e-8) is stored on
     the result.  ``coeffs`` restricts the search to explicit coefficient
     vectors over the Cartan basis, which is how tests and the CLI pin a
@@ -126,8 +127,7 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     """
     if cartan.dim == 0:
         raise ValueError("Cartan subalgebra is empty")
-    ads = adjoint(c, np.stack([coords_strict(semisimple, a, tol, "Cartan element")
-                               for a in cartan.mats]))
+    ads = adjoint(c, semisimple.coords(cartan, tol))
     target = semisimple.dim - cartan.dim + 1
     if coeffs is not None:
         candidates = [np.asarray(v, dtype=float) for v in coeffs]
@@ -161,9 +161,7 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
         raise DecompositionError(
             f"components are not ad-invariant under the Cartan algebra "
             f"(residual {worst:.3e})")
-    mats = from_coords(semisimple, rows)
-    mats.flags.writeable = False
-    comps = tuple((float(a), LieBasis(semisimple.n, mats[2 * j : 2 * j + 2]))
-                  for j, a in enumerate(freqs))
-    return PrimaryResult(cartan=cartan, splitting=element, components=comps,
+    comps = semisimple.span(rows).parts([2] * len(freqs))
+    return PrimaryResult(cartan=cartan, splitting=element,
+                         components=tuple(zip(freqs.tolist(), comps)),
                          invariance_residual=worst)

@@ -239,22 +239,30 @@ def project_generator(decomp, system, u, tol=1e-8):
 
 
 def loop_reference(decomp, system, schedule):
-    """Total and factors as a loop of single-matrix expm_skew calls, with
-    every segment's generator projected on its own."""
+    """Total and factors as ordered products of each segment's own
+    exponentials: every segment's generator is projected on its own, and
+    each owner's exponentials come from one stacked expm_skew call, one
+    matrix and duration per segment."""
     n = system.dim
-    factors = [np.eye(n, dtype=complex) for _ in decomp.components]
-    total = np.eye(n, dtype=complex)
-    for dur, u in schedule.segments:
-        g = generator(system, u)
-        coords = member_coords(decomp.adapted, g)
-        offset = 0
-        for c, (_, basis) in enumerate(decomp.components):
-            piece = np.einsum("i,inm->nm", coords[offset:offset + basis.dim],
-                              basis.mats)
-            factors[c] = expm_skew(piece, dur) @ factors[c]
-            offset += basis.dim
-        total = expm_skew(g, dur) @ total
-    return total, factors
+    # Bases held as rows compute their matrices on access: take them once.
+    adapted = LieBasis(n, decomp.adapted.mats)
+    gens = np.array([generator(system, u) for _, u in schedule.segments],
+                    dtype=complex).reshape(-1, n, n)
+    coords = np.array([member_coords(adapted, g) for g in gens]).reshape(
+        len(gens), adapted.dim)
+    owners, offset = [gens], 0
+    for _, basis in decomp.components:
+        mats = basis.mats
+        owners.append(np.einsum("si,inm->snm",
+                                coords[:, offset:offset + len(mats)], mats))
+        offset += len(mats)
+    out = []
+    for stack in owners:
+        prod = np.eye(n, dtype=complex)
+        for step in expm_skew(stack, schedule.durations):
+            prod = step @ prod
+        out.append(prod)
+    return out[0], out[1:]
 
 
 @contextlib.contextmanager

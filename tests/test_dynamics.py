@@ -1,5 +1,5 @@
 from dataclasses import replace
-from functools import reduce
+from functools import cache, reduce
 from unittest import mock
 
 import numpy as np
@@ -345,6 +345,14 @@ def dense_u3():
     return control_system(drift, [ctrl])
 
 
+@cache
+def analysed(make):
+    """The system ``make`` builds and its decomposition, analysed once per
+    module: analyses are immutable, so the tests share them."""
+    sys = make()
+    return sys, analyze_system(sys).decomposition
+
+
 def random_schedule(rng, n_controls, count):
     return ControlSchedule(tuple(
         (float(rng.uniform(0.05, 1.0)), rng.uniform(-2, 2, size=n_controls))
@@ -390,11 +398,10 @@ class TestBatchedPropagate:
                              ids=["two-spin", "three-qubit", "ising-x-4",
                                   "dense-u3", "qubit"])
     def test_chunk_edges(self, make, count):
-        sys = make()
+        sys, decomp = analysed(make)
         sched = random_schedule(np.random.default_rng(count),
                                 sys.n_controls, count)
-        assert_matches_loop(analyze_system(sys).decomposition, sys, sched,
-                            1e-12)
+        assert_matches_loop(decomp, sys, sched, 1e-12)
 
     @pytest.mark.parametrize("make", [three_qubit, lambda: ising_x(3),
                                       lambda: ising_x(4)],
@@ -406,13 +413,32 @@ class TestBatchedPropagate:
         sched = random_schedule(np.random.default_rng(1000), 1, 1000)
         assert_matches_loop(decomp, sys, sched, 1e-10)
 
+    def test_scalar_blocks_exponentiated_once(self):
+        # Ising-x k=4 has 1 x 1 frame blocks.  Scalars commute, so each is
+        # exponentiated once, from the duration-weighted sum of the rows,
+        # in the last call; no per-segment call takes one.
+        sys = ising_x(4)
+        decomp = analyze_system(sys).decomposition
+        sched = random_schedule(np.random.default_rng(7), 1, 300)
+        real, calls = dynamics._exponentials, []
+
+        def spy(blocks, slots, t):
+            calls.append([z for _, z, _, _, _ in slots])
+            return real(blocks, slots, t)
+
+        with mock.patch.object(dynamics, "_exponentials", spy):
+            assert_matches_loop(decomp, sys, sched, 1e-12)
+        *per_segment, once = calls
+        assert len(per_segment) == 3
+        assert all(1 not in sizes for sizes in per_segment)
+        assert 1 in once
+
     @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
                                       lambda: ising_x(4)],
                              ids=["two-spin", "three-qubit", "ising-x-4"])
     def test_empty_schedule_exact_identities(self, make):
-        sys = make()
-        result = propagate(analyze_system(sys).decomposition, sys,
-                           ControlSchedule(()))
+        sys, decomp = analysed(make)
+        result = propagate(decomp, sys, ControlSchedule(()))
         for f in (result.total,) + result.factors:
             assert np.array_equal(f, np.eye(sys.dim))
         assert result.factorization_error == 0.0
@@ -706,11 +732,15 @@ class TestRandomDrawRegressions:
     def test_analysis_holds_component_matrices_once(self):
         drift, ctrl = dense_terms([7, 3, 0], 3)
         analysis = analyze_system(control_system(drift, [ctrl]))
-        adapted = analysis.decomposition.adapted.mats
+        # The one stack is the closure basis; the components are rows over
+        # it that share the adapted rows.
+        adapted = analysis.decomposition.adapted
+        assert adapted.stack is analysis.closure.basis.stack
         comps = analysis.decomposition.components
         assert [kind for kind, _ in comps] == [KIND_SIMPLE, KIND_RADICAL]
         for _, basis in comps:
-            assert np.shares_memory(basis.mats, adapted)
+            assert basis.stack is adapted.stack
+            assert np.shares_memory(basis.rows, adapted.rows)
         assert analysis.ideals.ideals[0] is comps[0][1]
 
     def test_dense_u3_propagates(self):

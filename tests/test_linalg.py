@@ -15,7 +15,6 @@ from dynlie import (
 )
 from dynlie import linalg
 from dynlie.linalg import (
-    coords_strict,
     hermitian_part,
     invariant_frame,
 )
@@ -232,10 +231,6 @@ class TestMemberCoords:
     def test_non_member_returns_none(self, two_spin_basis):
         assert member_coords(two_spin_basis, 1j * kron(SZ, I2)) is None
 
-    def test_coords_strict_raises_with_label(self, two_spin_basis):
-        with pytest.raises(NotInSpanError, match="pivot"):
-            coords_strict(two_spin_basis, 1j * kron(SZ, I2), what="pivot")
-
     def test_shape_mismatch_rejected(self, su2):
         with pytest.raises(ValueError):
             member_coords(su2, np.zeros((3, 3), dtype=complex))
@@ -273,6 +268,52 @@ class TestLieBasis:
     def test_iteration_and_len(self, su2):
         assert len(su2) == 3
         assert len(list(su2)) == 3
+
+
+class TestRowBasis:
+    """A basis derived from another is orthonormal coordinate rows over
+    the other's matrix stack, and computes its matrices on access."""
+
+    @pytest.fixture
+    def sub(self, two_spin_basis, rng):
+        rows = np.linalg.qr(rng.standard_normal((6, 6)))[0][:3]
+        return two_spin_basis.span(rows)
+
+    def test_matrices_computed_on_access(self, two_spin_basis, sub):
+        assert sub.stack is two_spin_basis.stack and sub.dim == 3
+        want = np.einsum("ri,inm->rnm", sub.rows, two_spin_basis.mats)
+        np.testing.assert_allclose(sub.mats, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sub.vecs, sub.rows @ two_spin_basis.vecs,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sub[1], want[1], rtol=0, atol=1e-15)
+        assert not np.shares_memory(sub.mats, sub.mats)
+        assert not sub.rows.flags.writeable
+
+    def test_span_of_rows_is_over_the_same_stack(self, sub, rng):
+        local = np.linalg.qr(rng.standard_normal((3, 3)))[0][:2]
+        inner = sub.span(local)
+        assert inner.stack is sub.stack
+        np.testing.assert_allclose(inner.rows, local @ sub.rows, atol=1e-15)
+
+    def test_parts_share_rows(self, sub):
+        line, plane = sub.parts([1, 2])
+        assert (line.dim, plane.dim) == (1, 2)
+        assert np.shares_memory(line.rows, sub.rows)
+        np.testing.assert_array_equal(plane.rows, sub.rows[1:])
+
+    def test_coords_over_one_stack_are_a_product(self, two_spin_basis, sub):
+        line = sub.parts([1, 2])[0]
+        np.testing.assert_array_equal(two_spin_basis.coords(sub), sub.rows)
+        np.testing.assert_allclose(sub.coords(line), [[1.0, 0.0, 0.0]],
+                                   atol=1e-15)
+
+    def test_coords_of_a_foreign_basis_projected(self, two_spin_basis, sub):
+        foreign = LieBasis(4, sub.mats)
+        np.testing.assert_allclose(two_spin_basis.coords(foreign), sub.rows,
+                                   atol=1e-14)
+        outside = extend_basis(empty_basis(4), [1j * kron(SZ, I2)])
+        with pytest.raises(NotInSpanError):
+            two_spin_basis.coords(outside)
 
 
 class TestNullspace:

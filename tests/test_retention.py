@@ -3,8 +3,10 @@ SystemAnalysis over the benchmark's analysis ladder.
 
 The structure constants of a closure have d^3 entries; they are built
 once per analysis and dropped, and no result may keep them or a
-restriction of them.  A benchmark run keeps every round's analyses, so
-what each one holds counts against the run's peak memory.
+restriction of them.  The closure basis is the one (d, n, n) matrix stack
+an analysis holds; every other basis is coordinate rows over it.  A
+benchmark run keeps every round's analyses, so what each one holds counts
+against the run's peak memory.
 """
 
 import dataclasses
@@ -20,11 +22,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 workloads = pytest.importorskip("workloads")
 
-LIMIT_BYTES = 640 * 1024
+LIMIT_BYTES = 300 * 1024
 
 
 def base_buffers(obj, found=None, seen=None):
-    """Distinct base ndarrays reachable from ``obj``, by id."""
+    """Distinct base ndarrays that ``obj`` holds, by id.  A LieBasis is
+    walked by what it stores, not by the arrays ``mats`` and ``vecs``
+    compute on access."""
     found = {} if found is None else found
     seen = set() if seen is None else seen
     if id(obj) in seen:
@@ -35,8 +39,8 @@ def base_buffers(obj, found=None, seen=None):
             obj = obj.base
         found[id(obj)] = obj
     elif isinstance(obj, LieBasis):
-        for arr in (obj.mats, obj.vecs):
-            base_buffers(arr, found, seen)
+        for name in LieBasis.__slots__:
+            base_buffers(getattr(obj, name), found, seen)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
             base_buffers(getattr(obj, f.name), found, seen)
@@ -46,18 +50,37 @@ def base_buffers(obj, found=None, seen=None):
     return found
 
 
-def test_ladder_analyses_keep_no_structure_tensor():
-    total = 0
+@pytest.fixture(scope="module")
+def ladder():
+    """(name, analysis, held buffers) over the analysis ladder."""
+    out = []
     for name, terms in workloads.AnalyzeLadder.ladder():
         analysis = analyze_system(control_system(terms[0], terms[1:]))
+        out.append((name, analysis, list(base_buffers(analysis).values())))
+    return out
+
+
+def test_ladder_analyses_keep_no_structure_tensor(ladder):
+    for name, analysis, buffers in ladder:
         d = analysis.closure.dim
-        buffers = base_buffers(analysis).values()
         for b in buffers:
-            # Basis stacks are complex (d, n, n) and may have d^3 entries
+            # The basis stack is complex (d, n, n) and may have d^3 entries
             # when n = d; the constants and their restrictions are real.
             real = b.dtype.kind == "f"
             assert not (real and b.size == d ** 3), (name, b.shape)
             assert not (real and b.ndim == 3 and len(set(b.shape)) == 1), (
                 name, b.shape)
-        total += sum(b.nbytes for b in buffers)
+
+
+def test_one_matrix_stack_per_analysis(ladder):
+    for name, analysis, buffers in ladder:
+        basis = analysis.closure.basis
+        stacks = [b for b in buffers if b.dtype.kind == "c" and b.ndim == 3]
+        assert len(stacks) == 1, (name, [b.shape for b in stacks])
+        assert stacks[0] is basis.stack
+        assert stacks[0].shape == (basis.dim, basis.n, basis.n)
+
+
+def test_ladder_held_bytes(ladder):
+    total = sum(b.nbytes for _, _, buffers in ladder for b in buffers)
     assert total <= LIMIT_BYTES, total
