@@ -429,7 +429,7 @@ class TestBatchedPropagate:
         with mock.patch.object(dynamics, "_exponentials", spy):
             assert_matches_loop(decomp, sys, sched, 1e-12)
         *per_segment, once = calls
-        assert len(per_segment) == 3
+        assert len(per_segment) == -(-len(sched.durations) // dynamics.CHUNK)
         assert all(1 not in sizes for sizes in per_segment)
         assert 1 in once
 
