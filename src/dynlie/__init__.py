@@ -45,8 +45,6 @@ from .linalg import (
     empty_basis,
     expm_skew,
     extend_basis,
-    from_coords,
-    member_coords,
     nullspace,
     skew_hermitian,
 )

@@ -286,7 +286,7 @@ def _equivalent_blocks(rotated, sizes, starts, acting, sq_norms):
     return found
 
 
-def _block_operator(rotated, sizes, once, real):
+def _block_operator(rotated, sizes, once):
     """The map from a control row to the diagonal blocks of every owner.
 
     ``rotated`` is a (k, m + 1, n, n) stack in the frame of blocks
@@ -294,15 +294,12 @@ def _block_operator(rotated, sizes, once, real):
     rotated[o].  Every block an owner does not act on as zero (each of
     its matrices is there at most ``TOL_FRAME`` times its own norm) and
     does not transport from an earlier block (:func:`_equivalent_blocks`)
-    is one slot (once, size, flat, o, start), ``once`` for the owners
-    ``once`` marks and for 1 x 1 blocks, which commute.  A ``flat`` slot,
-    of size 3 or more when the matrices are ``real`` (i times real
-    symmetric), is vectorized as h = i * block, the others as
-    _vec(block).  Returns the slots sorted, so the ``once`` slots come
-    last and each part runs by ascending size, a real matrix of m + 1
-    rows whose columns give each slot's block, vectorized, in that order,
-    and the transported blocks as (o, start, start of the block it comes
-    from, Q, conj).
+    is one slot (once, size, o, start), ``once`` for the owners ``once``
+    marks and for 1 x 1 blocks, which commute.  Returns the slots sorted,
+    so the ``once`` slots come last and each part runs by ascending size,
+    a real matrix of m + 1 rows whose columns give each slot's block,
+    vectorized by ``linalg._vec``, in that order, and the transported
+    blocks as (o, start, start of the block it comes from, Q, conj).
     """
     starts = [0, *itertools.accumulate(sizes[:-1])]
     sq = rotated.real ** 2 + rotated.imag ** 2
@@ -311,42 +308,37 @@ def _block_operator(rotated, sizes, once, real):
     sq_norms = sq.sum(axis=(-2, -1))
     acting = (on_block > TOL_FRAME ** 2 * sq_norms[..., None]).any(axis=1)
     copies = _equivalent_blocks(rotated, sizes, starts, acting, sq_norms)
-    slots = sorted((once[o] or sizes[b] == 1, sizes[b],
-                    real and sizes[b] >= 3, o, starts[b])
+    slots = sorted((once[o] or sizes[b] == 1, sizes[b], o, starts[b])
                    for o, b in zip(*np.nonzero(acting))
                    if (o, b) not in copies)
-    columns = []
-    for _, z, flat, o, s in slots:
-        block = rotated[o, :, s : s + z, s : s + z]
-        columns.append(-block.imag.reshape(-1, z * z) if flat
-                       else _vec(block))
     return slots, np.concatenate(
-        [np.zeros((rotated.shape[1], 0))] + columns, axis=1), [
-        (o, starts[b], starts[r], q, conj)
-        for (o, b), (r, q, conj) in copies.items()]
+        [np.zeros((rotated.shape[1], 0))]
+        + [_vec(rotated[o, :, s : s + z, s : s + z]) for _, z, o, s in slots],
+        axis=1), [(o, starts[b], starts[r], q, conj)
+                  for (o, b), (r, q, conj) in copies.items()]
 
 
 def _exponentials(blocks, slots, t):
-    """Per run of ``slots`` of equal size and layout, the stacked products
-    over the rows of ``blocks`` of exp(t[row] * block), later rows on the
-    left, each in the real form of ``linalg._real_form``.  Row i of
-    ``blocks`` holds one vectorized block per slot, in the layout of
-    :func:`_block_operator`."""
+    """Per run of ``slots`` of equal size, the stacked products over the
+    rows of ``blocks`` of exp(t[row] * block), later rows on the left,
+    each in the real form of ``linalg._real_form``.  Row i of ``blocks``
+    holds one vectorized block per slot, as :func:`_block_operator` lays
+    them out.  A run of size 3 or more whose real part is exactly zero
+    takes ``linalg._cos_sin``, any other ``linalg._expm_skew``."""
     out, at = [], 0
-    for (size, flat), run in itertools.groupby(s[1:3] for s in slots):
-        count = len(list(run))
-        width = size * size if flat else 2 * size * size
-        part = blocks[:, at : at + count * width].reshape(-1, count, width)
-        if flat:
-            # exp(-i t h) = C - i S, whose real form is [[C, S], [-S, C]].
-            cosine, sine = _cos_sin(t[:, None, None, None]
-                                    * part.reshape(-1, count, size, size))
+    for size, run in itertools.groupby(s[1] for s in slots):
+        part = blocks[:, at : at + len(list(run)) * 2 * size * size]
+        at += part.shape[1]
+        mats = _unvec(part.reshape(len(part), -1, 2 * size * size), size)
+        if size >= 3 and not mats.real.any():
+            # h = i * block = -block.imag is real symmetric, and
+            # exp(-i t h) = C - i S has the real form [[C, S], [-S, C]].
+            cosine, sine = _cos_sin(-t[:, None, None, None] * mats.imag)
             form = _real_form(cosine, -sine)
         else:
-            e = _expm_skew(_unvec(part, size), t[:, None])
+            e = _expm_skew(mats, t[:, None])
             form = _real_form(e.real, e.imag)
         out.append(_ordered_product(form))
-        at += count * width
     return out
 
 
@@ -370,30 +362,32 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     ``tol * max(1, ||g||_F)`` for its generator g, else NotInSpanError.
 
     The exponentials are taken in the frame of ``invariant_frame`` of
-    every owner's matrices; it is skipped for n <= 2 and for an algebra
-    of dimension n^2 - 1 or more (su(n) or u(n), which split nothing).
-    A piece whose norm is at most ``TOL_FRAME`` times its term's is set
-    to exactly zero first, so that round-off, which a change of basis
-    moves, cannot steer the frame and the order of its blocks.  When
-    every owner's matrix is i times a real symmetric one to ``TOL_FRAME``
-    of its norm (a real Hamiltonian), the real parts are zeroed and the
-    frame is orthogonal.  The rotated matrices are projected to exactly
-    skew-Hermitian once, by ``skew_hermitian``.  One real matrix maps a
-    row to every diagonal block of every owner (:func:`_block_operator`),
-    an owner skipping the blocks it acts on as zero and the blocks it
-    transports: block B is transported from an earlier block A when a
-    checked fixed unitary Q gives B_k = Q A_k Q^H, or Q conj(A_k) Q^H, for
-    every matrix k of the owner (:func:`_equivalent_blocks`), and B's
-    product is then Q U Q^H, or Q conj(U) Q^H, from A's product U.
+    every owner's matrices, one block of size n when they are
+    irreducible.  A piece whose norm is at most ``TOL_FRAME`` times its
+    term's is set to exactly zero first, so that round-off, which a
+    change of basis moves, cannot steer the frame and the order of its
+    blocks.  When every owner's matrix is i times a real symmetric one to
+    ``TOL_FRAME`` of its norm (a real Hamiltonian), the real parts are
+    zeroed and the frame is orthogonal.  The rotated matrices are
+    projected to exactly skew-Hermitian once, by ``skew_hermitian``.  One
+    real matrix maps a row to every diagonal block of every owner
+    (:func:`_block_operator`), an owner skipping the blocks it acts on as
+    zero and the blocks it transports: block B is transported from an
+    earlier block A when a checked fixed unitary Q gives B_k = Q A_k Q^H,
+    or Q conj(A_k) Q^H, for every matrix k of the owner
+    (:func:`_equivalent_blocks`), and B's product is then Q U Q^H, or
+    Q conj(U) Q^H, from A's product U.
     Segments run in chunks of ``CHUNK``: one matmul gives the chunk's
-    blocks, and the blocks of each size take one stacked exponential (the
-    closed form for sizes 1 and 2; on the real path ``linalg._cos_sin``;
-    else a batched complex ``eigh``) and a pairwise product, each product
-    in the real 2z x 2z form [[Re, -Im], [Im, Re]] of its z x z block
-    (``linalg._real_form``), a homomorphism.  A radical line commutes
-    with everything, and a 1 x 1 block is a scalar, so their blocks are
-    exponentiated once, from the duration-weighted sum of the rows.  The
-    blocks return to complex, and the factors to n x n, once at the end.
+    blocks, and each run of blocks of one size takes one stacked
+    exponential, its kernel chosen from the run (the closed form for
+    sizes 1 and 2; ``linalg._cos_sin`` when the real parts are exactly
+    zero, as they are for a real Hamiltonian; else a batched complex
+    ``eigh``), and a pairwise product, each product in the real 2z x 2z
+    form [[Re, -Im], [Im, Re]] of its z x z block (``linalg._real_form``),
+    a homomorphism.  A radical line commutes with everything, and a 1 x 1
+    block is a scalar, so their blocks are exponentiated once, from the
+    duration-weighted sum of the rows.  The blocks return to complex, and
+    the factors to n x n, once at the end.
     """
     n = system.dim
     comps = decomp.components
@@ -431,19 +425,14 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     vecs[zero] = sq[zero] = 0.0
     owners = _unvec(vecs, n)
     once = [False] + [kind == KIND_RADICAL for kind, _ in comps]
-    # Real arithmetic when every matrix's real part is round-off.
-    real = bool((sq[..., ::2].sum(axis=-1) <= TOL_FRAME ** 2 * norms).all())
-    if real:
+    # A real Hamiltonian: every matrix's real part is round-off.
+    if (sq[..., ::2].sum(axis=-1) <= TOL_FRAME ** 2 * norms).all():
         owners = 1j * owners.imag
-    if n <= 2 or decomp.full.dim >= n * n - 1:
-        frame, sizes = None, (n,)
-        rotated = skew_hermitian(owners)
-    else:
-        frame, sizes = invariant_frame(owners.reshape(-1, n, n))
-        rotated = skew_hermitian(frame.conj().T @ owners @ frame)
-    slots, to_blocks, copies = _block_operator(rotated, sizes, once, real)
+    frame, sizes = invariant_frame(owners.reshape(-1, n, n))
+    rotated = skew_hermitian(frame.conj().T @ owners @ frame)
+    slots, to_blocks, copies = _block_operator(rotated, sizes, once)
     per_segment = [slot for slot in slots if not slot[0]]
-    cut = sum(z * z if flat else 2 * z * z for _, z, flat, _, _ in per_segment)
+    cut = sum(2 * z * z for _, z, _, _ in per_segment)
     ops, line_op = to_blocks[:, :cut], to_blocks[:, cut:]
     running = []
     for start in range(0, len(durs), CHUNK):
@@ -458,15 +447,14 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
                               slots[len(per_segment) :], np.ones(1))
         blocks = (block for stack in running + lines
                   for block in _complex_form(stack))
-        for (_, z, _, o, s), block in zip(slots, blocks):
+        for (_, z, o, s), block in zip(slots, blocks):
             back[o, s : s + z, s : s + z] = block
         for o, s, r, q, conj in copies:
             z = len(q)
             u = back[o, r : r + z, r : r + z]
             back[o, s : s + z, s : s + z] = (
                 q @ (u.conj() if conj else u) @ q.conj().T)
-        if frame is not None:
-            back = frame @ back @ frame.conj().T
+        back = frame @ back @ frame.conj().T
     total, factors = back[0], tuple(back[1:])
     product = np.eye(n, dtype=complex)
     for kind in (KIND_RADICAL, KIND_SIMPLE):

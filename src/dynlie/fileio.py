@@ -99,6 +99,16 @@ def pairs_to_matrix(obj, what="matrix"):
 # ---------------------------------------------------------------------------
 # input formats
 
+def _number(value, what):
+    """A JSON number, not a bool, as a float; else SpecError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:  # an integer too large for a float
+        raise SpecError(f"{what} is out of range") from err
+
+
 def load_system_spec(path):
     """Read a control-system spec file.
 
@@ -129,10 +139,9 @@ def system_from_doc(doc):
     for key in ("dim", "drift", "controls"):
         if key not in doc:
             raise SpecError(f"spec is missing the {key!r} field")
-    try:
-        dim = int(doc["dim"])
-    except (TypeError, ValueError) as err:
-        raise SpecError("dim must be an integer") from err
+    dim = _number(doc["dim"], "dim")
+    if not dim.is_integer():
+        raise SpecError(f"dim must be an integer, got {doc['dim']!r}")
     drift = pairs_to_matrix(doc["drift"], "drift")
     controls = [pairs_to_matrix(c, f"control {k}")
                 for k, c in enumerate(doc["controls"])]
@@ -149,8 +158,8 @@ def system_from_doc(doc):
         # the shapes against dim.
         drift, *controls = [hermitian_part(m, 1e-8, str(name))
                             for name, m in mats]
-        return ControlSystem(dim=dim, drift=drift, controls=tuple(controls),
-                             labels=tuple(labels))
+        return ControlSystem(dim=int(dim), drift=drift,
+                             controls=tuple(controls), labels=tuple(labels))
     except ValueError as err:
         raise SpecError(str(err)) from err
 
@@ -170,11 +179,10 @@ def load_schedule(path, n_controls):
     for k, seg in enumerate(doc["segments"]):
         if not isinstance(seg, dict) or "duration" not in seg or "u" not in seg:
             raise SpecError(f"segment {k} needs 'duration' and 'u' fields")
-        try:
-            dur = float(seg["duration"])
-            u = [float(v) for v in seg["u"]]
-        except (TypeError, ValueError) as err:
-            raise SpecError(f"segment {k}: malformed numbers") from err
+        if not isinstance(seg["u"], list):
+            raise SpecError(f"segment {k}: 'u' must be a list of numbers")
+        dur = _number(seg["duration"], f"segment {k}: duration")
+        u = [_number(v, f"segment {k}: control value") for v in seg["u"]]
         if len(u) != n_controls:
             raise SpecError(
                 f"segment {k}: {len(u)} control values for {n_controls} "

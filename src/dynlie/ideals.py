@@ -26,7 +26,7 @@ from .adjoint import (
     restrict,
 )
 from .errors import DecompositionError, NotSemisimpleError
-from .linalg import TOL_RANK, from_coords
+from .linalg import TOL_RANK, _class_firsts
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,8 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     pair = bracket_coords(c, planes, planes)
     m = len(planes) // 2
     norms = np.linalg.norm(pair, axis=-1).reshape(m, 2, m, 2).max(axis=(1, 3))
-    # Classes of the linked relation: its transitive closure by repeated
-    # squaring, each class named by its first component.
-    reach = (norms > tol) | (norms.T > tol) | np.eye(m, dtype=bool)
-    for _ in range(m.bit_length()):
-        reach = (reach.astype(float) @ reach) > 0
-    firsts, origin = np.unique(reach.argmax(axis=1), return_inverse=True)
+    firsts, origin = np.unique(_class_firsts((norms > tol) | (norms.T > tol)),
+                               return_inverse=True)
     rows = []
     for i in range(len(firsts)):
         members = np.flatnonzero(origin == i)
@@ -129,4 +125,4 @@ def recognize_su2(ideal, tol=TOL_RANK):
     if ideal.dim != 3:
         return None
     frame = _su2_frame(_brackets_and_coords(ideal, tol), tol)
-    return None if frame is None else tuple(from_coords(ideal, frame))
+    return None if frame is None else tuple(np.tensordot(frame, ideal.mats, 1))

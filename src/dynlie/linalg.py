@@ -276,31 +276,6 @@ def span_coords(basis, mats):
     return coords, np.linalg.norm(v - coords @ basis.vecs, axis=-1)
 
 
-def member_coords(basis, x, tol=TOL_RANK):
-    """Coordinates of ``x`` in ``basis``, or None when x leaves the span.
-
-    Coordinates are the HS inner products against the basis elements; the
-    residual after projection decides membership at the relative ``tol``.
-    """
-    x = np.asarray(x)
-    if x.shape != (basis.n, basis.n):
-        raise ValueError(
-            f"element shape {x.shape} does not match ambient {(basis.n, basis.n)}")
-    coords, resid = span_coords(basis, x)
-    if resid > tol * max(1.0, np.linalg.norm(x)):
-        return None
-    return coords
-
-
-def from_coords(basis, rows):
-    """Matrices built from coordinate row vectors: rows @ basis."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[-1] != basis.dim:
-        raise ValueError(
-            f"coordinate length {rows.shape[-1]} does not match basis dim {basis.dim}")
-    return np.einsum("ri,inm->rnm", rows, basis.mats)
-
-
 def nullspace(mat, tol=TOL_RANK):
     """Orthonormal rows spanning the nullspace of a real matrix.
 
@@ -326,21 +301,19 @@ def expm_skew(a, t=1.0, tol=TOL_HERM):
 
     ``a`` may be a stack (..., n, n), with ``t`` broadcast against the
     stack shape, one time per matrix.  How the exponential is taken
-    depends on the size and kind of the matrices:
+    depends on the size of the matrices:
 
     - n = 1: exp(t*a).
     - n = 2: with h = i*a, m = tr(h)/2, k = h - m*I and r = sqrt(k_00^2 +
       |k_01|^2) (so k^2 = r^2 I), the closed form
       exp(-i t m) (cos(t r) I - i t sinc(t r) k), sinc(0) = 1 (Moler &
       Van Loan, SIAM Rev. 45, 2003).
-    - Larger matrices whose real part is exactly zero, so that h = i*a is
-      real symmetric: cos(t h) - i sin(t h) (:func:`_expm_real`), from a
-      Taylor series of cos and sin after scaling by a power of 2 and
-      squaring back, all in real matrix products; an angle |t| ||h||_inf
-      above 16 takes a real ``eigh`` instead (:func:`_cos_sin`).
-    - Other matrices: one batched ``eigh`` of i*a, whose phases are
-      exponentiated.  np.linalg.LinAlgError propagates if the
-      eigensolver fails to converge.
+    - Larger matrices, whether or not i*a is real: one batched ``eigh``
+      of i*a, whose phases are exponentiated.  np.linalg.LinAlgError
+      propagates if the eigensolver fails to converge.
+
+    ``propagate`` takes purely imaginary blocks of size 3 or more through
+    :func:`_cos_sin` instead.
     """
     return _expm_skew(skew_hermitian(a, tol), np.asarray(t))
 
@@ -351,21 +324,9 @@ def _expm_skew(a, t):
         return np.exp(t[..., None, None] * a)
     if a.shape[-1] == 2:
         return _expm_skew2(a, t)
-    if not a.real.any():
-        return _expm_real(-a.imag, t)
     w, v = np.linalg.eigh(1j * a)
     phases = np.exp(-1j * t[..., None] * w)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
-def _expm_real(h, t):
-    """exp(-i t h) for a stack of real symmetric matrices ``h``, with ``t``
-    broadcast against the stack shape: C - i S from :func:`_cos_sin`."""
-    c, s = _cos_sin(t[..., None, None] * h)
-    out = np.empty(c.shape, dtype=complex)
-    out.real = c
-    out.imag = -s
-    return out
 
 
 # Largest angle |t| * ||h||_inf that :func:`_cos_sin` takes through the
@@ -544,6 +505,18 @@ def _intertwiner(a, b, va, vb, bound):
     return q, unitary & (resid <= bound).all(axis=1)
 
 
+def _class_firsts(linked):
+    """For a symmetric boolean relation (m, m), the first index of each
+    element's class: the relation's transitive closure, by squaring until
+    nothing changes, names each class by its first element."""
+    reach = linked | np.eye(len(linked), dtype=bool)
+    while True:
+        grown = (reach.astype(float) @ reach) > 0
+        if (grown == reach).all():
+            return reach.argmax(axis=1)
+        reach = grown
+
+
 def invariant_frame(terms):
     """Unitary W and block sizes such that W^H T W is block diagonal for
     every matrix T of the skew-Hermitian stack ``terms`` (k, n, n).
@@ -586,16 +559,7 @@ def invariant_frame(terms):
                 w[:, s:e] = w[:, s:e] @ np.linalg.eigh(c[s:e, s:e])[1]
         rotated = w.conj().T @ h @ w
     support = (np.abs(rotated) > TOL_FRAME).any(axis=0)
-    reach = support | support.T
-    np.fill_diagonal(reach, True)
-    while not reach.all():
-        r = reach.astype(float)
-        grown = (r @ r) > 0
-        if (grown == reach).all():
-            break
-        reach = grown
-    # Row i's first reachable index names i's block.
-    labels = reach.argmax(axis=1)
+    labels = _class_firsts(support | support.T)
     sizes = np.bincount(labels)
     return w[:, np.argsort(labels, kind="stable")], tuple(
         sizes[sizes > 0].tolist())

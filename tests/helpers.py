@@ -13,7 +13,6 @@ import numpy as np
 
 from dynlie import LieBasis, dynamics, generator
 from dynlie.errors import NotClosedError, NotInSpanError
-from dynlie.linalg import expm_skew, member_coords
 
 
 def commutator(a, b):
@@ -62,6 +61,28 @@ def unvec(rows, n):
     half = n * n
     return (rows[..., :half] + 1j * rows[..., half:]).reshape(
         rows.shape[:-1] + (n, n))
+
+
+def member_coords(basis, x, tol=1e-8):
+    """Least-squares coordinates of ``x`` over the matrices of ``basis``,
+    or None when x leaves their span (residual above
+    ``tol * max(1, ||x||_F)``); ValueError when the shapes differ."""
+    mats = _mats(basis)
+    x = np.asarray(x, dtype=complex)
+    if x.shape != mats.shape[1:]:
+        raise ValueError(f"element shape {x.shape} does not match "
+                         f"{mats.shape[1:]}")
+    v, xv = vec(mats), vec(x)
+    coefs = np.linalg.lstsq(v.T, xv, rcond=None)[0]
+    if np.linalg.norm(xv - coefs @ v) > tol * max(1.0, np.linalg.norm(xv)):
+        return None
+    return coefs
+
+
+def from_coords(basis, rows):
+    """Matrices rows @ basis, one per coordinate row (a single row may
+    be given flat)."""
+    return np.tensordot(np.atleast_2d(rows), _mats(basis), axes=1)
 
 
 def span_dim(mats, tol=1e-8):
@@ -241,25 +262,29 @@ def project_generator(decomp, system, u, tol=1e-8):
 def loop_reference(decomp, system, schedule):
     """Total and factors as ordered products of each segment's own
     exponentials: every segment's generator is projected on its own, and
-    each owner's exponentials come from one stacked expm_skew call, one
-    matrix and duration per segment."""
+    each owner's exponentials come from one stacked ``eigh``, one matrix
+    and duration per segment."""
     n = system.dim
-    # Bases held as rows compute their matrices on access: take them once.
-    adapted = LieBasis(n, decomp.adapted.mats)
     gens = np.array([generator(system, u) for _, u in schedule.segments],
                     dtype=complex).reshape(-1, n, n)
-    coords = np.array([member_coords(adapted, g) for g in gens]).reshape(
-        len(gens), adapted.dim)
+    # Bases held as rows compute their matrices on access: take them once.
+    mats = [basis.mats for _, basis in decomp.components]
+    coords = _in_span(np.concatenate(mats), gens, 1e-8, NotInSpanError,
+                      "a generator").T
     owners, offset = [gens], 0
-    for _, basis in decomp.components:
-        mats = basis.mats
+    for m in mats:
         owners.append(np.einsum("si,inm->snm",
-                                coords[:, offset:offset + len(mats)], mats))
-        offset += len(mats)
+                                coords[:, offset:offset + len(m)], m))
+        offset += len(m)
     out = []
     for stack in owners:
+        # exp(t a) = V exp(-i t w) V^H for i a = V w V^H, a made exactly
+        # skew-Hermitian first.
+        w, v = np.linalg.eigh(0.5j * (stack - stack.conj().swapaxes(-1, -2)))
+        steps = (v * np.exp(-1j * schedule.durations[:, None] * w)[:, None]
+                 ) @ v.conj().swapaxes(-1, -2)
         prod = np.eye(n, dtype=complex)
-        for step in expm_skew(stack, schedule.durations):
+        for step in steps:
             prod = step @ prod
         out.append(prod)
     return out[0], out[1:]

@@ -19,13 +19,11 @@ from dynlie import (
     cartan_subalgebra,
     empty_basis,
     extend_basis,
-    from_coords,
     generate_closure,
     generator,
     is_controllable,
     killing_orthonormalize,
     levi_decompose,
-    member_coords,
     primary_decompose,
     propagate,
     recognize_su2,
@@ -46,7 +44,9 @@ from conftest import (
 from helpers import (
     adjoint_in_span,
     commutator,
+    from_coords,
     hs_inner,
+    member_coords,
     project_generator,
     random_skew,
     span_contains,

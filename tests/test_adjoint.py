@@ -5,12 +5,10 @@ from dynlie import (
     adjoint,
     empty_basis,
     extend_basis,
-    from_coords,
     generate_closure,
     is_semisimple,
     killing_gram,
     killing_orthonormalize,
-    member_coords,
     structure_constants,
 )
 from dynlie.errors import NotClosedError, NotInSpanError, NotSemisimpleError
@@ -18,7 +16,9 @@ from dynlie.errors import NotClosedError, NotInSpanError, NotSemisimpleError
 from conftest import SX, SY, SZ, I2, AD_DRIVE_1, AD_DRIVE_2, su2_triple
 from helpers import (
     adjoint_in_span,
+    from_coords,
     killing_gram_of,
+    member_coords,
     random_skew,
     structure_tensor,
 )

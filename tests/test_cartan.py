@@ -7,17 +7,17 @@ from dynlie import (
     centralizer,
     empty_basis,
     extend_basis,
-    from_coords,
     generate_closure,
     kron,
     levi_decompose,
-    member_coords,
 )
 from dynlie.errors import NotInSpanError, NotSemisimpleError
 
 from conftest import SX, SY, SZ, I2, AD_DRIVE_1
 from helpers import (
     commutator,
+    from_coords,
+    member_coords,
     normalizer,
     spans_equal,
     staged,

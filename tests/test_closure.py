@@ -10,13 +10,12 @@ from dynlie import (
     generate_closure,
     is_controllable,
     kron,
-    member_coords,
     pauli,
     two_spin_system,
 )
 
 from conftest import SX, SY, SZ, I2
-from helpers import commutator, naive_closure_dim, random_skew
+from helpers import commutator, member_coords, naive_closure_dim, random_skew
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 

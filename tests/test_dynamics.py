@@ -339,9 +339,17 @@ def three_qubit():
 
 
 def dense_u3():
-    """A dense u(3) draw: its algebra is all of u(3), so propagate needs no
-    frame."""
+    """A dense u(3) draw: its algebra is all of u(3), so the frame is one
+    block of size 3."""
     drift, ctrl = dense_terms([7, 3, 0], 3)
+    return control_system(drift, [ctrl])
+
+
+def complex_pauli():
+    """A complex two-qubit Pauli-string system, one irreducible block of 4
+    (the benchmark's Pauli draw [11, 3], coefficients rounded)."""
+    drift, ctrl = pauli_terms([("ix", -0.356), ("zi", -0.59), ("xi", -0.785)],
+                              [("ix", -1.03), ("yy", 1.145), ("zy", -0.899)])
     return control_system(drift, [ctrl])
 
 
@@ -423,7 +431,7 @@ class TestBatchedPropagate:
         real, calls = dynamics._exponentials, []
 
         def spy(blocks, slots, t):
-            calls.append([z for _, z, _, _, _ in slots])
+            calls.append([z for _, z, _, _ in slots])
             return real(blocks, slots, t)
 
         with mock.patch.object(dynamics, "_exponentials", spy):
@@ -432,6 +440,30 @@ class TestBatchedPropagate:
         assert len(per_segment) == -(-len(sched.durations) // dynamics.CHUNK)
         assert all(1 not in sizes for sizes in per_segment)
         assert 1 in once
+
+    @pytest.mark.parametrize("make, kernels", [
+        (two_spin_system, [("_expm_skew", 2)]),
+        (lambda: ising_x(4), [("_cos_sin", 4), ("_cos_sin", 6)]),
+        (complex_pauli, [("_expm_skew", 4)])],
+        ids=["two-spin", "ising-x-4", "pauli"])
+    def test_per_segment_kernels(self, make, kernels):
+        # Each per-segment run takes one kernel, chosen from its blocks:
+        # ``_cos_sin`` for real parts exactly zero at size 3 or more, else
+        # ``_expm_skew`` (the closed form at sizes 1 and 2, else eigh).
+        sys, decomp = analysed(make)
+        calls = []
+
+        def spy(name):
+            kernel = getattr(dynamics, name)
+            return lambda x, *t: calls.append(
+                (name, x.shape[-1], len(x))) or kernel(x, *t)
+
+        with mock.patch.object(dynamics, "_cos_sin", spy("_cos_sin")), \
+                mock.patch.object(dynamics, "_expm_skew", spy("_expm_skew")):
+            assert_matches_loop(decomp, sys, random_schedule(
+                np.random.default_rng(5), sys.n_controls, 200), 1e-12)
+        # Chunk rows 128 and 72; the once-only call has one row.
+        assert sorted({c[:2] for c in calls if c[2] > 1}) == kernels
 
     @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
                                       lambda: ising_x(4)],

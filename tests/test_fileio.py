@@ -125,6 +125,19 @@ class TestSystemSpec:
         with pytest.raises(SpecError):
             system_from_doc({"dim": 2})
 
+    @pytest.mark.parametrize("dim", [2.7, "2", True, float("nan")])
+    def test_non_integer_dim_rejected(self, dim):
+        # 2.7 used to be truncated to 2, and "2" and True read as numbers.
+        doc = {"dim": dim, "drift": matrix_to_pairs(np.eye(2)),
+               "controls": []}
+        with pytest.raises(SpecError, match="dim"):
+            system_from_doc(doc)
+
+    def test_integral_float_dim_accepted(self):
+        doc = {"dim": 2.0, "drift": matrix_to_pairs(np.eye(2)),
+               "controls": []}
+        assert system_from_doc(doc).dim == 2
+
 
 class TestScheduleSpec:
     def test_load(self, tmp_path):
@@ -156,6 +169,22 @@ class TestScheduleSpec:
         path.write_text(json.dumps(
             {"segments": [{"duration": 0.0, "u": [1.0, 2.0]}]}))
         with pytest.raises(SpecError):
+            load_schedule(path, 2)
+
+    @pytest.mark.parametrize("segment", [
+        {"duration": 0.5, "u": "12"},
+        {"duration": 0.5, "u": [True, False]},
+        {"duration": "0.25", "u": [1.0, 2.0]},
+        {"duration": 0.5, "u": [1.0, None]},
+        {"duration": 10 ** 400, "u": [1.0, 2.0]}],
+        ids=["u-string", "u-bools", "duration-string", "u-null",
+             "duration-huge-int"])
+    def test_non_numbers_rejected(self, tmp_path, segment):
+        # A string "u" used to be read character by character, "12" as
+        # [1.0, 2.0], and bools and numeric strings as numbers.
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"segments": [segment]}))
+        with pytest.raises(SpecError, match="segment 0"):
             load_schedule(path, 2)
 
 

@@ -7,7 +7,6 @@ from dynlie import (
     generate_closure,
     is_semisimple,
     levi_decompose,
-    member_coords,
     primary_decompose,
     recognize_su2,
     simple_decompose,
@@ -17,6 +16,7 @@ from conftest import SX, SY, SZ
 from helpers import (
     commutator,
     killing_gram_of,
+    member_coords,
     random_skew,
     span_contains,
     spans_equal,

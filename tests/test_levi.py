@@ -7,13 +7,13 @@ from dynlie import (
     generate_closure,
     is_semisimple,
     levi_decompose,
-    member_coords,
 )
 
 from conftest import SX, SY, SZ
 from helpers import (
     commutator,
     hs_inner,
+    member_coords,
     random_skew,
     span_contains,
     spans_equal,

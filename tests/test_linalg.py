@@ -6,14 +6,12 @@ from dynlie import (
     empty_basis,
     expm_skew,
     extend_basis,
-    from_coords,
-    member_coords,
     nullspace,
     pauli,
     kron,
     skew_hermitian,
 )
-from dynlie import linalg
+from dynlie import dynamics, linalg
 from dynlie.linalg import (
     hermitian_part,
     invariant_frame,
@@ -25,7 +23,9 @@ from helpers import (
     bracket_residual,
     commutator,
     dense_terms,
+    from_coords,
     hs_inner,
+    member_coords,
     off_block,
     random_skew,
 )
@@ -221,6 +221,9 @@ class TestExtendBasis:
 
 
 class TestMemberCoords:
+    """The tests' own membership oracle (``helpers.member_coords``, least
+    squares) and ``helpers.from_coords``, on the library's bases."""
+
     def test_member_reconstructs(self, two_spin_basis):
         x = 1j * (kron(SZ, SY) + kron(SY, SZ))
         coords = member_coords(two_spin_basis, x)
@@ -460,22 +463,19 @@ class TestExpmSkew:
 
 
 class TestRealKernel:
-    """Purely imaginary input of size 3 or more, h = i*a real symmetric,
-    takes the real kernel: a scaled series in real matrix products up to
-    the angle |t| ||h||_inf = ``_SERIES_ANGLE``, one real ``eigh`` beyond
-    it.  Anything else keeps the complex ``eigh``."""
+    """``linalg._cos_sin``: exp(-i x) = cos(x) - i sin(x) for real
+    symmetric x, by a scaled series in real matrix products up to the
+    angle ||x||_inf = ``_SERIES_ANGLE``, one real ``eigh`` beyond it.
+    ``propagate`` takes it for runs of blocks of size 3 or more whose real
+    part is exactly zero; any other run keeps the complex ``eigh``."""
 
-    @pytest.fixture
-    def real_calls(self, monkeypatch):
-        calls = []
-
-        def spy(h, t):
-            calls.append(h.dtype)
-            return kernel(h, t)
-
-        kernel = linalg._expm_real
-        monkeypatch.setattr(linalg, "_expm_real", spy)
-        return calls
+    @staticmethod
+    def expm_real(h, t):
+        """exp(-i t h) from the real kernel, ``t`` broadcast against the
+        stack shape of ``h``."""
+        c, s = linalg._cos_sin(np.asarray(t)[..., None, None] * h)
+        assert c.dtype == s.dtype == np.float64
+        return c - 1j * s
 
     @staticmethod
     def real_symmetric(rng, n, repeated):
@@ -488,24 +488,23 @@ class TestRealKernel:
 
     @pytest.mark.parametrize("repeated", [False, True])
     @pytest.mark.parametrize("n", range(3, 9))
-    def test_matches_scipy(self, rng, real_calls, n, repeated):
+    def test_matches_scipy(self, rng, n, repeated):
         # (chunk, count, n, n) stacks with one time per chunk row.  The
         # phase of an eigenvalue rounded to 1 ulp moves by |t| ulp, and
         # scipy's expm itself loses digits as |t| grows, so the bound
         # grows with |t| past 100.
         for scale in (3.0, 1e3):
-            stack = -1j * np.stack([[self.real_symmetric(rng, n, repeated)
-                                     for _ in range(3)] for _ in range(4)])
+            stack = np.stack([[self.real_symmetric(rng, n, repeated)
+                               for _ in range(3)] for _ in range(4)])
             times = rng.uniform(-scale, scale, size=(4, 1))
             times[0] = scale
-            out = expm_skew(stack, t=times)
-            TestExpmSkew.assert_exact(stack, times, out,
+            TestExpmSkew.assert_exact(-1j * stack, times,
+                                      self.expm_real(stack, times),
                                       tol=1e-13 * max(1.0, scale / 100))
         # One matrix, several times.
-        out = expm_skew(stack[0, 0], t=times[:, 0])
-        TestExpmSkew.assert_exact(stack[0, 0], times[:, 0], out,
+        TestExpmSkew.assert_exact(-1j * stack[0, 0], times[:, 0],
+                                  self.expm_real(stack[0, 0], times[:, 0]),
                                   tol=1e-13 * max(1.0, scale / 100))
-        assert real_calls == [np.float64] * 3
 
     @pytest.fixture
     def series_counts(self, monkeypatch):
@@ -530,46 +529,55 @@ class TestRealKernel:
         below, above = bound * (1 - 1e-9), bound * (1 + 1e-9)
         times = np.array([0.0, 1e-3, -0.7, 3.0, -9.0, below, -below,
                           above, -above, 40.0, -100.0])
-        out = expm_skew(-1j * h, t=times)
+        out = self.expm_real(h, times)
         TestExpmSkew.assert_exact(-1j * h, times, out)
         assert series_counts == [7]
         np.testing.assert_array_equal(out[0], np.eye(n))
 
     def test_zero_matrix_is_exact_identity(self, series_counts):
-        out = expm_skew(np.zeros((2, 5, 5), dtype=complex) * 1j,
-                        t=np.array([0.0, -3.0]))
+        out = self.expm_real(np.zeros((2, 5, 5)), np.array([0.0, -3.0]))
         assert series_counts == [2]
         np.testing.assert_array_equal(out, np.eye(5)[None].repeat(2, 0))
 
-    def test_stack_mixing_small_and_large_angles(self, rng, real_calls,
-                                                 series_counts):
+    def test_stack_mixing_small_and_large_angles(self, rng, series_counts):
         # (chunk, count, n, n) with one time per chunk row, a zero matrix
         # among them; angles from 0 to about 200.
-        stack = -1j * np.stack([[self.real_symmetric(rng, 6, False)
-                                 for _ in range(3)] for _ in range(4)])
+        stack = np.stack([[self.real_symmetric(rng, 6, False)
+                           for _ in range(3)] for _ in range(4)])
         stack[1, 2] = 0.0
         times = np.array([[0.5], [-40.0], [-2.0], [60.0]])
         angles = np.abs(times[..., None, None]
-                        * stack.imag).sum(axis=-1).max(axis=-1)
+                        * stack).sum(axis=-1).max(axis=-1)
         small = int((angles <= linalg._SERIES_ANGLE).sum())
         assert 0 < small < angles.size
-        out = expm_skew(stack, t=times)
-        TestExpmSkew.assert_exact(stack, times, out,
+        TestExpmSkew.assert_exact(-1j * stack, times,
+                                  self.expm_real(stack, times),
                                   tol=1e-13 * max(1.0, angles.max() / 100))
-        assert real_calls == [np.float64] and series_counts == [small]
+        assert series_counts == [small]
 
-    def test_tiny_real_part_takes_complex_path(self, rng, real_calls):
+    def test_tiny_real_part_takes_complex_path(self, rng, monkeypatch):
+        # One run of ``dynamics._exponentials``: a single 5 x 5 block.
         scipy_linalg = pytest.importorskip("scipy.linalg")
+        calls = []
+
+        def spy(x):
+            calls.append(x.shape)
+            return kernel(x)
+
+        kernel = dynamics._cos_sin
+        monkeypatch.setattr(dynamics, "_cos_sin", spy)
         a = -1j * self.real_symmetric(rng, 5, False)
         k = rng.standard_normal((5, 5))
         k = 1e-14 * (k - k.T) / np.linalg.norm(k - k.T)
-        u = expm_skew(a + k, t=2.0)
-        assert real_calls == []
-        np.testing.assert_allclose(u, scipy_linalg.expm(2.0 * (a + k)),
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose(u, expm_skew(a, t=2.0), rtol=0,
-                                   atol=1e-13)
-        assert real_calls == [np.float64]
+        outs = []
+        for block in (a + k, a):
+            out, = dynamics._exponentials(linalg._vec(block)[None],
+                                          [(False, 5, 0, 0)], np.array([2.0]))
+            outs.append(linalg._complex_form(out)[0])
+            np.testing.assert_allclose(
+                outs[-1], scipy_linalg.expm(2.0 * block), rtol=0, atol=1e-13)
+            assert calls == ([] if block is not a else [(1, 1, 5, 5)])
+        np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-13)
 
 
 class TestInvariantFrame:

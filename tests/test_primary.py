@@ -7,14 +7,13 @@ from dynlie import (
     extend_basis,
     generate_closure,
     levi_decompose,
-    member_coords,
     primary_decompose,
 )
 from dynlie.errors import SplittingSearchError
 from dynlie.primary import _coefficient_candidates
 
 from conftest import SX, SY, SZ, AD_DRIVE_1, AD_DRIVE_2, su2_triple
-from helpers import commutator, random_skew, spans_equal, staged
+from helpers import commutator, member_coords, random_skew, spans_equal, staged
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 

@@ -102,14 +102,21 @@ def real_terms(rng, n, controls, cut):
 
 
 def propagated(decomp, terms, sched):
-    """propagate's result, whether it ran in real arithmetic, and the
-    loop's total and factors."""
+    """propagate's result, whether it ran in real arithmetic (its frame
+    from ``invariant_frame`` is real), and the loop's total and
+    factors."""
     system = control_system(terms[0], terms[1:])
-    with mock.patch.object(dynamics, "_block_operator",
-                           wraps=dynamics._block_operator) as spy:
+    frame_of, frames = dynamics.invariant_frame, []
+
+    def spy(owners):
+        frames.append(frame_of(owners))
+        return frames[-1]
+
+    with mock.patch.object(dynamics, "invariant_frame", spy):
         result = propagate(decomp, system, sched)
-    return result, spy.call_args.args[3], loop_reference(decomp, system,
-                                                         sched)
+    [(frame, _)] = frames
+    return result, frame.dtype == np.float64, loop_reference(decomp, system,
+                                                             sched)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
