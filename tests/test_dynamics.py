@@ -455,8 +455,11 @@ class TestBatchedPropagate:
 
         def spy(name):
             kernel = getattr(dynamics, name)
-            return lambda x, *t: calls.append(
-                (name, x.shape[-1], len(x))) or kernel(x, *t)
+
+            def recorded(x, *t):
+                calls.append((name, x.shape[-1], len(x)))
+                return kernel(x, *t)
+            return recorded
 
         with mock.patch.object(dynamics, "_cos_sin", spy("_cos_sin")), \
                 mock.patch.object(dynamics, "_expm_skew", spy("_expm_skew")):
