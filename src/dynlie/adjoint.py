@@ -14,21 +14,28 @@ definite precisely on the semisimple subalgebras.
 import numpy as np
 
 from .errors import NotClosedError, NotSemisimpleError
-from .linalg import TOL_KILLING, TOL_RANK, brackets, span_coords
+from .linalg import TOL_KILLING, TOL_RANK, bracket_blocks, span_coords
 
 
 def _brackets_and_coords(basis, tol=TOL_RANK):
     """Structure constants c[i, j, k] = <e_k, [e_i, e_j]> of ``basis``.
 
-    Takes all pairwise brackets and their coordinates in one projection.
-    Raises NotClosedError when some bracket leaves the span (relative
-    residual above ``tol``): this is the bracket-closure check of the
-    package.
+    Takes the pairwise brackets one row block at a time
+    (:func:`linalg.bracket_blocks`) and projects each block at once,
+    filling its rows of c and the worst relative residual so far, so the
+    pass holds one block of brackets besides c's d^3 floats.  Raises
+    NotClosedError when some bracket leaves the span (relative residual
+    above ``tol``): this is the bracket-closure check of the package.
     """
-    br = brackets(basis.mats, basis.mats)
-    coords, resid = span_coords(basis, br)
-    scale = np.maximum(1.0, np.linalg.norm(br, axis=(2, 3)))
-    worst = (resid / scale).max() if basis.dim else 0.0
+    d = basis.dim
+    m = basis.mats
+    coords = np.empty((d, d, d))
+    worst = 0.0
+    for start, br in bracket_blocks(m, m):
+        rows, resid = span_coords(basis, br)
+        coords[start : start + len(br)] = rows
+        scale = np.maximum(1.0, np.linalg.norm(br, axis=(2, 3)))
+        worst = max(worst, (resid / scale).max())
     if worst > tol:
         raise NotClosedError(
             f"basis is not bracket-closed, worst relative residual {worst:.3e}")

@@ -6,7 +6,8 @@ generators are enough to span it, so the schedule only brackets each new
 layer of basis elements against the original generators; depth counts
 productive layers.  A final all-pairs sweep guards the schedule against
 borderline rank rejections and guarantees the returned basis really is
-a subalgebra.
+a subalgebra.  Both take their brackets in row blocks of bounded size,
+so a closure never holds all d^2 brackets of its basis at once.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 from .linalg import (
     LieBasis,
     TOL_RANK,
-    brackets,
+    bracket_blocks,
     empty_basis,
     extend_basis,
     skew_hermitian,
@@ -80,8 +81,8 @@ def generate_closure(generators, tol=TOL_RANK):
     while len(new) and basis.dim < full_dim:
         current_depth += 1
         before = basis.dim
-        basis = extend_basis(
-            basis, brackets(new, normalized).reshape(-1, n, n), tol)
+        for _, block in bracket_blocks(new, normalized):
+            basis = extend_basis(basis, block.reshape(-1, n, n), tol)
         new = basis.mats[before:]
         if len(new):
             depth = current_depth
@@ -91,16 +92,23 @@ def generate_closure(generators, tol=TOL_RANK):
 
 
 def _closure_sweep(basis, tol):
-    # Safety net: all-pairs brackets until nothing new appears, so the
-    # result is a genuine subalgebra even if the layered schedule lost a
-    # direction to a borderline rank decision.
+    """All-pairs brackets until a pass adds nothing, so the result is a
+    genuine subalgebra even if the layered schedule lost a direction to a
+    borderline rank decision (a drift that mixes scales can do that).
+
+    Each pass brackets the stack it started from against itself, one row
+    block at a time (:func:`linalg.bracket_blocks`), and hands each block
+    to ``extend_basis`` in turn: the candidates and their order are those
+    of one call over all d^2 brackets, while the pass holds one block.
+    """
+    n = basis.n
     while True:
         before = basis.dim
         if before == 0:
             return basis
         m = basis.mats
-        basis = extend_basis(
-            basis, brackets(m, m).reshape(-1, basis.n, basis.n), tol)
+        for _, block in bracket_blocks(m, m):
+            basis = extend_basis(basis, block.reshape(-1, n, n), tol)
         if basis.dim == before:
             return basis
 

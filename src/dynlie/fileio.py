@@ -93,6 +93,11 @@ def pairs_to_matrix(obj, what="matrix"):
         raise SpecError(
             f"{what}: expected a square matrix of [re, im] pairs, "
             f"got shape {arr.shape}")
+    # np.asarray also reads booleans and numeric strings as numbers.
+    for row in obj:
+        for pair in row:
+            for value in pair:
+                _number(value, f"{what}: entry")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -148,6 +153,9 @@ def system_from_doc(doc):
     labels = doc.get("labels")
     if labels is None:
         labels = [f"u{k + 1}" for k in range(len(controls))]
+    if not (isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)):
+        raise SpecError(f"labels must be a list of strings, got {labels!r}")
     if len(labels) != len(controls):
         raise SpecError(
             f"{len(labels)} labels given for {len(controls)} controls")

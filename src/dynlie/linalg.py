@@ -5,10 +5,10 @@ all together), and the Hilbert-Schmidt pairing Re tr(A^H B) makes it
 Euclidean.  Everything downstream -- closures, centralizers, nullspace
 splits -- reduces to orthonormal bases of subspaces of that space, so
 this module owns the basis bookkeeping: Gram-Schmidt extension with a
-re-orthogonalization pass, the all-pairs bracket, the span projection
-behind every membership test and coordinate map, the exponential of a
-skew-Hermitian matrix, and the unitary frame in which a set of matrices
-is block diagonal.
+re-orthogonalization pass, the all-pairs bracket taken in row blocks of
+bounded size, the span projection behind every membership test and
+coordinate map, the exponential of a skew-Hermitian matrix, and the
+unitary frame in which a set of matrices is block diagonal.
 
 A matrix is vectorized as its row-major entries with the real and
 imaginary part of each entry interleaved.  That is numpy's own memory
@@ -35,6 +35,8 @@ TOL_RANK = 1e-8
 TOL_KILLING = 1e-6
 TOL_EIG = 1e-6
 TOL_FRAME = 1e-12
+# Bytes of complex brackets that one block of :func:`bracket_blocks` holds.
+BRACKET_BLOCK_BYTES = 256 * 1024
 
 
 def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
@@ -234,7 +236,8 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     silently and acceptance order follows candidate order.  An accepted
     residual R is replaced by its exact skew part (R - R^H)/2, so noise
     amplified in a small residual cannot leave u(n).  Returns a new
-    basis, the input is never mutated.
+    basis, or the input itself when it holds its own stack and no
+    candidate sticks out; the input is never mutated.
     """
     n = basis.n
     rows = list(basis.vecs)
@@ -256,16 +259,31 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
             m /= np.linalg.norm(m)
             rows.append(_vec(m))
             kept.append(m)
+    if len(kept) == basis.dim and basis.rows is None:
+        return basis
     if not kept:
         return LieBasis(n)
-    return LieBasis(n, np.stack(kept))
+    # Read-only, so the basis wraps the new stack instead of copying it.
+    stack = np.stack(kept)
+    stack.flags.writeable = False
+    return LieBasis(n, stack)
 
 
-def brackets(a, b):
-    """All brackets [a_i, b_j] of two stacks, shape (len(a), len(b), n, n)."""
+def bracket_blocks(a, b):
+    """The brackets [a_i, b_j] of two stacks, one row block of ``a`` at a
+    time: yields (start, block), the block holding [a_i, b_j] for i from
+    ``start`` on, shape (rows, len(b), n, n).  A block holds as many rows
+    as fit in ``BRACKET_BLOCK_BYTES``, at least one, so an all-pairs pass
+    holds one block and never the d^2 n^2 tensor of all its brackets."""
     a = np.asarray(a)
     b = np.asarray(b)
-    return a[:, None] @ b - b @ a[:, None]
+    n = a.shape[-1]
+    rows = max(1, BRACKET_BLOCK_BYTES // (16 * n * n * max(1, len(b))))
+    for start in range(0, len(a), rows):
+        block = a[start : start + rows, None]
+        out = block @ b
+        out -= b @ block
+        yield start, out
 
 
 def span_coords(basis, mats):

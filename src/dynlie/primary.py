@@ -39,9 +39,14 @@ class SplittingElement:
     """Element of the Cartan subalgebra with fully split adjoint spectrum."""
 
     coeffs: np.ndarray       # coordinates over the Cartan basis
-    element: np.ndarray      # the matrix itself
+    cartan: LieBasis         # that basis
     frequencies: np.ndarray  # distinct a_j > 0, strictly decreasing
     real_part: float         # ||symmetric part of ad_X||_2, bounds every |Re|
+
+    @property
+    def element(self):
+        """The matrix itself, computed on access."""
+        return np.einsum("j,jnm->nm", self.coeffs, self.cartan.mats)
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,7 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
             "adjoint spectrum")
     freqs, rows = split
     element = SplittingElement(
-        coeffs=cand, element=np.einsum("j,jnm->nm", cand, cartan.mats),
-        frequencies=freqs,
+        coeffs=cand, cartan=cartan, frequencies=freqs,
         real_part=float(np.linalg.norm(ad + ad.T, 2)) / 2.0)
     # [a, v] for every Cartan element a and plane row v, less its part
     # inside v's plane.

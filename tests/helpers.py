@@ -7,11 +7,12 @@ each other.
 """
 
 import contextlib
+from functools import reduce
 from unittest import mock
 
 import numpy as np
 
-from dynlie import LieBasis, dynamics, generator
+from dynlie import LieBasis, control_system, dynamics, generator, pauli
 from dynlie.errors import NotClosedError, NotInSpanError
 
 
@@ -310,3 +311,29 @@ def staged(stage, algebra, *args, **kwargs):
     """Run a library stage on ``algebra`` and its oracle structure
     constants: stage(algebra, c, *args, **kwargs)."""
     return stage(algebra, structure_tensor(algebra), *args, **kwargs)
+
+
+def coupled_sectors(coupling):
+    """Two su(2) sectors on C^2 + C^2, coupled in the drift by ``coupling``."""
+    sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
+    drift = np.zeros((4, 4), dtype=complex)
+    drift[:2, :2] = sx
+    drift[2:, 2:] = 0.8 * sy + 0.3 * sz
+    drift[0, 3] = drift[3, 0] = coupling
+    ctrl = np.zeros((4, 4), dtype=complex)
+    ctrl[:2, :2] = sz
+    ctrl[2:, 2:] = -0.6 * sx
+    return control_system(drift, [ctrl])
+
+
+def site(axis, i, k):
+    """The Pauli matrix ``axis`` on spin i of k."""
+    ops = [np.eye(2)] * k
+    ops[i] = pauli(axis)
+    return reduce(np.kron, ops)
+
+
+def ising_x(k):
+    """ZZ chain of k spins with a global X drive."""
+    drift = sum(site("z", i, k) @ site("z", i + 1, k) for i in range(k - 1))
+    return control_system(drift, [sum(site("x", i, k) for i in range(k))])

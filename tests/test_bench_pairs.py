@@ -45,6 +45,49 @@ def test_summary_of_hand_written_runs():
     assert w["metrics"]["work_per_s"]["change_better_in_pairs"] == 2
     assert w["failed"] == {"parent": ["0/3"], "change": ["0/3"]}
     assert w["correct_in_every_run"]
+    # The parent's spread, 1.75 around 2.5, is wider than the 0.25 bound.
+    assert rs["parent_iqr_over_median"] == pytest.approx(0.7)
+    assert not rs["resolved"]
+    assert not rs["claim_rule_met"] and not rs["worse_beyond_bound"]
+
+
+# Ten parent runs with quartiles 0.9825, 1.0 and 1.0175.
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+def verdicts(change, metric="round_s"):
+    """The verdicts on ``metric`` for ten pairs, the parent's round_s from
+    PARENT and the change's from ``change``."""
+    runs = {"parent": [run("w", s, t) for s, t in enumerate(PARENT)],
+            "change": [run("w", s, t) for s, t in enumerate(change)]}
+    entry = bench_pairs.summarize(runs, METRICS)["w"]["metrics"][metric]
+    return {k: entry[k] for k in ("parent_iqr_over_median", "resolved",
+                                  "worse_beyond_bound", "claim_rule_met")}
+
+
+@pytest.mark.parametrize("metric", ["round_s", "work_per_s"])
+def test_claim_rule(metric):
+    faster = [0.9 * t for t in PARENT]
+    got = verdicts([1.05] + faster[1:], metric)
+    assert got["parent_iqr_over_median"] == pytest.approx(0.035, rel=1e-3)
+    assert got["resolved"] and not got["worse_beyond_bound"]
+    # Nine wins of ten and a median gap of about 0.1, above the 0.035 range.
+    assert got["claim_rule_met"]
+    # Eight wins are too few.
+    assert not verdicts([1.05, 1.05] + faster[2:], metric)["claim_rule_met"]
+    # Ten wins, but the medians differ by 0.01, inside the parent's range.
+    assert not verdicts([t - 0.01 for t in PARENT], metric)["claim_rule_met"]
+
+
+def test_worse_beyond_bound():
+    # Against the 0.25 bound, relative to the parent's median.
+    assert verdicts([1.3 * t for t in PARENT])["worse_beyond_bound"]
+    assert not verdicts([1.2 * t for t in PARENT])["worse_beyond_bound"]
+    # work_per_s is higher-better: 30% less work per second is worse.
+    slower = [t / 0.7 for t in PARENT]
+    assert verdicts(slower, "work_per_s")["worse_beyond_bound"]
+    assert not verdicts(slower[:1] + PARENT[1:], "work_per_s")[
+        "worse_beyond_bound"]
 
 
 def test_failures_and_incorrect_runs_reported():

@@ -169,6 +169,18 @@ class TestDecompose:
         }))
         assert run(["decompose", str(spec)]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("drift", [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]),
+        ("labels", "ab"),
+    ], ids=["boolean-entries", "string-labels"])
+    def test_malformed_spec_field(self, tmp_path, field, value):
+        doc = {"dim": 2, "drift": matrix_to_pairs(np.eye(2)),
+               "controls": [matrix_to_pairs(np.diag([1.0, -1.0]))] * 2}
+        doc[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run(["decompose", str(spec)]) == 2
+
     def test_overlapping_components_exit_3(self, tmp_path, capsys,
                                            monkeypatch):
         # An ideal that overlaps a radical line cannot join the adapted

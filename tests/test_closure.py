@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,31 @@ from dynlie import (
     CONTROLLABLE_SU,
     CONTROLLABLE_U,
     UNCONTROLLABLE,
+    NotClosedError,
     analyze_system,
     control_system,
+    empty_basis,
+    extend_basis,
     generate_closure,
     is_controllable,
     kron,
+    linalg,
     pauli,
     two_spin_system,
 )
+from dynlie.adjoint import _brackets_and_coords
+from dynlie.closure import _closure_sweep
+from dynlie.linalg import TOL_RANK, bracket_blocks, span_coords
 
 from conftest import SX, SY, SZ, I2
-from helpers import commutator, member_coords, naive_closure_dim, random_skew
+from helpers import (
+    commutator,
+    coupled_sectors,
+    ising_x,
+    member_coords,
+    naive_closure_dim,
+    random_skew,
+)
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
@@ -163,3 +179,84 @@ class TestIsControllable:
     def test_empty_algebra(self):
         result = generate_closure([np.zeros((2, 2))])
         assert is_controllable(result) == UNCONTROLLABLE
+
+
+def generators(system):
+    return [1j * system.drift] + [1j * h for h in system.controls]
+
+
+def worst_residual(basis):
+    """The closure check's worst relative residual, from all d^2 brackets
+    of ``basis`` at once."""
+    m = basis.mats
+    br = m[:, None] @ m - m @ m[:, None]
+    _, resid = span_coords(basis, br)
+    return (resid / np.maximum(1.0, np.linalg.norm(br, axis=(2, 3)))).max()
+
+
+# Block budgets in bytes: below one row, so every block is one row; three
+# rows of a d = 6 basis at n = 4; and every pass in one block.
+ONE_ROW, THREE_ROWS, ONE_BLOCK = 1, 3 * 6 * 16 * 16, 1 << 40
+
+
+class TestRowBlocks:
+    """The all-pairs passes take their brackets in row blocks of at most
+    ``linalg.BRACKET_BLOCK_BYTES``; the block count changes nothing."""
+
+    @pytest.mark.parametrize("budget", [ONE_ROW, THREE_ROWS])
+    @pytest.mark.parametrize("make", [two_spin_system, lambda: ising_x(3)],
+                             ids=["two-spin", "ising-x-3"])
+    def test_blocks_change_no_bit(self, make, budget, monkeypatch):
+        system = make()
+        gens = generators(system)
+        # The sweep alone, from the normalized generators, closes the
+        # algebra over several passes.
+        seed = extend_basis(empty_basis(system.dim),
+                            [g / np.linalg.norm(g) for g in gens])
+
+        def passes():
+            swept = _closure_sweep(seed, TOL_RANK)
+            return (swept, generate_closure(gens).basis,
+                    _brackets_and_coords(swept))
+
+        monkeypatch.setattr(linalg, "BRACKET_BLOCK_BYTES", ONE_BLOCK)
+        swept, closed, c = passes()
+        assert len(list(bracket_blocks(swept.mats, swept.mats))) == 1
+        monkeypatch.setattr(linalg, "BRACKET_BLOCK_BYTES", budget)
+        assert len(list(bracket_blocks(swept.mats, swept.mats))) > 1
+        got = passes()
+        assert np.array_equal(got[0].stack, swept.stack)
+        assert np.array_equal(got[1].stack, closed.stack)
+        assert np.array_equal(got[2], c)
+        # The check passes at the one-block worst residual and fails just
+        # below it, so the blocks give that worst residual to the bit.
+        worst = worst_residual(swept)
+        _brackets_and_coords(swept, tol=worst)
+        with pytest.raises(NotClosedError):
+            _brackets_and_coords(swept, tol=np.nextafter(worst, -1.0))
+
+    @pytest.mark.parametrize("budget", [ONE_ROW, None])
+    @pytest.mark.parametrize("coupling", [1e-6, 1e-7, 1e-8, 1e-9])
+    def test_weakly_coupled_sectors_close(self, coupling, budget,
+                                          monkeypatch):
+        # The layered schedule loses directions of this drift, which mixes
+        # scales; the sweep finds them again, one row per block too.
+        if budget is not None:
+            monkeypatch.setattr(linalg, "BRACKET_BLOCK_BYTES", budget)
+        assert generate_closure(
+            generators(coupled_sectors(coupling))).dim == 16
+
+    def test_analysis_peak_below_one_bracket_tensor(self):
+        # Ising-x k=5 (n = 32, d = 25): all d^2 brackets at once take
+        # d^2 n^2 16 B = 10.2 MB, and the passes that held them, with their
+        # temporaries, peaked at 31.3 MB.
+        system = ising_x(5)
+        tracemalloc.start()
+        try:
+            analysis = analyze_system(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d, n = analysis.closure.dim, system.dim
+        assert d == 25
+        assert peak < d * d * n * n * 16, peak

@@ -30,11 +30,14 @@ from dynlie.linalg import invariant_frame
 
 from helpers import (
     block_pairings,
+    coupled_sectors,
     dense_terms,
+    ising_x,
     loop_reference,
     off_block,
     project_generator,
     random_skew,
+    site,
     span_contains,
     unvec,
     vec,
@@ -320,18 +323,6 @@ class TestPropagate:
         assert result.factorization_error < 1e-12
 
 
-def site(axis, i, k):
-    ops = [np.eye(2)] * k
-    ops[i] = pauli(axis)
-    return reduce(np.kron, ops)
-
-
-def ising_x(k):
-    """ZZ chain of k spins with a global X drive."""
-    drift = sum(site("z", i, k) @ site("z", i + 1, k) for i in range(k - 1))
-    return control_system(drift, [sum(site("x", i, k) for i in range(k))])
-
-
 def three_qubit():
     """su(2) on the first spin plus two radical lines."""
     drift = site("z", 0, 3) + 0.7 * site("z", 1, 3) + 0.3 * site("z", 2, 3)
@@ -514,18 +505,6 @@ class TestBatchedPropagate:
             propagate(analysis.decomposition, sys, sched)
         with pytest.raises(ValueError, match="2 control values"):
             project_generator(analysis.decomposition, sys, (1.0,))
-
-
-def coupled_sectors(coupling):
-    """Two su(2) sectors on C^2 + C^2, coupled in the drift by ``coupling``."""
-    drift = np.zeros((4, 4), dtype=complex)
-    drift[:2, :2] = SX
-    drift[2:, 2:] = 0.8 * SY + 0.3 * SZ
-    drift[0, 3] = drift[3, 0] = coupling
-    ctrl = np.zeros((4, 4), dtype=complex)
-    ctrl[:2, :2] = SZ
-    ctrl[2:, 2:] = -0.6 * SX
-    return control_system(drift, [ctrl])
 
 
 class TestInvariantFrame:

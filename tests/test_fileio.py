@@ -78,6 +78,13 @@ class TestMatrixEncoding:
         with pytest.raises(SpecError):
             pairs_to_matrix([[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("entry", [True, False, "1.5"])
+    def test_rejects_non_number_entries(self, entry):
+        # np.asarray(obj, dtype=float) read true as 1.0 and "1.5" as 1.5.
+        pairs = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [entry, 0.0]]]
+        with pytest.raises(SpecError, match="must be a number"):
+            pairs_to_matrix(pairs, "drift")
+
 
 class TestSystemSpec:
     def test_model_reference(self, tmp_path):
@@ -97,6 +104,15 @@ class TestSystemSpec:
         sys = system_from_doc(doc)
         assert sys.dim == 2
         assert sys.labels == ("w",)
+
+    @pytest.mark.parametrize("labels", ["ab", ["a", 2], ("a", "b")])
+    def test_labels_must_be_a_list_of_strings(self, labels):
+        # The string "ab" used to be iterated into the labels ('a', 'b').
+        doc = {"dim": 2, "drift": matrix_to_pairs(np.eye(2)),
+               "controls": [matrix_to_pairs(np.eye(2))] * 2,
+               "labels": labels}
+        with pytest.raises(SpecError, match="labels"):
+            system_from_doc(doc)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SpecError):

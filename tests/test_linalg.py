@@ -219,6 +219,45 @@ class TestExtendBasis:
         basis = extend_basis(empty_basis(2), [np.zeros((2, 2))])
         assert basis.dim == 0
 
+    def test_nothing_new_returns_the_input(self):
+        # A closure pass hands every block to extend_basis; a block that
+        # adds nothing costs no copy of the stack.
+        basis = extend_basis(empty_basis(2), [IX, IY])
+        assert extend_basis(basis, [IX + IY, 2 * IY]) is basis
+        grown = extend_basis(basis, [IZ])
+        assert grown.dim == 3 and not grown.stack.flags.writeable
+        # A basis of rows comes back as a stack of its own.
+        rows = grown.span(np.eye(3)[:2])
+        again = extend_basis(rows, [IX])
+        assert again.rows is None
+        assert np.array_equal(again.stack, rows.mats)
+
+
+class TestBracketBlocks:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_blocks_follow_the_budget(self, rng, monkeypatch, rows):
+        a = np.stack([random_skew(rng, 3) for _ in range(5)])
+        b = np.stack([random_skew(rng, 3) for _ in range(4)])
+        monkeypatch.setattr(linalg, "BRACKET_BLOCK_BYTES", rows * 4 * 9 * 16)
+        blocks = list(linalg.bracket_blocks(a, b))
+        assert [start for start, _ in blocks] == list(range(0, 5, rows))
+        assert all(len(block) <= rows for _, block in blocks)
+        got = np.concatenate([block for _, block in blocks])
+        for i in range(5):
+            for j in range(4):
+                np.testing.assert_allclose(got[i, j],
+                                           commutator(a[i], b[j]), atol=1e-14)
+        # One row at least, however small the budget.
+        monkeypatch.setattr(linalg, "BRACKET_BLOCK_BYTES", 1)
+        single = [block for _, block in linalg.bracket_blocks(a, b)]
+        assert [len(block) for block in single] == [1] * 5
+        assert np.array_equal(np.concatenate(single), got)
+
+    def test_empty_stacks(self):
+        assert list(linalg.bracket_blocks(np.zeros((0, 2, 2)), [IX])) == []
+        (start, block), = linalg.bracket_blocks([IX], np.zeros((0, 2, 2)))
+        assert start == 0 and block.shape == (1, 0, 2, 2)
+
 
 class TestMemberCoords:
     """The tests' own membership oracle (``helpers.member_coords``, least

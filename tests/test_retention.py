@@ -79,6 +79,14 @@ def test_one_matrix_stack_per_analysis(ladder):
         assert len(stacks) == 1, (name, [b.shape for b in stacks])
         assert stacks[0] is basis.stack
         assert stacks[0].shape == (basis.dim, basis.n, basis.n)
+        # No other matrix either (the splitting element is computed on
+        # access): the closure stack and the system's own terms are the
+        # only complex buffers.
+        system = analysis.system
+        own = base_buffers((basis.stack, system.drift, system.controls))
+        extra = [b.shape for b in buffers
+                 if b.dtype.kind == "c" and id(b) not in own]
+        assert not extra, (name, extra)
 
 
 def test_ladder_held_bytes(ladder):

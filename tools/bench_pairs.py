@@ -8,8 +8,17 @@ workload and end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles over the pairs and every run in seed order, the number of
 pairs the change won (ties count for neither side) and the ratio of the
 medians; per workload also each side's failed shares and whether every
-run was correct.  It claims nothing: whether a gain counts is read off
-these figures.
+run was correct.  Per metric it also reads off three verdicts against the
+metric's ``bound``:
+
+- ``resolved``: the parent's interquartile range, over its median
+  (``parent_iqr_over_median``), is within the bound, so a change of the
+  bound's size would stand out from the parent's own spread;
+- ``worse_beyond_bound``: the change's median is worse than the
+  parent's by more than the bound, relative to the parent's median;
+- ``claim_rule_met``: the change won at least 9 of every 10 pairs and its
+  median is better than the parent's by more than the parent's
+  interquartile range.
 
 Run from the repository root, with the parent commit checked out in
 another directory:
@@ -79,16 +88,26 @@ def summarize(runs, metrics):
             vals = {side: [r["metrics"][name] for r in mine[side]]
                     for side in SIDES}
             entry = {"unit": m["unit"], "better": m["better"]}
+            quartiles = {}
             for side in SIDES:
-                q1, med, q3 = np.percentile(vals[side], [25, 50, 75])
+                q1, med, q3 = quartiles[side] = np.percentile(
+                    vals[side], [25, 50, 75])
                 entry[side] = {"median": _round(med), "q1": _round(q1),
                                "q3": _round(q3),
                                "runs": [_round(v) for v in vals[side]]}
-            entry["change_better_in_pairs"] = sum(
-                sign * (c - p) < 0 for p, c in zip(vals["parent"],
-                                                   vals["change"]))
-            entry["change_over_parent_median"] = _round(
-                np.median(vals["change"]) / np.median(vals["parent"]))
+            wins = sum(sign * (c - p) < 0
+                       for p, c in zip(vals["parent"], vals["change"]))
+            q1, med, q3 = quartiles["parent"]
+            changed = quartiles["change"][1]
+            gain = sign * (med - changed)
+            spread = (q3 - q1) / med
+            entry["change_better_in_pairs"] = wins
+            entry["change_over_parent_median"] = _round(changed / med)
+            entry["parent_iqr_over_median"] = _round(spread)
+            entry["resolved"] = bool(spread <= m["bound"])
+            entry["worse_beyond_bound"] = bool(-gain / med > m["bound"])
+            entry["claim_rule_met"] = bool(10 * wins >= 9 * len(seeds)
+                                           and gain > q3 - q1)
             summary[name] = entry
         out[w] = {
             "pairs": len(seeds), "seeds": seeds, "metrics": summary,
@@ -137,6 +156,12 @@ def main(argv=None):
         "machine": runs["parent"][0]["env"],
         "workloads": summarize(runs, bench["end_to_end"]),
     }
+    for w, summary in doc["workloads"].items():
+        for name, e in summary["metrics"].items():
+            print(f"{w} {name}: change/parent median "
+                  f"{e['change_over_parent_median']:.4g}"
+                  + ("" if e["resolved"] else ", unresolved"),
+                  file=sys.stderr)
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
