@@ -59,6 +59,16 @@ KIND_RADICAL = "radical-line"
 # benchmark schedules (2-core VM, one BLAS thread) 128 ran about 7% faster
 # than 64 and 256 another 3%, for twice the memory again.
 CHUNK = 128
+# Segments whose block coordinates ``propagate`` takes in one matmul.
+# glibc's malloc returns the top of the heap to the system when more than
+# twice the largest mmapped block it has freed lies unused there, and a
+# chunk frees about four times its largest temporary.  Eight chunks of
+# block coordinates are about one chunk's whole working set, so once this
+# array is freed the chunks' temporaries stay mapped from chunk to chunk.
+# On Ising-x k=4 with 10^4 segments a call faulted in 34,000 pages with one
+# matmul per chunk and 800 with eight, unless an earlier free of a megabyte
+# or more had raised the threshold already.
+MATMUL_ROWS = 8 * CHUNK
 
 
 @dataclass(frozen=True)
@@ -377,14 +387,14 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     or Q conj(A_k) Q^H, for every matrix k of the owner
     (:func:`_equivalent_blocks`), and B's product is then Q U Q^H, or
     Q conj(U) Q^H, from A's product U.
-    Segments run in chunks of ``CHUNK``: one matmul gives the chunk's
-    blocks, and each run of blocks of one size takes one stacked
-    exponential, its kernel chosen from the run (the closed form for
-    sizes 1 and 2; ``linalg._cos_sin`` when the real parts are exactly
-    zero, as they are for a real Hamiltonian; else a batched complex
-    ``eigh``), and a pairwise product, each product in the real 2z x 2z
-    form [[Re, -Im], [Im, Re]] of its z x z block (``linalg._real_form``),
-    a homomorphism.  A radical line commutes with everything, and a 1 x 1
+    Segments run in chunks of ``CHUNK``: one matmul gives the blocks of
+    ``MATMUL_ROWS`` segments, and in each chunk each run of blocks of one
+    size takes one stacked exponential, its kernel chosen from the run (the
+    closed form for sizes 1 and 2; ``linalg._cos_sin`` when the real parts
+    are exactly zero, as they are for a real Hamiltonian; else a batched
+    complex ``eigh``), and a pairwise product, each product in the real
+    2z x 2z form [[Re, -Im], [Im, Re]] of its z x z block
+    (``linalg._real_form``), a homomorphism.  A radical line commutes with everything, and a 1 x 1
     block is a scalar, so their blocks are exponentiated once, from the
     duration-weighted sum of the rows.  The blocks return to complex, and
     the factors to n x n, once at the end.
@@ -436,8 +446,11 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     ops, line_op = to_blocks[:, :cut], to_blocks[:, cut:]
     running = []
     for start in range(0, len(durs), CHUNK):
-        chunk = slice(start, start + CHUNK)
-        steps = _exponentials(rows[chunk] @ ops, per_segment, durs[chunk])
+        at = start % MATMUL_ROWS
+        if not at:
+            coords = rows[start : start + MATMUL_ROWS] @ ops
+        steps = _exponentials(coords[at : at + CHUNK], per_segment,
+                              durs[start : start + CHUNK])
         running = ([step @ prev for step, prev in zip(steps, running)]
                    if start else steps)
     back = np.eye(n, dtype=complex)[None].repeat(len(owners), axis=0)

@@ -390,7 +390,7 @@ class TestBatchedPropagate:
     """propagate runs segments in stacked chunks; it must agree with the
     one-segment-at-a-time loop."""
 
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 129, 1025])
     @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
                                       lambda: ising_x(4), dense_u3,
                                       lambda: control_system(SZ, [SX])],
