@@ -388,16 +388,16 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     (:func:`_equivalent_blocks`), and B's product is then Q U Q^H, or
     Q conj(U) Q^H, from A's product U.
     Segments run in chunks of ``CHUNK``: one matmul gives the blocks of
-    ``MATMUL_ROWS`` segments, and in each chunk each run of blocks of one
-    size takes one stacked exponential, its kernel chosen from the run (the
-    closed form for sizes 1 and 2; ``linalg._cos_sin`` when the real parts
-    are exactly zero, as they are for a real Hamiltonian; else a batched
-    complex ``eigh``), and a pairwise product, each product in the real
-    2z x 2z form [[Re, -Im], [Im, Re]] of its z x z block
-    (``linalg._real_form``), a homomorphism.  A radical line commutes with everything, and a 1 x 1
-    block is a scalar, so their blocks are exponentiated once, from the
-    duration-weighted sum of the rows.  The blocks return to complex, and
-    the factors to n x n, once at the end.
+    ``MATMUL_ROWS`` segments, and per chunk each run of blocks of one
+    size takes one stacked exponential, its kernel chosen from the run
+    (the closed form for sizes 1 and 2; ``linalg._cos_sin`` when the real
+    parts are exactly zero, as they are for a real Hamiltonian; else a
+    batched complex ``eigh``), and a pairwise product, each product in
+    the real 2z x 2z form [[Re, -Im], [Im, Re]] of its z x z block
+    (``linalg._real_form``), a homomorphism.  A radical line commutes
+    with everything, and a 1 x 1 block is a scalar, so their blocks are
+    exponentiated once, from the duration-weighted sum of the rows.  The
+    blocks return to complex, and the factors to n x n, once at the end.
     """
     n = system.dim
     comps = decomp.components

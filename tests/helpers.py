@@ -12,7 +12,13 @@ from unittest import mock
 
 import numpy as np
 
-from dynlie import LieBasis, control_system, dynamics, generator, pauli
+from dynlie import (
+    LieBasis,
+    control_system,
+    dynamics,
+    generator,
+    pauli,
+)
 from dynlie.errors import NotClosedError, NotInSpanError
 
 
