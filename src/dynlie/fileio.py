@@ -59,10 +59,12 @@ def _emit(obj, indent):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inline = "[" + ", ".join(_emit(v, 0) for v in obj) + "]"
+        # A one-line element reads the same at any indent.
+        items = [_emit(v, indent + 1) for v in obj]
+        inline = "[" + ", ".join(items) + "]"
         if len(inline) <= 100 and "\n" not in inline:
             return inline
-        parts = [f"{pad}  {_emit(v, indent + 1)}" for v in obj]
+        parts = [f"{pad}  {v}" for v in items]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

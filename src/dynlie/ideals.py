@@ -23,7 +23,6 @@ from .adjoint import (
     _brackets_and_coords,
     bracket_coords,
     killing_orthonormalize,
-    restrict,
 )
 from .errors import DecompositionError, NotSemisimpleError
 from .linalg import TOL_RANK, _class_firsts
@@ -37,7 +36,7 @@ class IdealSet:
     origin: tuple   # origin[j] = index of the ideal containing component j
     commutation_residual: float  # worst ||[x, y]||_F across distinct ideals
     invariance_residual: float   # worst part of [s, x] outside x's ideal
-    su2: tuple      # su2[i]: ideal i is a copy of su(2), see recognize_su2
+    su2: tuple      # su2[i]: ideal i is 3-dimensional, so a copy of su(2)
 
 
 def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
@@ -50,8 +49,8 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     1)``.  Ideals are ordered by their first component.  Verifies that
     the ideal dimensions add up to dim S, that distinct ideals commute,
     and that each ideal is genuinely ad-S-invariant; both residuals (at
-    1e-8) are stored on the result, with each ideal's su(2) flag, decided
-    at ``tol`` on c restricted to the ideal.
+    1e-8) are stored on the result.  Each ideal's su(2) flag is read from
+    its dimension: every 3-dimensional compact simple algebra is su(2).
     """
     s = semisimple.dim
     planes = np.concatenate([semisimple.coords(comp, tol)
@@ -92,8 +91,7 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     return IdealSet(ideals=ideals, origin=tuple(origin.tolist()),
                     commutation_residual=float(worst_cross),
                     invariance_residual=float(worst_inv),
-                    su2=tuple(len(r) == 3 and _su2_frame(restrict(c, r), tol)
-                              is not None for r in rows))
+                    su2=tuple(len(r) == 3 for r in rows))
 
 
 def _su2_frame(c, tol):

@@ -44,20 +44,24 @@ def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
 
     Round-off up to ``tol * max(1, ||mat||_F)`` is forgiven and projected
     away via (M + M^H)/2; anything further off raises ValueError, as do
-    non-square shapes and non-finite entries.  With ``skew`` the same
-    test runs for skew-Hermiticity and returns (M - M^H)/2.  A stack of
-    shape (..., n, n) is validated matrix by matrix, each against its
-    own norm; the error names the index of the first one that fails.
+    non-square shapes, non-finite entries and a squared norm that
+    overflows.  With ``skew`` the same test runs for skew-Hermiticity and
+    returns (M - M^H)/2.  A stack of shape (..., n, n) is validated
+    matrix by matrix, each against its own norm; the error names the
+    index of the first one that fails.
     """
     a = np.asarray(mat, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
+    sq = _sq_norms(a)
+    if not np.isfinite(sq).all():
+        raise ValueError(f"{what} is too large: its squared norm overflows")
     adj = a.conj().swapaxes(-1, -2)
     part, off = (a - adj, a + adj) if skew else (a + adj, a - adj)
     defect = np.sqrt(_sq_norms(off))
-    over = defect > tol * np.maximum(1.0, np.sqrt(_sq_norms(a)))
+    over = defect > tol * np.maximum(1.0, np.sqrt(sq))
     if over.any():
         idx = np.unravel_index(np.argmax(over), over.shape)
         where = f"{what} {list(map(int, idx))}" if idx else what

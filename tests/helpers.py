@@ -7,6 +7,7 @@ each other.
 """
 
 import contextlib
+import json
 from functools import reduce
 from unittest import mock
 
@@ -20,6 +21,7 @@ from dynlie import (
     pauli,
 )
 from dynlie.errors import NotClosedError, NotInSpanError
+from dynlie.fileio import _fmt_float
 
 
 def commutator(a, b):
@@ -343,3 +345,38 @@ def ising_x(k):
     """ZZ chain of k spins with a global X drive."""
     drift = sum(site("z", i, k) @ site("z", i + 1, k) for i in range(k - 1))
     return control_system(drift, [sum(site("x", i, k) for i in range(k))])
+
+
+def two_pass_emit(obj, indent):
+    """The report writer as it was before each list element was formatted
+    once: it tries every list inline at indent 0 and, when that is too
+    long, formats each element again at indent + 1.  ``dumps_report``
+    must give the same bytes."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f'{pad}  {json.dumps(str(k))}: {two_pass_emit(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inline = "[" + ", ".join(two_pass_emit(v, 0) for v in obj) + "]"
+        if len(inline) <= 100 and "\n" not in inline:
+            return inline
+        parts = [f"{pad}  {two_pass_emit(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

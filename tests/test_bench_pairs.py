@@ -62,6 +62,7 @@ def verdicts(change, metric="round_s"):
             "change": [run("w", s, t) for s, t in enumerate(change)]}
     entry = bench_pairs.summarize(runs, METRICS)["w"]["metrics"][metric]
     return {k: entry[k] for k in ("parent_iqr_over_median", "resolved",
+                                  "change_better_in_every_run",
                                   "worse_beyond_bound", "claim_rule_met")}
 
 
@@ -77,6 +78,39 @@ def test_claim_rule(metric):
     assert not verdicts([1.05, 1.05] + faster[2:], metric)["claim_rule_met"]
     # Ten wins, but the medians differ by 0.01, inside the parent's range.
     assert not verdicts([t - 0.01 for t in PARENT], metric)["claim_rule_met"]
+
+
+@pytest.mark.parametrize("metric", ["round_s", "work_per_s"])
+def test_better_in_every_run_resolves_a_wide_parent(metric):
+    # Parent runs 1..10: quartiles 3.25, 5.5 and 7.75, a spread of 0.82
+    # of the median, far above the 0.25 bound.
+    wide = [1.0 + s for s in range(10)]
+    runs = {"parent": [run("w", s, t) for s, t in enumerate(wide)]}
+    entry = {}
+    for name, change in [("apart", [0.5 + 0.04 * s for s in range(10)]),
+                         ("touching", [0.5] * 9 + [1.0]),
+                         ("overlapping", [0.5] * 9 + [1.5])]:
+        runs["change"] = [run("w", s, t) for s, t in enumerate(change)]
+        entry[name] = bench_pairs.summarize(runs, METRICS)["w"]["metrics"][
+            metric]
+    assert not any(e["resolved"] for e in entry.values())
+    # The slowest change run, 0.86 s, beats the fastest parent run, 1 s;
+    # for work_per_s the same runs are the higher-better extremes.
+    assert entry["apart"]["change_better_in_every_run"]
+    # A tie with the parent's best run, or a run past it, is not better.
+    assert not entry["touching"]["change_better_in_every_run"]
+    assert not entry["overlapping"]["change_better_in_every_run"]
+
+
+def test_better_in_every_run_on_a_narrow_parent():
+    assert verdicts([0.9 * t for t in PARENT])["change_better_in_every_run"]
+    # One change run, 0.98, ties the parent's 0.98 runs but is slower than
+    # its best, 0.97.
+    got = verdicts([0.98] + [0.9 * t for t in PARENT[1:]])
+    assert got["resolved"] and not got["change_better_in_every_run"]
+    # Slower in every run is not better in every run.
+    assert not verdicts([1.2 * t for t in PARENT])[
+        "change_better_in_every_run"]
 
 
 def test_worse_beyond_bound():

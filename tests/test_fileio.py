@@ -17,6 +17,8 @@ from dynlie.fileio import (
     system_from_doc,
 )
 
+from helpers import two_pass_emit
+
 
 @pytest.fixture(scope="module")
 def two_spin_analysis():
@@ -61,6 +63,39 @@ class TestCanonicalJson:
 
     def test_trailing_newline(self):
         assert dumps_report({"a": 1}).endswith("\n")
+
+    def test_same_bytes_as_the_two_pass_writer(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings, strategies as st
+
+        scalars = (st.none() | st.booleans() | st.text(max_size=12)
+                   | st.integers(-10 ** 20, 10 ** 20)
+                   | st.floats(allow_nan=False, allow_infinity=False)
+                   | st.sampled_from([-0.0, 0.0, np.float64(-0.0),
+                                      np.int64(-7)]))
+        # Lists of 30 to 36 small integers print inline at 90 to 144
+        # characters, so they fall on both sides of the 100-character cut.
+        near_cut = st.lists(st.integers(0, 99), min_size=30, max_size=36)
+        docs = st.recursive(
+            scalars | near_cut,
+            lambda kids: (st.lists(kids, max_size=6)
+                          | st.lists(kids, max_size=4).map(tuple)
+                          | st.dictionaries(st.text(max_size=6), kids,
+                                            max_size=4)),
+            max_leaves=30)
+
+        @settings(derandomize=True, max_examples=100, deadline=None)
+        @given(doc=docs)
+        # Inline lengths 99, 100 and 101, alone and nested one level down.
+        @example(doc=[1] * 33)
+        @example(doc=[1] * 32 + [10])
+        @example(doc=[1] * 31 + [10, 10])
+        @example(doc={"a": [[1] * 32 + [10], [1] * 31 + [10, 10]]})
+        @example(doc=[[-0.0, 1.5], {"k": [None, True, False, "s"]}, []])
+        def check(doc):
+            assert dumps_report(doc) == two_pass_emit(doc, 0) + "\n"
+
+        check()
 
 
 class TestMatrixEncoding:

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 
 from dynlie import (
+    analyze_system,
     cartan_subalgebra,
     empty_basis,
     extend_basis,
@@ -10,7 +13,9 @@ from dynlie import (
     primary_decompose,
     recognize_su2,
     simple_decompose,
+    two_spin_system,
 )
+from dynlie import ideals
 
 from conftest import SX, SY, SZ
 from helpers import (
@@ -152,6 +157,17 @@ class TestSimpleDecompose:
         assert len(ideal_set.ideals) == 1
         assert ideal_set.ideals[0].dim == 8
         assert ideal_set.origin == (0, 0, 0)
+
+
+    def test_su2_flags_read_from_the_dimension(self):
+        # Every 3-dimensional compact simple algebra is su(2): the
+        # pipeline fits no frame to decide the flags.
+        with mock.patch.object(ideals, "_su2_frame",
+                               wraps=ideals._su2_frame) as spy:
+            analysis = analyze_system(two_spin_system())
+        spy.assert_not_called()
+        assert [i.dim for i in analysis.ideals.ideals] == [3, 3]
+        assert analysis.ideals.su2 == (True, True)
 
 
 class TestRecognizeSu2:

@@ -80,6 +80,17 @@ class TestControlSystem:
         with pytest.raises(ValueError):
             control_system(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("drift", [np.diag([1e200, 0.0]),
+                                       1e200 * pauli("y")],
+                             ids=["real", "imaginary"])
+    def test_rejects_squared_norm_overflow(self, drift):
+        # Finite entries whose squared norm is inf used to give a closure
+        # of dimension 0: no generator's norm counted.
+        with pytest.raises(ValueError, match="drift is too large"):
+            control_system(drift, [pauli("x")])
+        with pytest.raises(ValueError, match="control 0 is too large"):
+            control_system(pauli("x"), [drift])
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             control_system(np.eye(2), [np.eye(3)])

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from dynlie import ControlSchedule, analyze_system, control_system, propagate
+from dynlie import recognize_su2
 from dynlie import dynamics
 
 from helpers import block_pairings, loop_reference
@@ -61,6 +62,11 @@ def transform(terms, how, seed):
 def structure(terms):
     a = analyze_system(control_system(terms[0], terms[1:]))
     ideals = a.ideals.ideals if a.ideals is not None else ()
+    # The flag is read from the dimension; a Killing frame fit confirms
+    # that each 3-dimensional ideal is a copy of su(2).
+    for ideal, su2 in zip(ideals, a.ideals.su2 if ideals else ()):
+        assert su2 == (ideal.dim == 3)
+        assert (recognize_su2(ideal) is not None) == su2
     return {"dim": a.closure.dim, "verdict": a.verdict,
             "ideal_dims": sorted(i.dim for i in ideals),
             "radical_lines": len(a.levi.radical_lines)}

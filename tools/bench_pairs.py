@@ -8,12 +8,15 @@ workload and end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles over the pairs and every run in seed order, the number of
 pairs the change won (ties count for neither side) and the ratio of the
 medians; per workload also each side's failed shares and whether every
-run was correct.  Per metric it also reads off three verdicts against the
-metric's ``bound``:
+run was correct.  Per metric it also reads off these verdicts, all but
+one against the metric's ``bound``:
 
 - ``resolved``: the parent's interquartile range, over its median
   (``parent_iqr_over_median``), is within the bound, so a change of the
   bound's size would stand out from the parent's own spread;
+- ``change_better_in_every_run``: every run of the change is better than
+  every run of the parent, which tells the two apart however wide the
+  parent's spread;
 - ``worse_beyond_bound``: the change's median is worse than the
   parent's by more than the bound, relative to the parent's median;
 - ``claim_rule_met``: the change won at least 9 of every 10 pairs and its
@@ -105,6 +108,9 @@ def summarize(runs, metrics):
             entry["change_over_parent_median"] = _round(changed / med)
             entry["parent_iqr_over_median"] = _round(spread)
             entry["resolved"] = bool(spread <= m["bound"])
+            entry["change_better_in_every_run"] = bool(
+                max(sign * v for v in vals["change"])
+                < min(sign * v for v in vals["parent"]))
             entry["worse_beyond_bound"] = bool(-gain / med > m["bound"])
             entry["claim_rule_met"] = bool(10 * wins >= 9 * len(seeds)
                                            and gain > q3 - q1)
@@ -160,7 +166,8 @@ def main(argv=None):
         for name, e in summary["metrics"].items():
             print(f"{w} {name}: change/parent median "
                   f"{e['change_over_parent_median']:.4g}"
-                  + ("" if e["resolved"] else ", unresolved"),
+                  + ("" if e["resolved"] or e["change_better_in_every_run"]
+                     else ", unresolved"),
                   file=sys.stderr)
     text = json.dumps(doc, indent=1) + "\n"
     if args.out is None:
