@@ -368,8 +368,8 @@ def two_pass_emit(obj, indent):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f'{pad}  {json.dumps(str(k))}: {two_pass_emit(v, indent + 1)}'
-                 for k, v in obj.items()]
+        parts = [f"{pad}  {json.dumps(str(k))}: "
+                 f"{two_pass_emit(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:

@@ -84,7 +84,7 @@ class TestCanonicalJson:
                                             max_size=4)),
             max_leaves=30)
 
-        @settings(derandomize=True, max_examples=100, deadline=None)
+        @settings(derandomize=True, max_examples=50, deadline=None)
         @given(doc=docs)
         # Inline lengths 99, 100 and 101, alone and nested one level down.
         @example(doc=[1] * 33)

@@ -158,7 +158,6 @@ class TestSimpleDecompose:
         assert ideal_set.ideals[0].dim == 8
         assert ideal_set.origin == (0, 0, 0)
 
-
     def test_su2_flags_read_from_the_dimension(self):
         # Every 3-dimensional compact simple algebra is su(2): the
         # pipeline fits no frame to decide the flags.
