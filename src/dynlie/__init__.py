@@ -43,7 +43,6 @@ from .linalg import (
     TOL_KILLING,
     TOL_RANK,
     empty_basis,
-    expm_skew,
     extend_basis,
     nullspace,
     skew_hermitian,

@@ -14,7 +14,8 @@ definite precisely on the semisimple subalgebras.
 import numpy as np
 
 from .errors import NotClosedError, NotSemisimpleError
-from .linalg import TOL_KILLING, TOL_RANK, bracket_blocks, span_coords
+from .linalg import (TOL_KILLING, TOL_RANK, _significant, bracket_blocks,
+                     span_coords)
 
 
 def _brackets_and_coords(basis, tol=TOL_RANK):
@@ -73,14 +74,14 @@ def killing_gram(c):
 def is_semisimple(c, tol=TOL_KILLING):
     """Cartan's criterion: the Killing form is nondegenerate.
 
-    True when the smallest singular value of the Killing Gram exceeds
-    ``tol * max(largest, 1)``.  The empty algebra reports False: there is
-    nothing to decompose there.
+    True when every singular value of the Killing Gram is significant at
+    ``tol`` (``linalg._significant``).  The empty algebra reports False:
+    there is nothing to decompose there.
     """
     if len(c) == 0:
         return False
     s = np.linalg.svd(killing_gram(c), compute_uv=False)
-    return bool(s[-1] > tol * max(s[0], 1.0))
+    return bool(_significant(s, tol).all())
 
 
 def killing_orthonormalize(c, tol=TOL_KILLING):
@@ -91,12 +92,12 @@ def killing_orthonormalize(c, tol=TOL_KILLING):
     the Gram matrix, which leaves an already Killing-orthonormal basis
     untouched.  The basis is HS-orthogonal but carries per-ideal scale
     factors.  The same eigendecomposition decides semisimplicity: an
-    input whose -K has an eigenvalue at or below ``tol * max(largest,
-    1)`` (degenerate or indefinite Killing form, or an empty span) raises
+    input whose -K has an eigenvalue that is not significant at ``tol``
+    (degenerate or indefinite Killing form, or an empty span) raises
     NotSemisimpleError.
     """
     w, q = np.linalg.eigh(-killing_gram(c))
-    if not w.size or w.min() <= tol * max(w.max(), 1.0):
+    if not w.size or not _significant(w, tol).all():
         raise NotSemisimpleError(
             "Killing form is not negative definite; input is not semisimple")
     return (q / np.sqrt(w)) @ q.T

@@ -108,8 +108,13 @@ def cmd_simulate(args):
     system = load_system_spec(args.spec)
     schedule = load_schedule(args.schedule, system.n_controls)
     analysis = _analyze(system, args)
-    result = propagate(analysis.decomposition, system, schedule,
-                       tol=args.tol_rank)
+    try:
+        result = propagate(analysis.decomposition, system, schedule,
+                           tol=args.tol_rank)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as err:  # a schedule too large to propagate
+        raise SpecError(str(err)) from err
     _write(dumps_report(build_propagation_report(analysis.decomposition,
                                                  result)), args.out)
     return 0

@@ -78,21 +78,23 @@ class ComponentDecomposition:
     ``components`` holds (kind, basis) pairs, simple ideals first and
     radical lines last; ``adapted`` is the concatenated basis of the
     whole algebra in that order, each a basis of rows over ``full``.
+    ``reconstruction`` is the largest row norm of A^T A - I, A its rows.
     """
 
     full: LieBasis
     components: tuple
     adapted: LieBasis
+    reconstruction: float
 
 
 @dataclass(frozen=True)
 class ControlSchedule:
     """Piecewise-constant control schedule: (duration, u) segments.
 
-    Durations must be positive and finite, control values finite.  The
-    segments are kept as given; ``durations`` holds the durations as one
-    read-only array and ``controls`` the control vectors stacked, one row
-    per segment, or None when their lengths differ.
+    Durations must be positive and finite, control values finite, and
+    every control vector of one length.  The segments are kept as given;
+    ``durations`` holds the durations as one read-only array and
+    ``controls`` the control vectors stacked, one row per segment.
     """
 
     segments: tuple
@@ -108,16 +110,12 @@ class ControlSchedule:
                              f"got {durs[bad.argmax()]}")
         try:
             us = np.array([u for _, u in segs], dtype=float)
-        except ValueError:  # control vectors of different lengths
-            us = None
-            values = np.concatenate(
-                [np.asarray(u, dtype=float) for _, u in segs], axis=None)
-        else:
-            us.flags.writeable = False
-            values = us
-        if not np.isfinite(values).all():
+        except ValueError as err:  # ragged, or not numbers
+            raise ValueError("control vectors must be numbers, all of one "
+                             "length") from err
+        if not np.isfinite(us).all():
             raise ValueError("control values must be finite")
-        durs.flags.writeable = False
+        durs.flags.writeable = us.flags.writeable = False
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "durations", durs)
         object.__setattr__(self, "controls", us)
@@ -193,17 +191,17 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
                          tol=tol, eig_tol=eig_tol, coeffs=coeffs)
         ideal_set = _stage("ideals", simple_decompose, semi, c, primary, tol)
         simple_bases = ideal_set.ideals
-    # The adapted rows over the closure basis: ideals, then radical lines.
+    # The adapted rows A over the closure basis: ideals, which cover the
+    # semisimple part, then radical lines, its complement.  A is square, so
+    # A^T A - I measures its orthonormality and each element's rebuild.
     rows = np.concatenate([_stage("assembly", basis.coords, b, tol)
                            for b in simple_bases] + [levi.radical.rows])
-    defect = np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0)
-    if defect > 1e-9:
+    defect = rows.T @ rows - np.eye(basis.dim)
+    worst = np.abs(defect).max(initial=0.0)
+    if worst > 1e-9:
         raise StageFailure("assembly", DecompositionError(
-            f"components are not mutually orthogonal, Gram defect "
-            f"{defect:.3e}"))
-    if len(rows) != basis.dim:
-        raise StageFailure("assembly", NotInSpanError(
-            "adapted basis does not span the full algebra"))
+            f"components are not an orthonormal basis of the algebra, "
+            f"defect {worst:.3e}"))
     # The components, ideals and Levi parts all share the adapted rows: the
     # semisimple part is reported in the ideals' basis.
     adapted = basis.span(rows)
@@ -215,8 +213,9 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
         ideal_set = replace(ideal_set, ideals=ideals)
     components = tuple([(KIND_SIMPLE, b) for b in ideals]
                        + [(KIND_RADICAL, b) for b in lines])
-    decomposition = ComponentDecomposition(full=basis, components=components,
-                                           adapted=adapted)
+    decomposition = ComponentDecomposition(
+        full=basis, components=components, adapted=adapted,
+        reconstruction=float(np.linalg.norm(defect, axis=1).max(initial=0.0)))
     return SystemAnalysis(system=system, closure=closure, verdict=verdict,
                           levi=levi, cartan=cartan, primary=primary,
                           ideals=ideal_set, decomposition=decomposition)
@@ -226,12 +225,10 @@ def _control_rows(system, schedule):
     """Rows [1, u] of the schedule's segments, one value per control."""
     m = system.n_controls
     us = schedule.controls
-    if us is None or us.shape[1:] != (m,):
-        for _, u in schedule.segments:
-            if np.shape(u) != (m,):
-                raise ValueError(f"expected {m} control values, "
-                                 f"got shape {np.shape(u)}")
-    rows = np.ones((len(schedule.segments), m + 1))
+    if len(us) and us.shape[1:] != (m,):
+        raise ValueError(f"expected {m} control values, "
+                         f"got shape {us.shape[1:]}")
+    rows = np.ones((len(us), m + 1))
     rows[:, 1:] = us.reshape(len(rows), m)
     return rows
 
@@ -370,6 +367,8 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     combines into the owner's generator.  Each segment's part outside the
     algebra, its row times the terms' parts outside it, must be at most
     ``tol * max(1, ||g||_F)`` for its generator g, else NotInSpanError.
+    A ValueError names the first segment whose duration times |row| @
+    (the terms' norms) is not finite, or the rows' duration-weighted sum.
 
     The exponentials are taken in the frame of ``invariant_frame`` of
     every owner's matrices, one block of size n when they are
@@ -406,6 +405,16 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     terms = _vec(-1j * np.array((system.drift,) + system.controls))
     rows = _control_rows(system, schedule)
     durs = schedule.durations
+    # t * ||g||_F for each segment's generator g is at most this bound.
+    with np.errstate(over="ignore"):
+        bound = durs * (np.abs(rows) @ np.linalg.norm(terms, axis=-1))
+        weighted = durs @ rows
+    if not np.isfinite(bound).all():
+        raise ValueError(f"segment {np.argmin(np.isfinite(bound))}: its "
+                         "duration times its generator's norm is not finite")
+    if not np.isfinite(weighted).all():
+        raise ValueError("the duration-weighted sum of the control rows is "
+                         "not finite")
     adapted = full.coords(decomp.adapted)
     coords = (terms @ basis.T) @ adapted.T
     outside = terms - (coords @ adapted) @ basis
@@ -456,7 +465,7 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     back = np.eye(n, dtype=complex)[None].repeat(len(owners), axis=0)
     # Skipped for an empty schedule, whose factors stay exact identities.
     if len(durs):
-        lines = _exponentials((durs @ rows)[None] @ line_op,
+        lines = _exponentials(weighted[None] @ line_op,
                               slots[len(per_segment) :], np.ones(1))
         blocks = (block for stack in running + lines
                   for block in _complex_form(stack))
@@ -487,9 +496,9 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
 def structure_residuals(analysis):
     """Numerical residuals behind each structural claim, for reporting.
 
-    Every residual but one is read from the stage that measured it (Levi,
-    Cartan, splitting element, primary and ideals); only
-    ``adapted_reconstruction`` is computed here.
+    Every residual is read from the stage that measured it: Levi, Cartan,
+    splitting element, primary, ideals and the assembly, whose
+    reconstruction is ``adapted_reconstruction``.
     """
     levi = analysis.levi
     res = {"radical_commutes_with_algebra": levi.commutation_residual,
@@ -501,9 +510,5 @@ def structure_residuals(analysis):
         res["splitting_real_parts"] = analysis.primary.splitting.real_part
     if analysis.ideals is not None:
         res["ideals_commute"] = analysis.ideals.commutation_residual
-    # Closure basis element i rebuilt from the adapted rows A: row i of A^T A.
-    basis = analysis.closure.basis
-    a = basis.coords(analysis.decomposition.adapted)
-    res["adapted_reconstruction"] = float(np.linalg.norm(
-        a.T @ a - np.eye(basis.dim), axis=1).max(initial=0.0))
+    res["adapted_reconstruction"] = analysis.decomposition.reconstruction
     return res

@@ -139,7 +139,7 @@ def system_from_doc(doc):
         raise SpecError("spec must be a JSON object")
     if "model" in doc:
         name = doc["model"]
-        if name not in MODELS:
+        if not isinstance(name, str) or name not in MODELS:
             known = ", ".join(sorted(MODELS))
             raise SpecError(f"unknown model {name!r} (known: {known})")
         return MODELS[name]()
@@ -150,6 +150,8 @@ def system_from_doc(doc):
     if not dim.is_integer():
         raise SpecError(f"dim must be an integer, got {doc['dim']!r}")
     drift = pairs_to_matrix(doc["drift"], "drift")
+    if not isinstance(doc["controls"], list):
+        raise SpecError(f"controls must be a list, got {doc['controls']!r}")
     controls = [pairs_to_matrix(c, f"control {k}")
                 for k, c in enumerate(doc["controls"])]
     labels = doc.get("labels")
@@ -183,7 +185,7 @@ def load_schedule(path, n_controls):
         raise SpecError(f"cannot read schedule file: {err}") from err
     except json.JSONDecodeError as err:
         raise SpecError(f"schedule file is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or "segments" not in doc:
+    if not isinstance(doc, dict) or type(doc.get("segments")) is not list:
         raise SpecError("schedule must be an object with a 'segments' list")
     segments = []
     for k, seg in enumerate(doc["segments"]):

@@ -25,7 +25,7 @@ from .adjoint import (
     killing_orthonormalize,
 )
 from .errors import DecompositionError, NotSemisimpleError
-from .linalg import TOL_RANK, _class_firsts
+from .linalg import TOL_RANK, _class_firsts, _significant
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,13 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     ``c`` holds the structure constants of ``semisimple``.  Components
     are linked when their planes fail to commute (a bracket norm above
     ``tol``); each connected class spans one ideal with the brackets
-    [x_j, y_j] of its planes, cut to their rank at ``tol * max(sigma_max,
-    1)``.  Ideals are ordered by their first component.  Verifies that
-    the ideal dimensions add up to dim S, that distinct ideals commute,
-    and that each ideal is genuinely ad-S-invariant; both residuals (at
-    1e-8) are stored on the result.  Each ideal's su(2) flag is read from
-    its dimension: every 3-dimensional compact simple algebra is su(2).
+    [x_j, y_j] of its planes, cut to their rank at ``tol`` by
+    ``linalg._significant``.  Ideals are ordered by their first
+    component.  Verifies that the ideal dimensions add up to dim S, that
+    distinct ideals commute, and that each ideal is genuinely
+    ad-S-invariant; both residuals (at 1e-8) are stored on the result.
+    Each ideal's su(2) flag is read from its dimension: every
+    3-dimensional compact simple algebra is su(2).
     """
     s = semisimple.dim
     planes = np.concatenate([semisimple.coords(comp, tol)
@@ -65,7 +66,7 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
         members = np.flatnonzero(origin == i)
         coroots = np.array([pair[2 * j, 2 * j + 1] for j in members])
         _, sv, vh = np.linalg.svd(coroots, full_matrices=False)
-        rank = int(np.count_nonzero(sv > tol * max(sv[0], 1.0)))
+        rank = int(np.count_nonzero(_significant(sv, tol)))
         rows.append(np.concatenate(
             [planes[2 * j : 2 * j + 2] for j in members] + [vh[:rank]]))
     total = sum(len(r) for r in rows)

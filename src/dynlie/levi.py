@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError
-from .linalg import LieBasis, TOL_RANK
+from .linalg import LieBasis, TOL_RANK, _significant
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,14 @@ def levi_split(c, tol=TOL_RANK):
     Returns (rows, semisimple dim, commutation residual, abelian
     residual): ``rows`` is orthogonal, its first rows span the derived
     algebra and the others the center.  Right singular vectors of c as a
-    (d, d^2) map with singular values at or below ``tol * max(sigma_max,
-    1)`` span the center.  Every radical element must commute with the
-    whole algebra (residual at 1e-8), else DecompositionError.
+    (d, d^2) map whose singular values are not significant at ``tol``
+    (``linalg._significant``) span the center.  Every radical element
+    must commute with the whole algebra (residual at 1e-8), else
+    DecompositionError.
     """
     d = len(c)
     _, s, vh = np.linalg.svd(c.reshape(d, d * d).T, full_matrices=False)
-    semi_dim = int(np.count_nonzero(s > tol * max(s.max(initial=0.0), 1.0)))
+    semi_dim = int(np.count_nonzero(_significant(s, tol)))
     rad = vh[semi_dim:]
     ad_rad = np.tensordot(rad, c, axes=1)  # [p, j]: coordinates of [r_p, e_j]
     worst = float(np.linalg.norm(ad_rad, axis=-1).max(initial=0.0))

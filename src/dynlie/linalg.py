@@ -298,11 +298,20 @@ def span_coords(basis, mats):
     return coords, np.linalg.norm(v - coords @ basis.vecs, axis=-1)
 
 
+def _significant(values, tol):
+    """Which of ``values`` (singular values or eigenvalues) count as
+    nonzero: those above ``tol * max(largest, 1)``.  The one rank rule of
+    the package; the floor of 1 keeps a tiny spectrum from being trusted
+    to relative round-off.  An empty spectrum has nothing significant."""
+    return values > tol * max(values.max(initial=0.0), 1.0)
+
+
 def nullspace(mat, tol=TOL_RANK):
     """Orthonormal rows spanning the nullspace of a real matrix.
 
-    SVD based; singular values at or below ``tol * max(sigma_max, 1)``
-    count as zero.  A matrix with no rows has everything in its nullspace.
+    SVD based; singular values that are not :func:`_significant` at
+    ``tol`` count as zero.  A matrix with no rows has everything in its
+    nullspace.
     """
     m = np.atleast_2d(np.asarray(mat, dtype=float))
     cols = m.shape[1]
@@ -311,33 +320,9 @@ def nullspace(mat, tol=TOL_RANK):
     # Full V is needed only for wide matrices; the full U of a tall one
     # (center's d^2 x d system) would be d^2 x d^2.
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)
-    smax = s[0] if s.size else 0.0
-    cut = tol * max(smax, 1.0)
     svals = np.zeros(cols)
     svals[: s.size] = s
-    return vh[svals <= cut]
-
-
-def expm_skew(a, t=1.0, tol=TOL_HERM):
-    """exp(t*a) for skew-Hermitian ``a``, unitary to round-off.
-
-    ``a`` may be a stack (..., n, n), with ``t`` broadcast against the
-    stack shape, one time per matrix.  How the exponential is taken
-    depends on the size of the matrices:
-
-    - n = 1: exp(t*a).
-    - n = 2: with h = i*a, m = tr(h)/2, k = h - m*I and r = sqrt(k_00^2 +
-      |k_01|^2) (so k^2 = r^2 I), the closed form
-      exp(-i t m) (cos(t r) I - i t sinc(t r) k), sinc(0) = 1 (Moler &
-      Van Loan, SIAM Rev. 45, 2003).
-    - Larger matrices, whether or not i*a is real: one batched ``eigh``
-      of i*a, whose phases are exponentiated.  np.linalg.LinAlgError
-      propagates if the eigensolver fails to converge.
-
-    ``propagate`` takes purely imaginary blocks of size 3 or more through
-    :func:`_cos_sin` instead.
-    """
-    return _expm_skew(skew_hermitian(a, tol), np.asarray(t))
+    return vh[~_significant(svals, tol)]
 
 
 def _expm_skew(a, t):
@@ -471,10 +456,10 @@ def _commutant_element(a, bounds):
     unknowns (p', q') and (p, q) of C is
     s[p', p] d(q', q) - 2 sum_i a_i[p', p] a_i[q, q'] + d(p', p) s[q, q']
     with s = sum_i a_i^2: a matrix of the size of the unknowns, not of
-    n^2.  Eigenvalues up to ``TOL_RANK`` times the largest count as zero;
-    an element that only nearly commutes can split subspaces the terms
-    couple weakly, which the support test in :func:`invariant_frame`
-    then merges again.
+    n^2.  Eigenvalues that are not :func:`_significant` at ``TOL_RANK``
+    count as zero; an element that only nearly commutes can split
+    subspaces the terms couple weakly, which the support test in
+    :func:`invariant_frame` then merges again.
     """
     ps, qs = np.concatenate([
         np.stack(np.meshgrid(np.arange(s, e), np.arange(s, e),
@@ -486,7 +471,7 @@ def _commutant_element(a, bounds):
     op = (s[p2, p] * (q2 == q) + (p2 == p) * s[q, q2]
           - 2.0 * (a[:, p2, p] * a[:, q, q2]).sum(axis=0))
     lam, vecs = np.linalg.eigh(op)
-    kernel = vecs[:, lam <= TOL_RANK * max(lam[-1], 1.0)]
+    kernel = vecs[:, ~_significant(lam, TOL_RANK)]
     n = a.shape[-1]
     c = np.zeros((n, n), dtype=a.dtype)
     c[ps, qs] = kernel @ _generic(kernel.shape[1])

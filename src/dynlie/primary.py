@@ -57,11 +57,11 @@ class PrimaryResult:
     invariance_residual: float  # worst part of [a, v] outside v's component
 
 
-def _coefficient_candidates(m, c_max, rng_seed=0):
+def _coefficient_candidates(m, c_max):
     """Deterministic splitting-coefficient candidates.
 
     Integer vectors in {1..c_max}^m, lexicographic, filtered to gcd 1
-    (capped), then uniform draws from [-1, 1]^m with a fixed seed.
+    (capped), then uniform draws from [-1, 1]^m with the fixed seed 0.
     """
     count = 0
     for c in itertools.product(range(1, c_max + 1), repeat=m):
@@ -70,7 +70,7 @@ def _coefficient_candidates(m, c_max, rng_seed=0):
         count += 1
         if count >= MAX_INTEGER_CANDIDATES:
             break
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     for _ in range(MAX_RANDOM_CANDIDATES):
         yield rng.uniform(-1.0, 1.0, size=m)
 

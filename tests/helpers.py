@@ -18,6 +18,7 @@ from dynlie import (
     control_system,
     dynamics,
     generator,
+    linalg,
     pauli,
 )
 from dynlie.errors import NotClosedError, NotInSpanError
@@ -46,6 +47,12 @@ def hs_inner(a, b):
 def random_skew(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a - a.conj().T) / 2.0
+
+
+def expm_skew(a, t=1.0):
+    """exp(t*a) by ``linalg._expm_skew`` for an exactly skew-Hermitian
+    ``a`` (..., n, n), with ``t`` broadcast against the stack shape."""
+    return linalg._expm_skew(np.asarray(a, dtype=complex), np.asarray(t))
 
 
 def dense_terms(key, n, count=2):

@@ -175,14 +175,20 @@ class TestDecompose:
         # Its squared norm overflows; this used to report the empty
         # algebra with status "ok".
         ("drift", matrix_to_pairs(np.diag([1e200, 0.0]))),
-    ], ids=["boolean-entries", "string-labels", "norm-overflows"])
-    def test_malformed_spec_field(self, tmp_path, field, value):
+        # These containers used to end in a TypeError traceback.
+        ("controls", 5),
+        ("controls", None),
+        ("model", ["two-spin"]),
+    ], ids=["boolean-entries", "string-labels", "norm-overflows",
+            "number-controls", "null-controls", "list-model"])
+    def test_malformed_spec_field(self, tmp_path, capsys, field, value):
         doc = {"dim": 2, "drift": matrix_to_pairs(np.eye(2)),
                "controls": [matrix_to_pairs(np.diag([1.0, -1.0]))] * 2}
         doc[field] = value
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert run(["decompose", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_overlapping_components_exit_3(self, tmp_path, capsys,
                                            monkeypatch):
@@ -326,14 +332,26 @@ class TestSimulate:
             {"duration": -0.5, "u": [1.0, 0.0]}])
         assert run(["simulate", spec, sched]) == 2
 
+    @pytest.mark.parametrize("doc", ['{"segments": 5}',
+                                     '{"segments": null}'])
+    def test_malformed_schedule_container(self, tmp_path, capsys, doc):
+        # These used to end in a TypeError traceback.
+        spec = write_two_spin_spec(tmp_path)
+        sched = tmp_path / "schedule.json"
+        sched.write_text(doc)
+        assert run(["simulate", spec, str(sched)]) == 2
+        assert "'segments' list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("segment", [
         '{"duration": 1e400, "u": [1.0, 0.0]}',
         '{"duration": NaN, "u": [1.0, 0.0]}',
         '{"duration": 0.5, "u": [1e400, 0.0]}',
-        '{"duration": 0.5, "u": [1.0, NaN]}'])
+        '{"duration": 0.5, "u": [1.0, NaN]}',
+        '{"duration": 1e300, "u": [1e10, 2]}'])
     def test_non_finite_schedule_values(self, tmp_path, capsys, segment):
-        # An infinite duration used to end in a NaN propagator and a
-        # traceback from the report writer.
+        # An infinite duration, or finite values whose product overflows,
+        # used to end in a NaN propagator and a traceback from the report
+        # writer.
         spec = write_two_spin_spec(tmp_path)
         sched = tmp_path / "schedule.json"
         sched.write_text('{"segments": [' + segment + "]}")

@@ -32,6 +32,7 @@ from helpers import (
     block_pairings,
     coupled_sectors,
     dense_terms,
+    expm_skew,
     ising_x,
     loop_reference,
     off_block,
@@ -209,12 +210,12 @@ class TestControlSchedule:
                                                        [0.0, 1.0]])
         assert not sched.durations.flags.writeable
         assert not sched.controls.flags.writeable
-        # Control vectors of different lengths have no stack; the mismatch
-        # is reported against the system by propagate.
-        ragged = ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (1.0,))))
-        assert ragged.controls is None
+        # Control vectors of different lengths have no stack: the schedule
+        # is rejected as it is built.
+        with pytest.raises(ValueError, match="one length"):
+            ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (1.0,))))
         with pytest.raises(ValueError, match="finite"):
-            ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (np.nan,))))
+            ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (np.nan, 0.0))))
 
     def test_first_bad_duration_named(self):
         with pytest.raises(ValueError, match=r"finite, got -1\.0$"):
@@ -227,6 +228,21 @@ class TestControlSchedule:
         sched = ControlSchedule(((0.5, (1.0,)), (0.5, (2.0,))))
         with pytest.raises(ValueError,
                            match=r"expected 2 control values, got shape \(1,\)"):
+            propagate(analysis.decomposition, sys, sched)
+
+    def test_overflowing_segment_named(self, two_spin_decomp):
+        # Each value is finite, but duration times the generator's norm is
+        # not: this used to give a NaN propagator.
+        sys, analysis = two_spin_decomp
+        sched = ControlSchedule(((0.5, (1.0, 0.0)), (1e300, (1e10, 2.0))))
+        with pytest.raises(ValueError, match="^segment 1: .* not finite"):
+            propagate(analysis.decomposition, sys, sched)
+
+    def test_overflowing_weighted_sum(self, two_spin_decomp):
+        # Every segment's bound is about 2e307, their sum is not finite.
+        sys, analysis = two_spin_decomp
+        sched = ControlSchedule(((1e300, (1e7, 0.0)),) * 20)
+        with pytest.raises(ValueError, match="weighted .* not finite"):
             propagate(analysis.decomposition, sys, sched)
 
     @pytest.mark.parametrize("segment", [
@@ -376,7 +392,7 @@ class TestRealForm:
     @pytest.mark.parametrize("count", [1, 2, 13])
     @pytest.mark.parametrize("z", [1, 2, 4, 6])
     def test_ordered_product_matches_complex(self, rng, z, count):
-        stack = np.stack([linalg.expm_skew(random_skew(rng, z))
+        stack = np.stack([expm_skew(random_skew(rng, z))
                           for _ in range(count)])
         form = linalg._real_form(stack.real, stack.imag)
         assert form.shape == (count, 2 * z, 2 * z) and form.dtype == float
@@ -500,7 +516,8 @@ class TestBatchedPropagate:
 
     def test_wrong_control_count_raises(self, two_spin_decomp):
         sys, analysis = two_spin_decomp
-        sched = ControlSchedule(((0.5, (1.0, 0.0)), (0.5, (1.0,))))
+        sched = ControlSchedule(((0.5, (1.0, 0.0, 2.0)),
+                                 (0.5, (1.0, 0.0, 0.0))))
         with pytest.raises(ValueError, match="2 control values"):
             propagate(analysis.decomposition, sys, sched)
         with pytest.raises(ValueError, match="2 control values"):

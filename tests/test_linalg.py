@@ -4,7 +4,6 @@ import pytest
 from dynlie import (
     LieBasis,
     empty_basis,
-    expm_skew,
     extend_basis,
     nullspace,
     pauli,
@@ -23,6 +22,7 @@ from helpers import (
     bracket_residual,
     commutator,
     dense_terms,
+    expm_skew,
     from_coords,
     hs_inner,
     member_coords,
@@ -358,6 +358,27 @@ class TestRowBasis:
             two_spin_basis.coords(outside)
 
 
+class TestSignificant:
+    """``linalg._significant``, the package's one rank rule: a value
+    counts when it exceeds ``tol * max(largest, 1)``."""
+
+    def test_value_at_the_cut_is_dropped(self):
+        cut = 1e-8 * 4.0
+        values = np.array([4.0, cut, np.nextafter(cut, 1.0), 0.0])
+        np.testing.assert_array_equal(linalg._significant(values, 1e-8),
+                                      [True, False, True, False])
+
+    def test_largest_below_one_uses_the_floor(self):
+        # Relative to the largest value, 0.5, the cut would be 5e-9.
+        values = np.array([0.5, 1e-8, 1.5e-8, 6e-9])
+        np.testing.assert_array_equal(linalg._significant(values, 1e-8),
+                                      [True, False, True, False])
+
+    def test_empty_spectrum(self):
+        out = linalg._significant(np.zeros(0), 1e-8)
+        assert out.shape == (0,) and out.dtype == bool
+
+
 class TestNullspace:
     def test_full_rank_has_empty_nullspace(self):
         assert nullspace(np.eye(3)).shape == (0, 3)
@@ -381,6 +402,10 @@ class TestNullspace:
 
 
 class TestExpmSkew:
+    """``linalg._expm_skew``, the kernel ``propagate`` takes for blocks of
+    sizes 1 and 2 and for complex blocks, on exactly skew-Hermitian input
+    (``helpers.expm_skew``)."""
+
     def test_full_turn_is_minus_identity(self):
         u = expm_skew(IZ, t=2 * np.pi)
         np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
@@ -425,14 +450,6 @@ class TestExpmSkew:
         stack = np.stack([random_skew(rng, 3) for _ in range(4)])
         for a, u in zip(stack, expm_skew(stack, t=0.8)):
             np.testing.assert_allclose(u, expm_skew(a, t=0.8), atol=1e-14)
-
-    @pytest.mark.parametrize("bad", [SX, np.array([[0, np.nan], [np.nan, 0]]),
-                                     np.array([[1.0]]), np.array([[np.nan]])])
-    def test_stack_rejects_one_bad_matrix(self, rng, bad):
-        n = len(bad)
-        stack = np.stack([random_skew(rng, n), random_skew(rng, n), bad])
-        with pytest.raises(ValueError, match="skew-Hermitian|non-finite"):
-            expm_skew(stack, t=np.ones(3))
 
     # Sizes 1 and 2 take the closed form instead of ``eigh``.
     @staticmethod
