@@ -8,12 +8,10 @@ schedules each factor is an exact product of matrix exponentials, so the
 factorization error stays at numerical noise.
 
 An analysis holds one matrix stack, the closure basis; every later basis
-is orthonormal coordinate rows over it.  Propagation is one linear map
-of the control row [1, u] to the diagonal blocks, in the frame of the
-invariant subspaces of every piece (``linalg.invariant_frame``), of the
-total and of each piece; :func:`propagate` says how the blocks are
-exponentiated, shared and multiplied, in real arithmetic for a real
-Hamiltonian (NMR and Ising-type models).
+is orthonormal coordinate rows over it.  :func:`propagate` exponentiates
+the diagonal blocks of the total and of each piece in one frame of
+invariant subspaces, in real arithmetic for a real Hamiltonian (NMR and
+Ising-type models), in one workspace per call.
 """
 
 import itertools
@@ -43,7 +41,6 @@ from .linalg import (
     _expm_skew,
     _generic,
     _intertwiner,
-    _real_form,
     _unvec,
     _vec,
     invariant_frame,
@@ -54,21 +51,11 @@ from .primary import PrimaryResult, primary_decompose
 KIND_SIMPLE = "simple"
 KIND_RADICAL = "radical-line"
 
-# Segments per stacked exponential in ``propagate``.  A chunk holds
+# Segments per stacked exponential in ``propagate``, whose workspace holds
 # (CHUNK, count, z, z) stacks per block size z.  On the three 10^4-segment
 # benchmark schedules (2-core VM, one BLAS thread) 128 ran about 7% faster
 # than 64 and 256 another 3%, for twice the memory again.
 CHUNK = 128
-# Segments whose block coordinates ``propagate`` takes in one matmul.
-# glibc's malloc returns the top of the heap to the system when more than
-# twice the largest mmapped block it has freed lies unused there, and a
-# chunk frees about four times its largest temporary.  Eight chunks of
-# block coordinates are about one chunk's whole working set, so once this
-# array is freed the chunks' temporaries stay mapped from chunk to chunk.
-# On Ising-x k=4 with 10^4 segments a call faulted in 34,000 pages with one
-# matmul per chunk and 800 with eight, unless an earlier free of a megabyte
-# or more had raised the threshold already.
-MATMUL_ROWS = 8 * CHUNK
 
 
 @dataclass(frozen=True)
@@ -233,12 +220,18 @@ def _control_rows(system, schedule):
     return rows
 
 
-def _ordered_product(stack):
-    """stack[-1] @ ... @ stack[0], by pairwise halving."""
+def _ordered_product(stack, spare):
+    """stack[-1] @ ... @ stack[0], by pairwise halving into the flat array
+    ``spare``, at least as large as the stack, and back into ``stack`` in
+    turn; the product is a view of one of them."""
+    buffers = itertools.cycle((spare[: stack.size].reshape(stack.shape),
+                               stack))
     while len(stack) > 1:
-        odd = len(stack) % 2
-        halved = stack[1::2] @ stack[0 : len(stack) - odd : 2]
-        stack = np.concatenate([halved, stack[-1:]]) if odd else halved
+        half = len(stack) // 2
+        dest = next(buffers)[: len(stack) - half]
+        np.matmul(stack[1::2], stack[0 : 2 * half : 2], out=dest[:half])
+        dest[half:] = stack[2 * half :]
+        stack = dest
     return stack[0]
 
 
@@ -325,27 +318,38 @@ def _block_operator(rotated, sizes, once):
                   for (o, b), (r, q, conj) in copies.items()]
 
 
-def _exponentials(blocks, slots, t):
+def _scratch(rows, slots):
+    """Floats :func:`_exponentials` needs for ``rows`` rows of ``slots``: 12
+    per block entry of a run, for its real forms 4, the cos/sin input 1
+    and ``linalg._cos_sin``'s scratch 7, which the halving fits in too."""
+    return max((12 * rows * len(list(run)) * z * z for z, run in
+                itertools.groupby(s[1] for s in slots)), default=0)
+
+
+def _exponentials(blocks, slots, t, work):
     """Per run of ``slots`` of equal size, the stacked products over the
-    rows of ``blocks`` of exp(t[row] * block), later rows on the left,
-    each in the real form of ``linalg._real_form``.  Row i of ``blocks``
-    holds one vectorized block per slot, as :func:`_block_operator` lays
-    them out.  A run of size 3 or more whose real part is exactly zero
-    takes ``linalg._cos_sin``, any other ``linalg._expm_skew``."""
-    out, at = [], 0
+    rows of ``blocks`` of exp(t[row] * block), later rows on the left, in
+    the real form of ``linalg._complex_form``.  Row i of ``blocks`` holds
+    one vectorized block per slot, as :func:`_block_operator` lays them
+    out.  A run of size 3 or more whose real part is exactly zero takes
+    ``linalg._cos_sin``, any other ``linalg._expm_skew``; both write into
+    views of ``work``, :func:`_scratch` floats."""
+    out, at, rows = [], 0, len(blocks)
     for size, run in itertools.groupby(s[1] for s in slots):
-        part = blocks[:, at : at + len(list(run)) * 2 * size * size]
-        at += part.shape[1]
-        mats = _unvec(part.reshape(len(part), -1, 2 * size * size), size)
+        width = len(list(run)) * 2 * size * size
+        mats = blocks[:, at : at + width].view(complex).reshape(
+            rows, -1, size, size)
+        at += width
+        form, x, rest = np.split(work, [4 * mats.size, 5 * mats.size])
+        form = form.reshape(mats.shape[:2] + (2 * size, 2 * size))
         if size >= 3 and not mats.real.any():
             # h = i * block = -block.imag is real symmetric, and
             # exp(-i t h) = C - i S has the real form [[C, S], [-S, C]].
-            cosine, sine = _cos_sin(-t[:, None, None, None] * mats.imag)
-            form = _real_form(cosine, -sine)
+            _cos_sin(np.multiply(-t[:, None, None, None], mats.imag,
+                                 out=x.reshape(mats.shape)), form, rest)
         else:
-            e = _expm_skew(mats, t[:, None])
-            form = _real_form(e.real, e.imag)
-        out.append(_ordered_product(form))
+            _expm_skew(mats, t[:, None], form)
+        out.append(_ordered_product(form, rest).copy())
     return out
 
 
@@ -361,42 +365,29 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     H(u) is affine in u, so propagation is one linear map of the control
     rows [1, u].  The terms' coordinates in the adapted basis are
     (terms V^T) A^T, for the closure basis V (``decomp.full``) and the
-    adapted rows A over it, and their piece on component c is those on c
-    times A_c, times V.  The reference total and each component own an
-    (m + 1)-stack of matrices, the terms or their pieces, that a row
-    combines into the owner's generator.  Each segment's part outside the
-    algebra, its row times the terms' parts outside it, must be at most
-    ``tol * max(1, ||g||_F)`` for its generator g, else NotInSpanError.
-    A ValueError names the first segment whose duration times |row| @
-    (the terms' norms) is not finite, or the rows' duration-weighted sum.
+    adapted rows A over it; their piece on component c is those on c
+    times A_c, times V.  Each segment's part outside the algebra must be
+    at most ``tol * max(1, ||g||_F)`` for its generator g, else
+    NotInSpanError.  A ValueError names the first segment whose duration
+    times |row| @ (the terms' norms) is not finite, or the rows'
+    duration-weighted sum.
 
     The exponentials are taken in the frame of ``invariant_frame`` of
-    every owner's matrices, one block of size n when they are
-    irreducible.  A piece whose norm is at most ``TOL_FRAME`` times its
-    term's is set to exactly zero first, so that round-off, which a
-    change of basis moves, cannot steer the frame and the order of its
-    blocks.  When every owner's matrix is i times a real symmetric one to
-    ``TOL_FRAME`` of its norm (a real Hamiltonian), the real parts are
-    zeroed and the frame is orthogonal.  The rotated matrices are
-    projected to exactly skew-Hermitian once, by ``skew_hermitian``.  One
-    real matrix maps a row to every diagonal block of every owner
-    (:func:`_block_operator`), an owner skipping the blocks it acts on as
-    zero and the blocks it transports: block B is transported from an
-    earlier block A when a checked fixed unitary Q gives B_k = Q A_k Q^H,
-    or Q conj(A_k) Q^H, for every matrix k of the owner
-    (:func:`_equivalent_blocks`), and B's product is then Q U Q^H, or
-    Q conj(U) Q^H, from A's product U.
-    Segments run in chunks of ``CHUNK``: one matmul gives the blocks of
-    ``MATMUL_ROWS`` segments, and per chunk each run of blocks of one
-    size takes one stacked exponential, its kernel chosen from the run
-    (the closed form for sizes 1 and 2; ``linalg._cos_sin`` when the real
-    parts are exactly zero, as they are for a real Hamiltonian; else a
-    batched complex ``eigh``), and a pairwise product, each product in
-    the real 2z x 2z form [[Re, -Im], [Im, Re]] of its z x z block
-    (``linalg._real_form``), a homomorphism.  A radical line commutes
-    with everything, and a 1 x 1 block is a scalar, so their blocks are
-    exponentiated once, from the duration-weighted sum of the rows.  The
-    blocks return to complex, and the factors to n x n, once at the end.
+    every owner's matrices, once pieces at most ``TOL_FRAME`` times their
+    term's norm are zero, so that round-off cannot steer the frame, and,
+    for a real Hamiltonian, the real parts too, so that it is orthogonal.
+    One real matrix maps a row to the diagonal blocks of every owner
+    (:func:`_block_operator`) but the blocks it acts on as zero and those
+    it transports: B_k = Q A_k Q^H, or Q conj(A_k) Q^H, for a checked
+    unitary Q and every matrix k of the owner (:func:`_equivalent_blocks`)
+    gives B's product from A's.  Segments run in chunks of ``CHUNK``, each
+    run of blocks of one size taking one stacked exponential and pairwise
+    product (:func:`_exponentials`); radical lines and 1 x 1 blocks
+    commute, so theirs are exponentiated once, from the duration-weighted
+    sum of the rows.  One workspace per call holds a chunk's block
+    coordinates and all temporaries of its exponentials: chunks allocate
+    nothing of their size, so none faults in pages the allocator gave
+    back.  Blocks return to complex, and factors to n x n, at the end.
     """
     n = system.dim
     comps = decomp.components
@@ -453,20 +444,24 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     per_segment = [slot for slot in slots if not slot[0]]
     cut = sum(2 * z * z for _, z, _, _ in per_segment)
     ops, line_op = to_blocks[:, :cut], to_blocks[:, cut:]
+    summed = slots[len(per_segment) :]
+    chunk = min(CHUNK, len(durs))
+    head, work = np.split(np.empty(chunk * cut + max(
+        _scratch(chunk, per_segment), _scratch(1, summed))), [chunk * cut])
+    head = head.reshape(chunk, cut)
     running = []
     for start in range(0, len(durs), CHUNK):
-        at = start % MATMUL_ROWS
-        if not at:
-            coords = rows[start : start + MATMUL_ROWS] @ ops
-        steps = _exponentials(coords[at : at + CHUNK], per_segment,
-                              durs[start : start + CHUNK])
+        part = rows[start : start + CHUNK]
+        coords = np.matmul(part, ops, out=head[: len(part)])
+        steps = _exponentials(coords, per_segment,
+                              durs[start : start + CHUNK], work)
         running = ([step @ prev for step, prev in zip(steps, running)]
                    if start else steps)
     back = np.eye(n, dtype=complex)[None].repeat(len(owners), axis=0)
     # Skipped for an empty schedule, whose factors stay exact identities.
     if len(durs):
-        lines = _exponentials(weighted[None] @ line_op,
-                              slots[len(per_segment) :], np.ones(1))
+        lines = _exponentials(weighted[None] @ line_op, summed, np.ones(1),
+                              work)
         blocks = (block for stack in running + lines
                   for block in _complex_form(stack))
         for (_, z, o, s), block in zip(slots, blocks):

@@ -107,21 +107,9 @@ def _unvec(vecs, n):
     return v.view(complex).reshape(v.shape[:-1] + (n, n))
 
 
-def _real_form(re, im):
-    """The real 2n x 2n form [[re, -im], [im, re]] of the complex stack
-    re + i im (..., n, n).  The map is a homomorphism, so a product of
-    complex matrices is one real matmul in this form."""
-    n = re.shape[-1]
-    out = np.empty(re.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = out[..., n:, n:] = re
-    out[..., :n, n:] = -im
-    out[..., n:, :n] = im
-    return out
-
-
 def _complex_form(r):
-    """Inverse of :func:`_real_form`: the complex stack (..., n, n) that
-    the real stack ``r`` (..., 2n, 2n) holds."""
+    """The complex stack (..., n, n) that the real stack ``r`` (..., 2n, 2n)
+    holds in the real form [[Re, -Im], [Im, Re]], a homomorphism."""
     n = r.shape[-1] // 2
     return r[..., :n, :n] + 1j * r[..., n:, :n]
 
@@ -325,15 +313,19 @@ def nullspace(mat, tol=TOL_RANK):
     return vh[~_significant(svals, tol)]
 
 
-def _expm_skew(a, t):
-    """exp(t*a) for an exactly skew-Hermitian stack ``a``, unchecked."""
-    if a.shape[-1] == 1:
-        return np.exp(t[..., None, None] * a)
-    if a.shape[-1] == 2:
-        return _expm_skew2(a, t)
-    w, v = np.linalg.eigh(1j * a)
-    phases = np.exp(-1j * t[..., None] * w)
-    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+def _expm_skew(a, t, out):
+    """exp(t*a) for an exactly skew-Hermitian stack ``a``, unchecked, in
+    the real form (see :func:`_complex_form`) written into ``out``."""
+    n = a.shape[-1]
+    if n == 2:
+        return _expm_skew2(a, t, out)
+    if n == 1:
+        e = np.exp(t[..., None, None] * a)
+    else:
+        w, v = np.linalg.eigh(1j * a)
+        phases = np.exp(-1j * t[..., None] * w)
+        e = (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    out[...] = np.block([[e.real, -e.imag], [e.imag, e.real]])
 
 
 # Largest angle |t| * ||h||_inf that :func:`_cos_sin` takes through the
@@ -349,9 +341,10 @@ _TAYLOR = np.array([[[(-1) ** k / math.factorial(2 * k + p)
                     for j in range(3)])
 
 
-def _cos_sin(x):
-    """cos(x) and sin(x) for a stack of real symmetric matrices ``x``, so
-    that exp(-i x) = cos(x) - i sin(x).
+def _cos_sin(x, out, work):
+    """The real form [[cos(x), sin(x)], [-sin(x), cos(x)]] of exp(-i x),
+    written into ``out``, for a stack of real symmetric matrices ``x``;
+    ``work`` is flat float scratch of at least 7 ``x.size`` entries.
 
     A matrix whose infinity norm exceeds ``_SERIES_ANGLE`` takes one real
     ``eigh``, x = V diag(w) V^T, and cos(x) = (V cos(w)) V^T, sin(x)
@@ -361,65 +354,76 @@ def _cos_sin(x):
     cos <- cos^2 - sin^2, sin <- 2 sin cos undo the scaling (Moler & Van
     Loan, SIAM Rev. 45, 2003; Al-Mohy, Higham & Relton, SIAM J. Sci.
     Comput. 37, 2015).  At norm 1 the first omitted terms are 1.6e-16 and
-    8e-18, so the result is orthogonal to round-off like the ``eigh``
-    path's.
-    """
+    8e-18, so the result is orthogonal to round-off like eigh's."""
     z = x.shape[-1]
     # Row sums as one matrix-vector product: numpy's sum over a short last
     # axis is slower.
-    rows = np.abs(x).reshape(-1, z) @ np.ones(z)
+    rows = np.abs(x, out=work[: x.size].reshape(x.shape)).reshape(-1, z)
+    rows = rows @ np.ones(z)
     angle = rows.reshape(x.shape[:-1]).max(axis=-1)
     big = angle > _SERIES_ANGLE
     if not big.any():
-        return _cos_sin_series(x, angle)
-    c, s = np.empty_like(x), np.empty_like(x)
+        return _cos_sin_series(x, angle, out, work)
     w, v = np.linalg.eigh(x[big])
-    vt = np.swapaxes(v, -1, -2)
-    c[big] = (v * np.cos(w)[..., None, :]) @ vt
-    s[big] = (v * np.sin(w)[..., None, :]) @ vt
+    c, s = ((v * np.stack([np.cos(w), np.sin(w)])[..., None, :])
+            @ np.swapaxes(v, -1, -2))
+    out[big] = np.block([[c, s], [-s, c]])
     if not big.all():
-        small = ~big
-        c[small], s[small] = _cos_sin_series(x[small], angle[small])
-    return c, s
+        part = out[~big]
+        _cos_sin_series(x[~big], angle[~big], part, work)
+        out[~big] = part
 
 
-def _cos_sin_series(x, angle):
+def _cos_sin_series(x, angle, out, work):
     """:func:`_cos_sin` by the scaled series, for a stack ``x`` of infinity
     norms ``angle``.  Each matrix is scaled and squared back by its own
-    s; sorted by s, most first, each squaring runs on a leading slice."""
-    shape, z = x.shape, x.shape[-1]
+    s; sorted by s, most first, each squaring runs on a leading slice.
+    Products go to views of ``work`` and, before the result, of ``out``."""
+    z = x.shape[-1]
+    x = x.reshape(-1, z, z)
     squarings = np.maximum(np.frexp(angle.reshape(-1))[1], 0)
     order = np.argsort(-squarings, kind="stable")
     squarings = squarings[order]
-    x = x.reshape(-1, z, z)[order] * np.ldexp(1.0, -squarings)[:, None, None]
-    powers = np.empty((3,) + x.shape)
+    xs, y3 = out.reshape((4,) + x.shape)[:2]
+    powers, acc, term = np.split(
+        work[: 7 * x.size].reshape((7,) + x.shape), [3, 5])
+    # mode="clip" writes to ``out`` unbuffered; order is a permutation.
+    np.take(x, order, axis=0, out=xs, mode="clip")
+    xs *= np.ldexp(1.0, -squarings)[:, None, None]
     powers[0] = np.eye(z)
-    y = np.matmul(x, x, out=powers[1])
-    y3 = np.matmul(y, y, out=powers[2]) @ y
-    # Block j of both series, sum_i _TAYLOR[j, :, i] y^i, in one product.
-    b = (_TAYLOR.reshape(6, 3) @ powers.reshape(3, -1)).reshape(
-        (3, 2) + x.shape)
-    p = b[0] + y3 @ (b[1] + y3 @ b[2])
-    c, s = p[0], x @ p[1]
+    y = np.matmul(xs, xs, out=powers[1])
+    np.matmul(np.matmul(y, y, out=powers[2]), y, out=y3)
+    # Horner in y3 over both series' blocks sum_i _TAYLOR[j, :, i] y^i.
+    flat = powers.reshape(3, -1)
+    np.matmul(_TAYLOR[2], flat, out=acc.reshape(2, -1))
+    for j in (1, 0):
+        np.matmul(y3, acc, out=term)
+        np.matmul(_TAYLOR[j], flat, out=acc.reshape(2, -1))
+        acc += term
+    c, s = acc[0], np.matmul(xs, acc[1], out=powers[0])
     for k in range(squarings.max(initial=0)):
         m = np.count_nonzero(squarings > k)
         ck, sk = c[:m], s[:m]
-        c[:m], s[:m] = ck @ ck - sk @ sk, 2.0 * (sk @ ck)
-    out = np.empty((2,) + x.shape)
-    out[0, order], out[1, order] = c, s
-    return out[0].reshape(shape), out[1].reshape(shape)
+        sck = np.matmul(sk, ck, out=term[0, :m])
+        np.subtract(np.matmul(ck, ck, out=powers[1, :m]),
+                    np.matmul(sk, sk, out=powers[2, :m]), out=ck)
+        np.multiply(2.0, sck, out=sk)
+    form = out.reshape(-1, 2 * z, 2 * z)
+    form[order, :z, :z] = form[order, z:, z:] = c
+    form[order, :z, z:] = s
+    form[order, z:, :z] = np.negative(s, out=s)
 
 
-def _expm_skew2(a, t):
+def _expm_skew2(a, t, out):
     """Closed-form exp(t*a) for a stack of exactly skew-Hermitian 2 x 2
-    matrices ``a``, with ``t`` broadcast against the stack shape.
+    matrices ``a``, ``t`` broadcast against the stack shape, each entry
+    written straight into its places in the real form ``out``.
 
     In terms of a = -i h: a = i phi I + kappa with kappa = [[i d, b],
     [-b*, -i d]] and kappa^2 = -r^2 I, r = hypot(d, |b|), so exp(t*a) is
     exp(i t phi) (cos(t r) I + t sinc(t r) kappa).  The unit phase
     multiplies a unitary of entries at most 1, so the result stays
-    unitary to round-off even where t*phi is large.
-    """
+    unitary to round-off even where t*phi is large."""
     im = a.imag
     phi = (im[..., 0, 0] + im[..., 1, 1]) / 2
     d = (im[..., 0, 0] - im[..., 1, 1]) / 2
@@ -429,11 +433,12 @@ def _expm_skew2(a, t):
     phase = np.exp(1j * (t * phi))
     c = phase * np.cos(tr)
     s = phase * (t * np.sin(y) / y)
-    out = s[..., None, None] * a
     ids = 1j * d * s
-    out[..., 0, 0] = c + ids
-    out[..., 1, 1] = c - ids
-    return out
+    for i, j, e in ((0, 0, c + ids), (0, 1, s * a[..., 0, 1]),
+                    (1, 0, s * a[..., 1, 0]), (1, 1, c - ids)):
+        out[..., i, j] = out[..., 2 + i, 2 + j] = e.real
+        np.negative(e.imag, out=out[..., i, 2 + j])
+        out[..., 2 + i, j] = e.imag
 
 
 @functools.lru_cache(maxsize=64)

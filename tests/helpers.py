@@ -51,8 +51,13 @@ def random_skew(rng, n):
 
 def expm_skew(a, t=1.0):
     """exp(t*a) by ``linalg._expm_skew`` for an exactly skew-Hermitian
-    ``a`` (..., n, n), with ``t`` broadcast against the stack shape."""
-    return linalg._expm_skew(np.asarray(a, dtype=complex), np.asarray(t))
+    ``a`` (..., n, n), with ``t`` broadcast against the stack shape, read
+    back from the real form the kernel writes."""
+    a, t = np.asarray(a, dtype=complex), np.asarray(t)
+    n = a.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], t.shape) + (2 * n, 2 * n))
+    linalg._expm_skew(a, t, out)
+    return linalg._complex_form(out)
 
 
 def dense_terms(key, n, count=2):

@@ -1,3 +1,6 @@
+import sys as python_sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from functools import cache, reduce
 from unittest import mock
@@ -360,6 +363,11 @@ def complex_pauli():
     return control_system(drift, [ctrl])
 
 
+def ising_4():
+    """Ising-x k=4, one function so that :func:`analysed` keeps it once."""
+    return ising_x(4)
+
+
 @cache
 def analysed(make):
     """The system ``make`` builds and its decomposition, analysed once per
@@ -394,11 +402,12 @@ class TestRealForm:
     def test_ordered_product_matches_complex(self, rng, z, count):
         stack = np.stack([expm_skew(random_skew(rng, z))
                           for _ in range(count)])
-        form = linalg._real_form(stack.real, stack.imag)
+        form = np.block([[stack.real, -stack.imag], [stack.imag, stack.real]])
         assert form.shape == (count, 2 * z, 2 * z) and form.dtype == float
         np.testing.assert_array_equal(linalg._complex_form(form), stack)
         want = reduce(lambda acc, u: u @ acc, stack)
-        got = linalg._complex_form(dynamics._ordered_product(form))
+        got = linalg._complex_form(dynamics._ordered_product(
+            form, np.empty(form.size)))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -437,9 +446,9 @@ class TestBatchedPropagate:
         sched = random_schedule(np.random.default_rng(7), 1, 300)
         real, calls = dynamics._exponentials, []
 
-        def spy(blocks, slots, t):
+        def spy(blocks, slots, t, work):
             calls.append([z for _, z, _, _ in slots])
-            return real(blocks, slots, t)
+            return real(blocks, slots, t, work)
 
         with mock.patch.object(dynamics, "_exponentials", spy):
             assert_matches_loop(decomp, sys, sched, 1e-12)
@@ -522,6 +531,68 @@ class TestBatchedPropagate:
             propagate(analysis.decomposition, sys, sched)
         with pytest.raises(ValueError, match="2 control values"):
             project_generator(analysis.decomposition, sys, (1.0,))
+
+
+class TestWorkspace:
+    """Each propagate call runs its chunks in one workspace of its own."""
+
+    def test_long_call_working_set(self):
+        # Ising-x k=4 (n = 16, per-segment blocks 4, 4, 6, 6) over 10^4
+        # segments: the control rows and one workspace sized by a chunk.
+        # Block coordinates for eight chunks at a time, with each chunk's
+        # temporaries allocated anew, peaked at 3.7 MB.
+        sys, decomp = analysed(ising_4)
+        rng = np.random.default_rng(4)
+        sched = ControlSchedule(tuple(zip(
+            rng.uniform(0.05, 1.0, 10_000).tolist(),
+            rng.uniform(-2, 2, (10_000, 1)))))
+        tracemalloc.start()
+        try:
+            propagate(decomp, sys, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak
+
+    def test_concurrent_calls_match_sequential(self):
+        # A buffer shared between calls would let one thread overwrite the
+        # other's blocks: two threads, each propagating both systems in
+        # turn, in opposite orders and with schedules of their own, must
+        # give the sequential bits.
+        jobs = [[], []]
+        for make in (two_spin_system, ising_4):
+            sys, decomp = analysed(make)
+            for seed, mine in enumerate(jobs):
+                mine.append((decomp, sys, random_schedule(
+                    np.random.default_rng(seed), sys.n_controls, 600)))
+        jobs[1].reverse()
+        want = [[propagate(*job) for job in mine] for mine in jobs]
+        got = [[], []]
+        start = threading.Barrier(len(jobs))
+
+        def run(i):
+            start.wait()
+            for _ in range(3):
+                got[i] += [propagate(*job) for job in jobs[i]]
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(jobs))]
+        interval = python_sys.getswitchinterval()
+        python_sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            python_sys.setswitchinterval(interval)
+        for mine, results in zip(want, got):
+            assert len(results) == 3 * len(mine)
+            for w, g in zip(mine * 3, results):
+                for a, b in zip((w.total,) + w.factors,
+                                (g.total,) + g.factors):
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestInvariantFrame:

@@ -529,8 +529,14 @@ class TestRealKernel:
     def expm_real(h, t):
         """exp(-i t h) from the real kernel, ``t`` broadcast against the
         stack shape of ``h``."""
-        c, s = linalg._cos_sin(np.asarray(t)[..., None, None] * h)
-        assert c.dtype == s.dtype == np.float64
+        x = np.asarray(t)[..., None, None] * h
+        z = x.shape[-1]
+        out = np.empty(x.shape[:-2] + (2 * z, 2 * z))
+        linalg._cos_sin(x, out, np.empty(7 * x.size))
+        c, s = out[..., :z, :z], out[..., :z, z:]
+        # The real form [[c, s], [-s, c]] of exp(-i x) = c - i s.
+        assert np.array_equal(out[..., z:, z:], c)
+        assert np.array_equal(out[..., z:, :z], -s)
         return c - 1j * s
 
     @staticmethod
@@ -567,9 +573,9 @@ class TestRealKernel:
         """How many matrices each call of the series took."""
         counts = []
 
-        def spy(x, angle):
+        def spy(x, angle, *rest):
             counts.append(angle.size)
-            return series(x, angle)
+            return series(x, angle, *rest)
 
         series = linalg._cos_sin_series
         monkeypatch.setattr(linalg, "_cos_sin_series", spy)
@@ -616,9 +622,9 @@ class TestRealKernel:
         scipy_linalg = pytest.importorskip("scipy.linalg")
         calls = []
 
-        def spy(x):
+        def spy(x, *rest):
             calls.append(x.shape)
-            return kernel(x)
+            return kernel(x, *rest)
 
         kernel = dynamics._cos_sin
         monkeypatch.setattr(dynamics, "_cos_sin", spy)
@@ -627,8 +633,10 @@ class TestRealKernel:
         k = 1e-14 * (k - k.T) / np.linalg.norm(k - k.T)
         outs = []
         for block in (a + k, a):
-            out, = dynamics._exponentials(linalg._vec(block)[None],
-                                          [(False, 5, 0, 0)], np.array([2.0]))
+            slots = [(False, 5, 0, 0)]
+            out, = dynamics._exponentials(
+                linalg._vec(block)[None], slots, np.array([2.0]),
+                np.empty(dynamics._scratch(1, slots)))
             outs.append(linalg._complex_form(out)[0])
             np.testing.assert_allclose(
                 outs[-1], scipy_linalg.expm(2.0 * block), rtol=0, atol=1e-13)
