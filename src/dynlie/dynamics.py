@@ -40,7 +40,8 @@ from .linalg import (
     _cos_sin,
     _expm_skew,
     _generic,
-    _intertwiner,
+    _generic_intertwiner,
+    _sq_norms,
     _unvec,
     _vec,
     invariant_frame,
@@ -80,13 +81,15 @@ class ControlSchedule:
 
     Durations must be positive and finite, control values finite, and
     every control vector of one length.  The segments are kept as given;
-    ``durations`` holds the durations as one read-only array and
-    ``controls`` the control vectors stacked, one row per segment.
+    ``durations`` holds the durations as one read-only array, ``controls``
+    the control vectors stacked, one row per segment, and ``total_time``
+    the durations' sum, taken left to right.
     """
 
     segments: tuple
     durations: np.ndarray = field(init=False, repr=False, compare=False)
     controls: np.ndarray = field(init=False, repr=False, compare=False)
+    total_time: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -106,10 +109,9 @@ class ControlSchedule:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "durations", durs)
         object.__setattr__(self, "controls", us)
-
-    @property
-    def total_time(self):
-        return sum(self.durations.tolist(), 0.0)
+        # A sequential sum, so its bits do not depend on the Python version.
+        object.__setattr__(self, "total_time", float(
+            np.add.accumulate(durs)[-1] if len(durs) else 0.0))
 
 
 @dataclass(frozen=True)
@@ -244,13 +246,15 @@ def _equivalent_blocks(rotated, sizes, starts, acting, sq_norms):
     Two blocks of one owner, of equal size 2 or more, are candidates when
     one fixed generic combination of the owner's matrices has equal
     spectra on them, or opposite ones for complex-conjugate blocks, to
-    ``TOL_EIG`` times the largest eigenvalue.  A block is paired with the
-    first candidate before it that has no candidate before it itself,
-    and the pair is kept only when ``linalg._intertwiner`` finds a
-    unitary Q with B_k = Q A_k Q^H, or Q conj(A_k) Q^H, for every matrix
-    k of the owner, to ``TOL_FRAME`` times that matrix's norm.  Returns
-    {(o, b): (r, Q, conj)} for block b of owner o transported from its
-    block r.
+    ``TOL_EIG`` times the largest eigenvalue.  A block B is paired with
+    the first candidate A before it that has no candidate before it
+    itself.  Q is the unitary polar factor of a generic X with
+    B_k X = X A_k, or X conj(A_k), for every matrix k of the owner
+    (``linalg._generic_intertwiner``), which intertwines whenever an
+    invertible X does; the pair is kept only when Q is unitary to
+    ``TOL_FRAME`` and B_k = Q A_k Q^H, or Q conj(A_k) Q^H, to
+    ``TOL_FRAME`` times that matrix's norm.  Returns {(o, b): (r, Q,
+    conj)} for block b of owner o transported from its block r.
     """
     found = {}
     for z in {z for z in sizes if z >= 2 and sizes.count(z) > 1}:
@@ -262,7 +266,7 @@ def _equivalent_blocks(rotated, sizes, starts, acting, sq_norms):
         mats = np.stack([rotated[o, :, starts[b] : starts[b] + z,
                                  starts[b] : starts[b] + z]
                          for o, b in zip(owner, blocks)])
-        lam, vecs = np.linalg.eigh(1j * np.einsum(
+        lam = np.linalg.eigvalsh(1j * np.einsum(
             "k,pkij->pij", _generic(mats.shape[1]), mats))
         tol = TOL_EIG * max(1.0, np.abs(lam).max())
         direct = np.abs(lam[:, None] - lam).max(axis=-1) <= tol
@@ -270,19 +274,20 @@ def _equivalent_blocks(rotated, sizes, starts, acting, sq_norms):
         match = np.tril(direct | conj, -1) & (owner[:, None] == owner)
         first = match.argmax(axis=1)
         later = np.flatnonzero(match.any(axis=1))
-        later = later[~match[first[later]].any(axis=1)]
-        if not len(later):
-            continue
-        reps = first[later]
-        flip = ~direct[later, reps]
-        a = np.where(flip[:, None, None, None], mats[reps].conj(), mats[reps])
-        va = np.where(flip[:, None, None], vecs[reps].conj()[..., ::-1],
-                      vecs[reps])
-        q, ok = _intertwiner(a, mats[later], va, vecs[later],
-                             TOL_FRAME * np.sqrt(sq_norms[owner[later]]))
-        for j, r, qj, cj in zip(later[ok], reps[ok], q[ok], flip[ok]):
-            found[int(owner[j]), int(blocks[j])] = (int(blocks[r]), qj,
-                                                    bool(cj))
+        for j in later[~match[first[later]].any(axis=1)]:
+            r, flip = first[j], not direct[j, first[j]]
+            a = mats[r].conj() if flip else mats[r]
+            # Both Hermitian, so real together for a real Hamiltonian.
+            h = 1j * np.stack([a, mats[j]])
+            u, _, vh = np.linalg.svd(_generic_intertwiner(
+                *(h if h.imag.any() else h.real), (0, z)))
+            q = u @ vh
+            resid = np.sqrt(_sq_norms(mats[j] - q @ a @ q.conj().T))
+            if (np.abs(q.conj().T @ q - np.eye(z)).max() <= TOL_FRAME
+                    and (resid <= TOL_FRAME
+                         * np.sqrt(sq_norms[owner[j]])).all()):
+                found[int(owner[j]), int(blocks[j])] = (int(blocks[r]), q,
+                                                        flip)
     return found
 
 

@@ -376,20 +376,16 @@ def _cos_sin(x, out, work):
 
 def _cos_sin_series(x, angle, out, work):
     """:func:`_cos_sin` by the scaled series, for a stack ``x`` of infinity
-    norms ``angle``.  Each matrix is scaled and squared back by its own
-    s; sorted by s, most first, each squaring runs on a leading slice.
-    Products go to views of ``work`` and, before the result, of ``out``."""
+    norms ``angle``.  The whole stack is scaled and squared back by the s
+    of its largest angle.  Products go to views of ``work`` and, before
+    the result, of ``out``."""
     z = x.shape[-1]
     x = x.reshape(-1, z, z)
-    squarings = np.maximum(np.frexp(angle.reshape(-1))[1], 0)
-    order = np.argsort(-squarings, kind="stable")
-    squarings = squarings[order]
+    squarings = max(int(np.frexp(angle.max(initial=0.0))[1]), 0)
     xs, y3 = out.reshape((4,) + x.shape)[:2]
     powers, acc, term = np.split(
         work[: 7 * x.size].reshape((7,) + x.shape), [3, 5])
-    # mode="clip" writes to ``out`` unbuffered; order is a permutation.
-    np.take(x, order, axis=0, out=xs, mode="clip")
-    xs *= np.ldexp(1.0, -squarings)[:, None, None]
+    np.multiply(x, math.ldexp(1.0, -squarings), out=xs)
     powers[0] = np.eye(z)
     y = np.matmul(xs, xs, out=powers[1])
     np.matmul(np.matmul(y, y, out=powers[2]), y, out=y3)
@@ -401,17 +397,15 @@ def _cos_sin_series(x, angle, out, work):
         np.matmul(_TAYLOR[j], flat, out=acc.reshape(2, -1))
         acc += term
     c, s = acc[0], np.matmul(xs, acc[1], out=powers[0])
-    for k in range(squarings.max(initial=0)):
-        m = np.count_nonzero(squarings > k)
-        ck, sk = c[:m], s[:m]
-        sck = np.matmul(sk, ck, out=term[0, :m])
-        np.subtract(np.matmul(ck, ck, out=powers[1, :m]),
-                    np.matmul(sk, sk, out=powers[2, :m]), out=ck)
-        np.multiply(2.0, sck, out=sk)
+    for _ in range(squarings):
+        sc = np.matmul(s, c, out=term[0])
+        np.subtract(np.matmul(c, c, out=powers[1]),
+                    np.matmul(s, s, out=powers[2]), out=c)
+        np.multiply(2.0, sc, out=s)
     form = out.reshape(-1, 2 * z, 2 * z)
-    form[order, :z, :z] = form[order, z:, z:] = c
-    form[order, :z, z:] = s
-    form[order, z:, :z] = np.negative(s, out=s)
+    form[:, :z, :z] = form[:, z:, z:] = c
+    form[:, :z, z:] = s
+    np.negative(s, out=form[:, z:, :z])
 
 
 def _expm_skew2(a, t, out):
@@ -451,20 +445,21 @@ def _generic(count):
     return c
 
 
-def _commutant_element(a, bounds):
-    """A generic Hermitian matrix that commutes with every Hermitian matrix
-    of ``a`` (k, n, n) and is block diagonal over the index ranges
-    ``bounds[j]:bounds[j + 1]``; real symmetric when ``a`` is real.
+def _generic_intertwiner(a, b, bounds):
+    """A generic element X of {X : b_i X = X a_i for every i}, for Hermitian
+    stacks ``a`` and ``b`` (k, n, n), that is block diagonal over the index
+    ranges ``bounds[j]:bounds[j + 1]``; real when both stacks are real.
+    With b = a that set is the commutant of ``a``.
 
-    On that block-diagonal space the commutant is the kernel of the
-    positive operator C -> sum_i [a_i, [a_i, C]], whose entry between the
-    unknowns (p', q') and (p, q) of C is
-    s[p', p] d(q', q) - 2 sum_i a_i[p', p] a_i[q, q'] + d(p', p) s[q, q']
-    with s = sum_i a_i^2: a matrix of the size of the unknowns, not of
-    n^2.  Eigenvalues that are not :func:`_significant` at ``TOL_RANK``
-    count as zero; an element that only nearly commutes can split
-    subspaces the terms couple weakly, which the support test in
-    :func:`invariant_frame` then merges again.
+    On that block-diagonal space the set is the kernel of the positive
+    operator X -> sum_i b_i (b_i X - X a_i) - (b_i X - X a_i) a_i, whose
+    entry between the unknowns (p', q') and (p, q) of X is
+    t[p', p] d(q', q) - 2 sum_i b_i[p', p] a_i[q, q'] + d(p', p) s[q, q']
+    with s = sum_i a_i^2 and t = sum_i b_i^2: a matrix of the size of the
+    unknowns, not of n^2.  Eigenvalues that are not :func:`_significant`
+    at ``TOL_RANK`` count as zero; an element that only nearly commutes
+    can split subspaces the terms couple weakly, which the support test
+    in :func:`invariant_frame` then merges again.
     """
     ps, qs = np.concatenate([
         np.stack(np.meshgrid(np.arange(s, e), np.arange(s, e),
@@ -473,48 +468,15 @@ def _commutant_element(a, bounds):
     p, p2 = ps[None, :], ps[:, None]
     q, q2 = qs[None, :], qs[:, None]
     s = (a @ a).sum(axis=0)
-    op = (s[p2, p] * (q2 == q) + (p2 == p) * s[q, q2]
-          - 2.0 * (a[:, p2, p] * a[:, q, q2]).sum(axis=0))
+    t = (b @ b).sum(axis=0)
+    op = (t[p2, p] * (q2 == q) + (p2 == p) * s[q, q2]
+          - 2.0 * (b[:, p2, p] * a[:, q, q2]).sum(axis=0))
     lam, vecs = np.linalg.eigh(op)
     kernel = vecs[:, ~_significant(lam, TOL_RANK)]
     n = a.shape[-1]
-    c = np.zeros((n, n), dtype=a.dtype)
-    c[ps, qs] = kernel @ _generic(kernel.shape[1])
-    return c + c.conj().T
-
-
-def _intertwiner(a, b, va, vb, bound):
-    """Unitaries Q with b[p, k] = Q a[p, k] Q^H, one per pair p of the
-    stacks ``a`` and ``b`` (P, k, z, z), and whether each passed its check.
-
-    ``va[p]`` and ``vb[p]`` hold the eigenvectors of one Hermitian
-    combination of a[p] and of b[p], with equal eigenvalues in the same
-    order.  Where those are simple, any such Q maps each column of va[p]
-    to the same column of vb[p] up to a phase, Q = vb[p] D va[p]^H with D
-    diagonal, and the phases are the kernel of d -> b' d - d a' over
-    every k, with a' and b' the matrices in the eigenvector bases: the
-    eigenvector of the least eigenvalue of that map's z x z normal
-    matrix.  A pair passes when Q is unitary to ``TOL_FRAME`` and
-    ||b[p, k] - Q a[p, k] Q^H||_F <= bound[p, k] for every k.
-    """
-    vah = np.swapaxes(va.conj(), -1, -2)[:, None]
-    ap = vah @ a @ va[:, None]
-    bp = np.swapaxes(vb.conj(), -1, -2)[:, None] @ b @ vb[:, None]
-    # sum_k ||b'_k D - D a'_k||_F^2 = d^H N d with this normal matrix N.
-    cross = (ap.conj() * bp).sum(axis=1)
-    normal = -cross - np.swapaxes(cross.conj(), -1, -2)
-    idx = np.arange(a.shape[-1])
-    normal[:, idx, idx] += ((np.abs(ap) ** 2).sum(axis=(1, 3))
-                            + (np.abs(bp) ** 2).sum(axis=(1, 2)))
-    d = np.linalg.eigh(normal)[1][..., 0]
-    mod = np.abs(d)
-    # An exactly zero entry (scalar blocks, where any phase will do) is 1.
-    d = np.where(mod > 0, d / np.where(mod > 0, mod, 1.0), 1.0)
-    q = (vb * d[:, None, :]) @ vah[:, 0]
-    qh = np.swapaxes(q.conj(), -1, -2)
-    unitary = np.abs(qh @ q - np.eye(len(idx))).max(axis=(-2, -1)) <= TOL_FRAME
-    resid = np.sqrt(_sq_norms(b - q[:, None] @ a @ qh[:, None]))
-    return q, unitary & (resid <= bound).all(axis=1)
+    x = np.zeros((n, n), dtype=np.result_type(a, b))
+    x[ps, qs] = kernel @ _generic(kernel.shape[1])
+    return x
 
 
 def _class_firsts(linked):
@@ -539,9 +501,10 @@ def invariant_frame(terms):
     invariant subspaces (Zeier & Schulte-Herbruggen, J. Math. Phys. 52,
     113510, 2011).  The commutant also commutes with the fixed generic
     combination G of the normalized terms, so it is block diagonal over
-    G's eigenvalue clusters (gaps at ``TOL_EIG``): the element is solved
-    for only in that form, and needed at all only where G has a repeated
-    eigenvalue.  Each cluster is then rotated by the element's
+    G's eigenvalue clusters (gaps at ``TOL_EIG``): the element, X + X^H
+    for X from :func:`_generic_intertwiner` of the terms with themselves,
+    is solved for only in that form, and needed at all only where G has a
+    repeated eigenvalue.  Each cluster is then rotated by the element's
     eigenvectors on it.
 
     The blocks are the connected components of the rotated terms'
@@ -565,7 +528,8 @@ def invariant_frame(terms):
     rotated = w.conj().T @ h @ w
     if not gaps.all():
         bounds = np.concatenate([[0], np.flatnonzero(gaps) + 1, [n]])
-        c = _commutant_element(rotated, bounds)
+        c = _generic_intertwiner(rotated, rotated, bounds)
+        c = c + c.conj().T
         for s, e in zip(bounds[:-1], bounds[1:]):
             if e - s > 1:
                 w[:, s:e] = w[:, s:e] @ np.linalg.eigh(c[s:e, s:e])[1]

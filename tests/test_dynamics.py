@@ -204,6 +204,15 @@ class TestControlSchedule:
     def test_empty_schedule_allowed(self):
         assert ControlSchedule(()).total_time == 0.0
 
+    def test_total_time_sums_left_to_right(self):
+        durs = np.random.default_rng(3).uniform(0.05, 1.0, 10_000).tolist()
+        want = 0.0
+        for dur in durs:
+            want += dur
+        sched = ControlSchedule(tuple((dur, (0.0,)) for dur in durs))
+        assert type(sched.total_time) is float
+        assert sched.total_time == want
+
     def test_stacked_arrays(self):
         segs = ((0.5, [1.0, 0.0]), (1.5, (0.0, 1.0)))
         sched = ControlSchedule(segs)
@@ -691,13 +700,15 @@ def rebased(decomp, rng):
         decomp.adapted.n, np.concatenate([b.mats for _, b in comps])))
 
 
-def equivalent_pair(rng, z, conj, perturb=0.0):
+def equivalent_pair(rng, z, conj, perturb=0.0, repeat=1):
     """One owner of three random skew-Hermitian matrices on two z x z
     blocks, the second Q A_k Q^H (or Q conj(A_k) Q^H) of the first for a
     random unitary Q, and ``perturb`` times a unit-norm skew-Hermitian
-    matrix added to the first matrix's second block.  Returns the
-    arguments of _equivalent_blocks and Q."""
-    a = np.stack([random_skew(rng, z) for _ in range(3)])
+    matrix added to the first matrix's second block.  With ``repeat`` r
+    each A_k is a random a_k (x) I_r, so every spectrum repeats r times.
+    Returns the arguments of _equivalent_blocks and Q."""
+    a = np.stack([np.kron(random_skew(rng, z // repeat), np.eye(repeat))
+                  for _ in range(3)])
     q = np.linalg.qr(rng.standard_normal((z, z))
                      + 1j * rng.standard_normal((z, z)))[0]
     b = q @ (a.conj() if conj else a) @ q.conj().T
@@ -759,12 +770,24 @@ class TestEquivalentBlocks:
         np.testing.assert_allclose(got, phase * q, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("conj", [False, True], ids=["same", "conj"])
+    def test_repeated_spectrum_pair_found(self, conj):
+        # Every A_k = a_k (x) I_2 repeats each eigenvalue, so no eigenvector
+        # basis fixes Q; the intertwiners Q (I_2 (x) M) still give one.
+        args, _ = equivalent_pair(np.random.default_rng([9, conj]), 4, conj,
+                                  repeat=2)
+        (key, (r, got, flip)), = dynamics._equivalent_blocks(*args).items()
+        assert key == (0, 1) and r == 0 and flip is conj
+        a, b = args[0][0, :, :4, :4], args[0][0, :, 4:, 4:]
+        moved = got @ (a.conj() if conj else a) @ got.conj().T
+        np.testing.assert_allclose(moved, b, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["same", "conj"])
     def test_perturbed_block_not_paired(self, conj):
         # 1e-9 passes the spectral screen (TOL_EIG) but not the check of
         # the solved unitary (TOL_FRAME).
         args, _ = equivalent_pair(np.random.default_rng(4), 4, conj, 1e-9)
-        with mock.patch.object(dynamics, "_intertwiner",
-                               wraps=linalg._intertwiner) as solve:
+        with mock.patch.object(dynamics, "_generic_intertwiner",
+                               wraps=linalg._generic_intertwiner) as solve:
             assert dynamics._equivalent_blocks(*args) == {}
         assert solve.call_count == 1
 
