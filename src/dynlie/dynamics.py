@@ -275,7 +275,8 @@ def _equivalent_blocks(rotated, sizes, starts, acting, sq_norms):
         first = match.argmax(axis=1)
         later = np.flatnonzero(match.any(axis=1))
         for j in later[~match[first[later]].any(axis=1)]:
-            r, flip = first[j], not direct[j, first[j]]
+            r = first[j]
+            flip = not direct[j, r]
             a = mats[r].conj() if flip else mats[r]
             # Both Hermitian, so real together for a real Hamiltonian.
             h = 1j * np.stack([a, mats[j]])
