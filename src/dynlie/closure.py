@@ -4,10 +4,11 @@ The dynamical Lie algebra of a control system is the smallest real Lie
 algebra containing i times its Hamiltonian terms.  Nested brackets of
 generators are enough to span it, so the schedule only brackets each new
 layer of basis elements against the original generators; depth counts
-productive layers.  A final all-pairs sweep guards the schedule against
-borderline rank rejections and guarantees the returned basis really is
-a subalgebra.  Both take their brackets in row blocks of bounded size,
-so a closure never holds all d^2 brackets of its basis at once.
+productive layers, and it stops once the span is all of u(n) or su(n).
+A final all-pairs sweep guards the schedule against borderline rank
+rejections and guarantees the returned basis really is a subalgebra.
+Both take their brackets in row blocks of bounded size, so a closure
+never holds all d^2 brackets of its basis at once.
 """
 
 from dataclasses import dataclass
@@ -54,8 +55,9 @@ def generate_closure(generators, tol=TOL_RANK):
     largest one are normalized to unit Frobenius norm and seeded as depth
     0.  Each subsequent layer brackets the previous layer's new basis
     elements against the original generators.  The loop stops when a
-    layer adds nothing or the span reaches dim u(n).  All-zero input
-    yields the empty basis at depth 0.
+    layer adds nothing or the span is all of u(n) or su(n), where no
+    bracket can add a direction.  All-zero input yields the empty basis
+    at depth 0.
     """
     gens = [skew_hermitian(g) for g in generators]
     if not gens:
@@ -70,22 +72,16 @@ def generate_closure(generators, tol=TOL_RANK):
     top = max(norms)
     normalized = [g / norm for g, norm in zip(gens, norms)
                   if norm > tol * top]
-    if not normalized:
-        return ClosureResult(empty_basis(n), 0, 0)
 
-    full_dim = n * n
     basis = extend_basis(empty_basis(n), normalized, tol)
     new = basis.mats
     depth = 0
-    current_depth = 0
-    while len(new) and basis.dim < full_dim:
-        current_depth += 1
+    while len(new) and _whole_algebra(basis) is None:
         before = basis.dim
         for _, block in bracket_blocks(new, normalized):
             basis = extend_basis(basis, block.reshape(-1, n, n), tol)
         new = basis.mats[before:]
-        if len(new):
-            depth = current_depth
+        depth += len(new) > 0
 
     basis = _closure_sweep(basis, tol)
     return ClosureResult(basis, depth, len(normalized))
@@ -104,8 +100,6 @@ def _closure_sweep(basis, tol):
     n = basis.n
     while True:
         before = basis.dim
-        if before == 0:
-            return basis
         m = basis.mats
         for _, block in bracket_blocks(m, m):
             basis = extend_basis(basis, block.reshape(-1, n, n), tol)
@@ -113,19 +107,19 @@ def _closure_sweep(basis, tol):
             return basis
 
 
-def is_controllable(result):
-    """Controllability verdict from a closure result.
-
-    controllable-U iff the algebra is all of u(n), controllable-SU iff it
-    has dimension n^2 - 1 with every basis element traceless
-    (|tr| <= 1e-9), uncontrollable otherwise.
-    """
-    basis = result.basis
+def _whole_algebra(basis):
+    """CONTROLLABLE_U when ``basis`` spans all of u(n), CONTROLLABLE_SU when
+    it has dimension n^2 - 1 with every element traceless (|tr| <= 1e-9),
+    so spans su(n); None otherwise."""
     n = basis.n
     if basis.dim == n * n:
         return CONTROLLABLE_U
-    if basis.dim == n * n - 1:
-        traces = np.abs(np.trace(basis.mats, axis1=1, axis2=2))
-        if basis.dim == 0 or traces.max() <= 1e-9:
-            return CONTROLLABLE_SU
-    return UNCONTROLLABLE
+    if basis.dim == n * n - 1 and np.abs(np.trace(
+            basis.mats, axis1=1, axis2=2)).max(initial=0.0) <= 1e-9:
+        return CONTROLLABLE_SU
+    return None
+
+
+def is_controllable(result):
+    """Controllability verdict: :func:`_whole_algebra`, else uncontrollable."""
+    return _whole_algebra(result.basis) or UNCONTROLLABLE

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .dynamics import ControlSchedule, structure_residuals
-from .linalg import hermitian_part
+from .linalg import TOL_RESIDUAL, hermitian_part
 from .models import MODELS, ControlSystem
 
 STRUCTURE_FORMAT = "dynlie-structure-report"
@@ -213,7 +213,8 @@ def build_structure_report(analysis):
     """Structure report document with canonical key order."""
     levi = analysis.levi
     residuals = structure_residuals(analysis)
-    status = "ok" if all(v <= 1e-8 for v in residuals.values()) else "degraded"
+    status = ("ok" if all(v <= TOL_RESIDUAL for v in residuals.values())
+              else "degraded")
     doc = {
         "format": STRUCTURE_FORMAT,
         "version": 1,

@@ -25,7 +25,7 @@ from .adjoint import (
     killing_orthonormalize,
 )
 from .errors import DecompositionError, NotSemisimpleError
-from .linalg import TOL_RANK, _class_firsts, _significant
+from .linalg import TOL_RANK, _class_firsts, _gate, _significant
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     ``linalg._significant``.  Ideals are ordered by their first
     component.  Verifies that the ideal dimensions add up to dim S, that
     distinct ideals commute, and that each ideal is genuinely
-    ad-S-invariant; both residuals (at 1e-8) are stored on the result.
-    Each ideal's su(2) flag is read from its dimension: every
-    3-dimensional compact simple algebra is su(2).
+    ad-S-invariant (``linalg._gate``); both residuals are stored on the
+    result.  Each ideal's su(2) flag is read from its dimension:
+    every 3-dimensional compact simple algebra is su(2).
     """
     s = semisimple.dim
     planes = np.concatenate([semisimple.coords(comp, tol)
@@ -73,25 +73,21 @@ def simple_decompose(semisimple, c, primary, tol=TOL_RANK):
     if total != s:
         raise DecompositionError(
             f"simple ideals cover dim {total} of {s}")
-    worst_cross = max((np.linalg.norm(bracket_coords(c, a, b), axis=-1).max()
-                       for i, a in enumerate(rows) for b in rows[i + 1:]),
-                      default=0.0)
-    if worst_cross > 1e-8:
-        raise DecompositionError(
-            f"ideals fail to commute, residual {worst_cross:.3e}")
+    worst_cross = _gate(max(
+        (np.linalg.norm(bracket_coords(c, a, b), axis=-1).max()
+         for i, a in enumerate(rows) for b in rows[i + 1:]), default=0.0),
+        "ideals fail to commute")
     # (r @ c)[j, q] holds the coordinates of [e_j, x_q] for the basis
     # element e_j of S and the ideal row x_q; its part outside the ideal
     # must vanish.
-    worst_inv = max((np.linalg.norm(r @ c @ (np.eye(s) - r.T @ r), axis=-1).max()
-                     for r in rows), default=0.0)
-    if worst_inv > 1e-8:
-        raise DecompositionError(
-            f"an ideal is not ad-invariant, residual {worst_inv:.3e}")
+    worst_inv = _gate(max(
+        (np.linalg.norm(r @ c @ (np.eye(s) - r.T @ r), axis=-1).max()
+         for r in rows), default=0.0), "an ideal is not ad-invariant")
     ideals = semisimple.span(np.concatenate(rows)).parts(
         [len(r) for r in rows])
     return IdealSet(ideals=ideals, origin=tuple(origin.tolist()),
-                    commutation_residual=float(worst_cross),
-                    invariance_residual=float(worst_inv),
+                    commutation_residual=worst_cross,
+                    invariance_residual=worst_inv,
                     su2=tuple(len(r) == 3 for r in rows))
 
 

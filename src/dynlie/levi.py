@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError
-from .linalg import LieBasis, TOL_RANK, _significant
+from .linalg import LieBasis, TOL_RANK, _gate, _significant
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ def levi_split(c, tol=TOL_RANK):
     algebra and the others the center.  Right singular vectors of c as a
     (d, d^2) map whose singular values are not significant at ``tol``
     (``linalg._significant``) span the center.  Every radical element
-    must commute with the whole algebra (residual at 1e-8), else
+    must commute with the whole algebra (``linalg._gate``), else
     DecompositionError.
     """
     d = len(c)
@@ -49,10 +48,8 @@ def levi_split(c, tol=TOL_RANK):
     semi_dim = int(np.count_nonzero(_significant(s, tol)))
     rad = vh[semi_dim:]
     ad_rad = np.tensordot(rad, c, axes=1)  # [p, j]: coordinates of [r_p, e_j]
-    worst = float(np.linalg.norm(ad_rad, axis=-1).max(initial=0.0))
-    if worst > 1e-8:
-        raise DecompositionError(
-            f"radical fails to commute with the algebra, residual {worst:.3e}")
+    worst = _gate(np.linalg.norm(ad_rad, axis=-1).max(initial=0.0),
+                  "radical fails to commute with the algebra")
     abelian = np.linalg.norm(rad @ ad_rad, axis=-1).max(initial=0.0)
     return vh, semi_dim, worst, float(abelian)
 

@@ -19,7 +19,9 @@ Tolerance conventions: rank/membership decisions are relative at
 ``TOL_RANK``, skew-Hermiticity is enforced at ``TOL_HERM``, and both are
 always scaled by max(1, norm) so tiny matrices are not over-trusted.
 ``TOL_FRAME`` is the round-off level, relative to each matrix's norm, below
-which an entry of a rotated matrix counts as zero.
+which an entry of a rotated matrix counts as zero.  ``TOL_RESIDUAL`` is
+the absolute bound of :func:`_gate`, the structure stages' one residual
+check.
 """
 
 import functools
@@ -28,13 +30,14 @@ import math
 
 import numpy as np
 
-from .errors import NotInSpanError
+from .errors import DecompositionError, NotInSpanError
 
 TOL_HERM = 1e-10
 TOL_RANK = 1e-8
 TOL_KILLING = 1e-6
 TOL_EIG = 1e-6
 TOL_FRAME = 1e-12
+TOL_RESIDUAL = 1e-8
 # Bytes of complex brackets that one block of :func:`bracket_blocks` holds.
 BRACKET_BLOCK_BYTES = 256 * 1024
 
@@ -294,6 +297,22 @@ def _significant(values, tol):
     return values > tol * max(values.max(initial=0.0), 1.0)
 
 
+def _gate(residual, failure):
+    """``residual`` as a float, once it is within ``TOL_RESIDUAL``; above
+    it, DecompositionError saying ``failure`` and the residual."""
+    if residual > TOL_RESIDUAL:
+        raise DecompositionError(f"{failure}, residual {residual:.3e}")
+    return float(residual)
+
+
+def _cluster_bounds(values, gap):
+    """Bounds b of the clusters of an ascending spectrum, cluster j being
+    ``values[b[j]:b[j + 1]]``: a new one starts where a value exceeds the
+    last by more than ``gap``.  The package's one clustering rule."""
+    breaks = np.flatnonzero(values[1:] - values[:-1] > gap) + 1
+    return np.concatenate([[0], breaks, [len(values)]])
+
+
 def nullspace(mat, tol=TOL_RANK):
     """Orthonormal rows spanning the nullspace of a real matrix.
 
@@ -501,10 +520,11 @@ def invariant_frame(terms):
     invariant subspaces (Zeier & Schulte-Herbruggen, J. Math. Phys. 52,
     113510, 2011).  The commutant also commutes with the fixed generic
     combination G of the normalized terms, so it is block diagonal over
-    G's eigenvalue clusters (gaps at ``TOL_EIG``): the element, X + X^H
-    for X from :func:`_generic_intertwiner` of the terms with themselves,
-    is solved for only in that form, and needed at all only where G has a
-    repeated eigenvalue.  Each cluster is then rotated by the element's
+    G's eigenvalue clusters (:func:`_cluster_bounds`, gaps at
+    ``TOL_EIG``): the element, X + X^H for X from
+    :func:`_generic_intertwiner` of the terms with themselves, is solved
+    for only in that form, and needed at all only where G has a repeated
+    eigenvalue.  Each cluster is then rotated by the element's
     eigenvectors on it.
 
     The blocks are the connected components of the rotated terms'
@@ -524,10 +544,9 @@ def invariant_frame(terms):
     norms = np.sqrt(_sq_norms(h))
     h /= np.where(norms > 0, norms, 1.0)[:, None, None]
     lam, w = np.linalg.eigh((_generic(len(h)) @ flat).reshape(n, n))
-    gaps = lam[1:] - lam[:-1] > TOL_EIG * max(1.0, -lam[0], lam[-1])
+    bounds = _cluster_bounds(lam, TOL_EIG * max(1.0, -lam[0], lam[-1]))
     rotated = w.conj().T @ h @ w
-    if not gaps.all():
-        bounds = np.concatenate([[0], np.flatnonzero(gaps) + 1, [n]])
+    if len(bounds) <= n:  # a repeated eigenvalue
         c = _generic_intertwiner(rotated, rotated, bounds)
         c = c + c.conj().T
         for s, e in zip(bounds[:-1], bounds[1:]):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import adjoint
-from .errors import DecompositionError, SplittingSearchError
-from .linalg import LieBasis, TOL_EIG, TOL_RANK
+from .errors import SplittingSearchError
+from .linalg import LieBasis, TOL_EIG, TOL_RANK, _cluster_bounds, _gate
 
 # The lexicographic integer sweep is astronomically large for Cartan
 # dimension above ~4, so cap the number of candidates examined before
@@ -93,24 +93,18 @@ def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
     if radius <= 0.0:
         return None
     gap = eig_tol * radius
-    clusters = []  # (mean, first index, size), eigenvalues ascending
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
-            clusters.append((float(w[start:i].mean()), start, i - start))
-            start = i
-    if len(clusters) != target_distinct:
+    bounds = _cluster_bounds(w, gap)
+    means = np.array([w[s:e].mean() for s, e in itertools.pairwise(bounds)])
+    zero = np.flatnonzero(np.abs(means) <= gap)
+    pos = np.flatnonzero(means > gap)[::-1]
+    # With these counts every nonzero cluster is a single eigenvalue.
+    if (len(means) != target_distinct or len(zero) != 1
+            or np.diff(bounds)[zero[0]] != cartan_dim
+            or len(pos) * 2 + cartan_dim != len(w)):
         return None
-    zero = [c for c in clusters if abs(c[0]) <= gap]
-    if len(zero) != 1 or zero[0][2] != cartan_dim:
-        return None
-    # With the counts above every nonzero cluster is a single eigenvalue.
-    pos = [c for c in reversed(clusters) if c[0] > gap]
-    if len(pos) * 2 + cartan_dim != len(w):
-        return None
-    vecs = v[:, [c[1] for c in pos]].T
+    vecs = v[:, bounds[pos]].T
     rows = math.sqrt(2.0) * np.stack([vecs.real, vecs.imag], axis=1)
-    return np.array([c[0] for c in pos]), rows.reshape(-1, len(w))
+    return means[pos], rows.reshape(-1, len(w))
 
 
 def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
@@ -122,13 +116,13 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     :func:`_split_spectrum`) gives the components, one eigenvector plane
     per frequency a_j, ordered by strictly decreasing a_j.  ``cartan``
     enters by its coordinates (:meth:`LieBasis.coords`).  The
-    Cartan-invariance residual of the components (at 1e-8) is stored on
-    the result.  ``coeffs`` restricts the search to explicit coefficient
-    vectors over the Cartan basis, which is how tests and the CLI pin a
-    particular choice; if none of them splits, SplittingSearchError.  S
-    is not re-tested for semisimplicity, which ``cartan_subalgebra``
-    checked; a non-semisimple S has no splitting element
-    (SplittingSearchError).
+    Cartan-invariance residual of the components (checked by
+    ``linalg._gate``) is stored on the result.  ``coeffs`` restricts the
+    search to explicit coefficient vectors over the Cartan basis, which
+    is how tests and the CLI pin a particular choice; if none of them
+    splits, SplittingSearchError.  S is not re-tested for semisimplicity,
+    which ``cartan_subalgebra`` checked; a non-semisimple S has no
+    splitting element (SplittingSearchError).
     """
     if cartan.dim == 0:
         raise ValueError("Cartan subalgebra is empty")
@@ -160,11 +154,8 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     planes = rows.reshape(-1, 2, semisimple.dim)
     moved = np.einsum("aik,pjk->paji", ads, planes)
     inside = np.einsum("paji,pli,plk->pajk", moved, planes, planes)
-    worst = float(np.linalg.norm(moved - inside, axis=-1).max(initial=0.0))
-    if worst > 1e-8:
-        raise DecompositionError(
-            f"components are not ad-invariant under the Cartan algebra "
-            f"(residual {worst:.3e})")
+    worst = _gate(np.linalg.norm(moved - inside, axis=-1).max(initial=0.0),
+                  "components are not ad-invariant under the Cartan algebra")
     comps = semisimple.span(rows).parts([2] * len(freqs))
     return PrimaryResult(cartan=cartan, splitting=element,
                          components=tuple(zip(freqs.tolist(), comps)),

@@ -19,9 +19,10 @@ from dynlie import (
     pauli,
     two_spin_system,
 )
+from dynlie import closure
 from dynlie.adjoint import _brackets_and_coords
-from dynlie.closure import _closure_sweep
-from dynlie.linalg import TOL_RANK, bracket_blocks, span_coords
+from dynlie.closure import ClosureResult, _closure_sweep
+from dynlie.linalg import LieBasis, TOL_RANK, bracket_blocks, span_coords
 
 from conftest import SX, SY, SZ, I2
 from helpers import (
@@ -162,6 +163,39 @@ class TestGenerateClosure:
             gens = [random_skew(rng, n) for _ in range(3)]
             assert generate_closure(gens).dim <= n * n
 
+    def test_layers_stop_at_su_n(self, monkeypatch):
+        # Traceless terms that generate su(4): once the span has dimension
+        # 15 no bracket can add a direction, so no layered pass runs there.
+        gens = generators(pauli_su4_system())
+        dims, layered = [], []
+        extend, blocks = closure.extend_basis, closure.bracket_blocks
+
+        def spy_extend(basis, candidates, tol):
+            out = extend(basis, candidates, tol)
+            dims.append(out.dim)
+            return out
+
+        def spy_blocks(a, b):
+            if a is not b:  # a layer against the generators, not the sweep
+                layered.append(dims[-1])
+            return blocks(a, b)
+
+        monkeypatch.setattr(closure, "extend_basis", spy_extend)
+        monkeypatch.setattr(closure, "bracket_blocks", spy_blocks)
+        result = generate_closure(gens)
+        assert result.dim == 15 and max(layered) < 15
+        assert len(layered) == result.depth_reached
+        # The same closure with the layered loop forced on to the end.
+        with monkeypatch.context() as m:
+            m.setattr(closure, "_whole_algebra", lambda basis: None)
+            layered.clear()
+            forced = generate_closure(gens)
+        assert max(layered) == 15
+        assert np.array_equal(forced.basis.stack, result.basis.stack)
+        assert forced.depth_reached == result.depth_reached
+        assert is_controllable(forced) == is_controllable(result)
+        assert is_controllable(result) == CONTROLLABLE_SU
+
 
 class TestIsControllable:
     def test_full_unitary_algebra(self):
@@ -179,6 +213,22 @@ class TestIsControllable:
     def test_empty_algebra(self):
         result = generate_closure([np.zeros((2, 2))])
         assert is_controllable(result) == UNCONTROLLABLE
+
+    def test_one_dimensional_system(self):
+        # At n = 1 the empty algebra is all of su(1).
+        one = generate_closure([1j * np.eye(1)])
+        assert is_controllable(one) == CONTROLLABLE_U
+        empty = generate_closure([np.zeros((1, 1))])
+        assert is_controllable(empty) == CONTROLLABLE_SU
+
+    def test_su_n_dimension_with_a_trace_is_proper(self):
+        # Dimension n^2 - 1, but i*I is in the span: not su(n).
+        def verdict(*mats):
+            unit = [m / np.linalg.norm(m) for m in mats]
+            return is_controllable(ClosureResult(LieBasis(2, unit), 0, 3))
+
+        assert verdict(1j * np.eye(2), IX, IY) == UNCONTROLLABLE
+        assert verdict(IX, IY, IZ) == CONTROLLABLE_SU
 
 
 def generators(system):

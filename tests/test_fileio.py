@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from dynlie import analyze_system, two_spin_system, ControlSchedule, propagate
+from dynlie.linalg import TOL_RESIDUAL
 from dynlie.fileio import (
     SpecError,
     build_propagation_report,
@@ -259,6 +261,19 @@ class TestStructureReport:
         assert [c["dim"] for c in doc["components"]] == [3, 3]
         assert all(c["su2"] for c in doc["components"])
         assert all(v <= 1e-8 for v in doc["residuals"].values())
+
+    def test_status_reads_the_residual_gate(self, two_spin_analysis):
+        # "ok" up to TOL_RESIDUAL inclusive, the bound the stages gate at.
+        _, analysis = two_spin_analysis
+
+        def status(residual):
+            levi = dataclasses.replace(analysis.levi,
+                                       commutation_residual=residual)
+            return build_structure_report(
+                dataclasses.replace(analysis, levi=levi))["status"]
+
+        assert status(TOL_RESIDUAL) == "ok"
+        assert status(np.nextafter(TOL_RESIDUAL, 1.0)) == "degraded"
 
     def test_key_order_stable(self, two_spin_analysis):
         _, analysis = two_spin_analysis

@@ -15,7 +15,7 @@ from dynlie.linalg import (
     hermitian_part,
     invariant_frame,
 )
-from dynlie.errors import NotInSpanError
+from dynlie.errors import DecompositionError, NotInSpanError
 
 from conftest import SX, SY, SZ, I2
 from helpers import (
@@ -377,6 +377,44 @@ class TestSignificant:
     def test_empty_spectrum(self):
         out = linalg._significant(np.zeros(0), 1e-8)
         assert out.shape == (0,) and out.dtype == bool
+
+
+class TestClusterBounds:
+    """``linalg._cluster_bounds``, the package's one eigenvalue-gap cut: a
+    cluster ends where the next value exceeds the last by more than the
+    gap."""
+
+    def test_difference_at_the_gap_stays_in_the_cluster(self):
+        values = np.array([0.0, 0.5, 1.0, 3.0])
+        np.testing.assert_array_equal(linalg._cluster_bounds(values, 0.5),
+                                      [0, 3, 4])
+        np.testing.assert_array_equal(
+            linalg._cluster_bounds(values, np.nextafter(0.5, 0.0)),
+            [0, 1, 2, 3, 4])
+
+    def test_single_value(self):
+        np.testing.assert_array_equal(
+            linalg._cluster_bounds(np.array([2.0]), 1e-6), [0, 1])
+
+    def test_all_values_distinct(self):
+        values = np.array([-1.0, -1e-3, 0.0, 2.0])
+        np.testing.assert_array_equal(linalg._cluster_bounds(values, 1e-6),
+                                      [0, 1, 2, 3, 4])
+
+
+class TestGate:
+    """``linalg._gate``, the structure stages' one residual check at
+    ``TOL_RESIDUAL``."""
+
+    def test_residual_at_the_bound_passes(self):
+        got = linalg._gate(np.float64(linalg.TOL_RESIDUAL), "unused")
+        assert type(got) is float and got == linalg.TOL_RESIDUAL
+
+    def test_residual_above_the_bound_raises(self):
+        above = np.nextafter(linalg.TOL_RESIDUAL, 1.0)
+        with pytest.raises(DecompositionError,
+                           match="ideals fail to commute, residual 1.000e-08"):
+            linalg._gate(above, "ideals fail to commute")
 
 
 class TestNullspace:
