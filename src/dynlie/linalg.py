@@ -225,6 +225,8 @@ def empty_basis(n):
 def extend_basis(basis, candidates, tol=TOL_RANK):
     """Grow ``basis`` by the candidates that stick out of its span.
 
+    The candidates arrive as one (k, n, n) array (a list of matrices is
+    converted), validated and vectorized once; an empty one adds nothing.
     Modified Gram-Schmidt with one re-orthogonalization pass.  A candidate
     is accepted when its orthogonal residual exceeds
     ``tol * max(1, ||candidate||_F)``; dependent candidates are dropped
@@ -235,31 +237,31 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     candidate sticks out; the input is never mutated.
     """
     n = basis.n
+    cands = np.asarray(candidates, dtype=complex)
+    if not cands.size:
+        cands = cands.reshape(0, n, n)
+    elif cands.ndim != 3 or cands.shape[1:] != (n, n):
+        raise ValueError(
+            f"candidates of shape {cands.shape} do not match ambient {(n, n)}")
     rows = list(basis.vecs)
-    kept = list(basis.mats)
-    for cand in candidates:
-        c = np.asarray(cand)
-        if c.shape != (n, n):
-            raise ValueError(
-                f"candidate shape {c.shape} does not match ambient {(n, n)}")
-        v = _vec(c)
-        scale = max(1.0, np.linalg.norm(v))
+    for v in _vec(cands):
+        scale = max(1.0, math.sqrt(v @ v))
         w = v.copy()
         for _ in range(2):
             for r in rows:
                 w -= (r @ w) * r
-        if np.linalg.norm(w) > tol * scale:
+        if math.sqrt(w @ w) > tol * scale:
             m = _unvec(w, n)
             m = (m - m.conj().T) / 2.0
             m /= np.linalg.norm(m)
             rows.append(_vec(m))
-            kept.append(m)
-    if len(kept) == basis.dim and basis.rows is None:
+    if len(rows) == basis.dim and basis.rows is None:
         return basis
-    if not kept:
+    if not rows:
         return LieBasis(n)
     # Read-only, so the basis wraps the new stack instead of copying it.
-    stack = np.stack(kept)
+    stack = np.empty((len(rows), n, n), dtype=complex)
+    np.stack(rows, out=_vec(stack))
     stack.flags.writeable = False
     return LieBasis(n, stack)
 

@@ -12,8 +12,8 @@ Cartan element acts on it as a plain 2x2 rotation generator.  The
 adjoint matrices are read from the structure constants of S.
 
 The search for X is deterministic: integer coefficient vectors over the
-Cartan basis in lexicographic order (entries 1..2*dim S, gcd 1), then a
-seeded randomized fallback, so repeated runs agree.
+Cartan basis in lexicographic order (entries 1..2*dim S, gcd 1), with no
+randomized fallback, so repeated runs agree.
 """
 
 import itertools
@@ -27,11 +27,10 @@ from .errors import SplittingSearchError
 from .linalg import LieBasis, TOL_EIG, TOL_RANK, _cluster_bounds, _gate
 
 # The lexicographic integer sweep is astronomically large for Cartan
-# dimension above ~4, so cap the number of candidates examined before
-# moving on to the randomized fallback.  In practice the first handful
-# of integer vectors already splits.
+# dimension above ~4, so cap the number of candidates examined; the
+# search fails once they are spent.  In practice one of the first three
+# integer vectors already splits.
 MAX_INTEGER_CANDIDATES = 20000
-MAX_RANDOM_CANDIDATES = 1000
 
 
 @dataclass(frozen=True)
@@ -60,19 +59,13 @@ class PrimaryResult:
 def _coefficient_candidates(m, c_max):
     """Deterministic splitting-coefficient candidates.
 
-    Integer vectors in {1..c_max}^m, lexicographic, filtered to gcd 1
-    (capped), then uniform draws from [-1, 1]^m with the fixed seed 0.
+    Integer vectors in {1..c_max}^m, lexicographic, filtered to gcd 1,
+    among the first ``MAX_INTEGER_CANDIDATES`` of the sweep.
     """
-    count = 0
-    for c in itertools.product(range(1, c_max + 1), repeat=m):
+    sweep = itertools.product(range(1, c_max + 1), repeat=m)
+    for c in itertools.islice(sweep, MAX_INTEGER_CANDIDATES):
         if math.gcd(*c) == 1:
             yield np.array(c, dtype=float)
-        count += 1
-        if count >= MAX_INTEGER_CANDIDATES:
-            break
-    rng = np.random.default_rng(0)
-    for _ in range(MAX_RANDOM_CANDIDATES):
-        yield rng.uniform(-1.0, 1.0, size=m)
 
 
 def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):

@@ -1,7 +1,9 @@
 """``tools/bench_pairs.py`` summary on hand-written runs."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -16,9 +18,9 @@ METRICS = [{"name": "round_s", "unit": "s", "better": "lower", "bound": 0.25},
             "bound": 0.25}]
 
 
-def run(workload, seed, round_s, failed=0, correct=True):
+def run(workload, seed, round_s, failed=0, correct=True, rounds=30):
     return {"workload": workload, "seed": seed, "env": {}, "correct": correct,
-            "attempted": 3, "failed": failed,
+            "attempted": 3, "failed": failed, "rounds": rounds,
             "metrics": {"round_s": round_s, "work_per_s": 1.0 / round_s}}
 
 
@@ -132,6 +134,27 @@ def test_workloads_kept_apart():
     assert list(doc) == ["a", "b"]
     assert doc["a"]["metrics"]["round_s"]["change_better_in_pairs"] == 0
     assert doc["b"]["metrics"]["round_s"]["change_better_in_pairs"] == 1
+
+
+def test_rounds_reported_in_seed_order():
+    # A faster side fits more rounds in its time, and keeps them all.
+    parent = [run("w", s, 1.0, rounds=r) for s, r in [(2, 29), (1, 30)]]
+    change = [run("w", s, 0.5, rounds=r) for s, r in [(1, 60), (2, 58)]]
+    w = bench_pairs.summarize({"parent": parent, "change": change},
+                              METRICS)["w"]
+    assert w["rounds"] == {"parent": [30, 29], "change": [60, 58]}
+
+
+def test_run_once_counts_the_rounds(monkeypatch):
+    info = {"env": {"nproc": 2}, "round_times": [0.5, 0.4, 0.6]}
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"round_s": {"value": 0.5, "unit": "s"}}}
+    stdout = "setup\n" + json.dumps(info) + "\n" + json.dumps(result) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: (
+        subprocess.CompletedProcess(a, 0, stdout=stdout, stderr="")))
+    got = bench_pairs.run_once(".", "w", 7, 30)
+    assert got["rounds"] == 3 and got["metrics"] == {"round_s": 0.5}
+    assert got["env"] == {"nproc": 2}
 
 
 def test_different_seeds_rejected():

@@ -232,6 +232,28 @@ class TestExtendBasis:
         assert again.rows is None
         assert np.array_equal(again.stack, rows.mats)
 
+    def test_empty_candidates(self):
+        basis = extend_basis(empty_basis(2), [IX])
+        assert extend_basis(basis, []) is basis
+        assert extend_basis(basis, np.zeros((0, 2, 2))) is basis
+        assert extend_basis(empty_basis(2), []).dim == 0
+        rows = extend_basis(basis, [IY]).span(np.eye(2)[:1])
+        assert extend_basis(rows, []).dim == 1
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2), (4,), (1, 2, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="do not match ambient"):
+            extend_basis(empty_basis(2), np.ones(shape))
+
+    def test_list_equals_stack(self, rng):
+        base = extend_basis(empty_basis(3), [random_skew(rng, 3)])
+        cands = [random_skew(rng, 3) for _ in range(6)]
+        cands.append(cands[0] + 2 * cands[1])
+        from_list = extend_basis(base, cands)
+        from_stack = extend_basis(base, np.stack(cands))
+        assert from_list.dim == 7
+        assert from_list.stack.tobytes() == from_stack.stack.tobytes()
+
 
 class TestBracketBlocks:
     @pytest.mark.parametrize("rows", [1, 2, 3, 5])

@@ -45,6 +45,12 @@ class TestCoefficientCandidates:
         gen = _coefficient_candidates(1, 3)
         np.testing.assert_allclose(next(gen), [1.0])
 
+    def test_integer_candidates_then_stop(self):
+        # No randomized phase follows the integer sweep: once its gcd-1
+        # vectors are spent, the search has nothing left to try.
+        cands = [tuple(c) for c in _coefficient_candidates(2, 2)]
+        assert cands == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
+
 
 class TestFindSplittingElement:
     def test_two_spin_first_accepted_pair(self, two_spin_els,

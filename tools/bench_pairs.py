@@ -7,8 +7,10 @@ in odd ones, and pair i uses seed SEED + i.  The summary holds, per
 workload and end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles over the pairs and every run in seed order, the number of
 pairs the change won (ties count for neither side) and the ratio of the
-medians; per workload also each side's failed shares and whether every
-run was correct.  Per metric it also reads off these verdicts, all but
+medians; per workload also each side's failed shares, each side's round
+counts in seed order (a run keeps every round's outputs, so its
+``peak_rss_mb`` grows with the rounds it fits in its time) and whether
+every run was correct.  Per metric it also reads off these verdicts, all but
 one against the metric's ``bound``:
 
 - ``resolved``: the parent's interquartile range, over its median
@@ -56,7 +58,7 @@ def run_once(checkout, workload, seed, seconds):
     info, result = map(json.loads, proc.stdout.splitlines()[-2:])
     return {"workload": workload, "seed": seed, "env": info["env"],
             "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "rounds": len(info["round_times"]),
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -119,6 +121,8 @@ def summarize(runs, metrics):
             "pairs": len(seeds), "seeds": seeds, "metrics": summary,
             "failed": {side: sorted({f"{r['failed']}/{r['attempted']}"
                                      for r in mine[side]}) for side in SIDES},
+            "rounds": {side: [r["rounds"] for r in mine[side]]
+                       for side in SIDES},
             "correct_in_every_run": all(r["correct"] for side in SIDES
                                         for r in mine[side])}
     return out
@@ -148,8 +152,9 @@ def main(argv=None):
                 run = run_once(checkouts[side], w, args.seed + i,
                                bench["run_seconds"])
                 runs[side].append(run)
-                print(f"{w} seed {args.seed + i} {side}: " + ", ".join(
-                    f"{k} {v:.4g}" for k, v in run["metrics"].items()),
+                print(f"{w} seed {args.seed + i} {side}: rounds "
+                      f"{run['rounds']}, " + ", ".join(
+                          f"{k} {v:.4g}" for k, v in run["metrics"].items()),
                       file=sys.stderr, flush=True)
     doc = {
         "what": "perfbench end-to-end metrics at the parent commit and with "
@@ -163,6 +168,10 @@ def main(argv=None):
         "workloads": summarize(runs, bench["end_to_end"]),
     }
     for w, summary in doc["workloads"].items():
+        rounds = summary["rounds"]
+        print(f"{w} rounds: " + "; ".join(
+            f"{side} {min(rounds[side])}-{max(rounds[side])}"
+            for side in SIDES), file=sys.stderr)
         for name, e in summary["metrics"].items():
             print(f"{w} {name}: change/parent median "
                   f"{e['change_over_parent_median']:.4g}"
