@@ -46,8 +46,7 @@ class TestCoefficientCandidates:
         np.testing.assert_allclose(next(gen), [1.0])
 
     def test_integer_candidates_then_stop(self):
-        # No randomized phase follows the integer sweep: once its gcd-1
-        # vectors are spent, the search has nothing left to try.
+        # The gcd-1 integer vectors are the whole search.
         cands = [tuple(c) for c in _coefficient_candidates(2, 2)]
         assert cands == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
 
