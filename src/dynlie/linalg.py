@@ -225,8 +225,8 @@ def empty_basis(n):
 def extend_basis(basis, candidates, tol=TOL_RANK):
     """Grow ``basis`` by the candidates that stick out of its span.
 
-    The candidates arrive as one (k, n, n) array (a list of matrices is
-    converted), validated and vectorized once; an empty one adds nothing.
+    ``candidates`` is a (k, n, n) stack or a list of n x n matrices (not a
+    generator), validated and vectorized once; an empty one adds nothing.
     Modified Gram-Schmidt with one re-orthogonalization pass.  A candidate
     is accepted when its orthogonal residual exceeds
     ``tol * max(1, ||candidate||_F)``; dependent candidates are dropped

@@ -11,9 +11,8 @@ eigenvector for a_j.  Each V_j is invariant under all of A, and every
 Cartan element acts on it as a plain 2x2 rotation generator.  The
 adjoint matrices are read from the structure constants of S.
 
-The search for X is deterministic: integer coefficient vectors over the
-Cartan basis in lexicographic order (entries 1..2*dim S, gcd 1), with no
-randomized fallback, so repeated runs agree.
+The search for X has no randomized fallback: integer vectors, then
+moment-curve points, over the Cartan basis (_coefficient_candidates).
 """
 
 import itertools
@@ -27,9 +26,8 @@ from .errors import SplittingSearchError
 from .linalg import LieBasis, TOL_EIG, TOL_RANK, _cluster_bounds, _gate
 
 # The lexicographic integer sweep is astronomically large for Cartan
-# dimension above ~4, so cap the number of candidates examined; the
-# search fails once they are spent.  In practice one of the first three
-# integer vectors already splits.
+# dimension above ~4, so cap the number of candidates examined.  In
+# practice one of the first three integer vectors already splits.
 MAX_INTEGER_CANDIDATES = 20000
 
 
@@ -56,16 +54,22 @@ class PrimaryResult:
     invariance_residual: float  # worst part of [a, v] outside v's component
 
 
-def _coefficient_candidates(m, c_max):
-    """Deterministic splitting-coefficient candidates.
+def _coefficient_candidates(m, dim):
+    """Deterministic splitting-coefficient candidates, m = dim A.
 
-    Integer vectors in {1..c_max}^m, lexicographic, filtered to gcd 1,
-    among the first ``MAX_INTEGER_CANDIDATES`` of the sweep.
+    Integer vectors in {1..2*dim}^m, lexicographic, gcd 1, among the
+    first ``MAX_INTEGER_CANDIDATES`` of the sweep; then the moment curve
+    (1, t, ..., t^(m-1)), t = 2 .. (m-1) p^2 + 1, p = (dim - m) // 2.
+    Each of the p^2 functionals a_j, a_j -/+ a_k that must not vanish at
+    X has at most m - 1 zeros on the curve, so one of its first
+    (m-1) p^2 + 1 points (t = 1 opens the sweep) splits a semisimple S.
     """
-    sweep = itertools.product(range(1, c_max + 1), repeat=m)
+    sweep = itertools.product(range(1, 2 * dim + 1), repeat=m)
     for c in itertools.islice(sweep, MAX_INTEGER_CANDIDATES):
         if math.gcd(*c) == 1:
             yield np.array(c, dtype=float)
+    for t in range(2, (m - 1) * ((dim - m) // 2) ** 2 + 2):
+        yield float(t) ** np.arange(m)
 
 
 def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
@@ -113,9 +117,9 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     ``linalg._gate``) is stored on the result.  ``coeffs`` restricts the
     search to explicit coefficient vectors over the Cartan basis, which
     is how tests and the CLI pin a particular choice; if none of them
-    splits, SplittingSearchError.  S is not re-tested for semisimplicity,
-    which ``cartan_subalgebra`` checked; a non-semisimple S has no
-    splitting element (SplittingSearchError).
+    splits, SplittingSearchError.  Otherwise SplittingSearchError means
+    that S, which is not re-tested here, is not semisimple or that its
+    spectrum is degenerate at ``eig_tol`` (see _coefficient_candidates).
     """
     if cartan.dim == 0:
         raise ValueError("Cartan subalgebra is empty")
@@ -128,7 +132,7 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
                 raise ValueError(
                     f"splitting coefficients need length {cartan.dim}")
     else:
-        candidates = _coefficient_candidates(cartan.dim, 2 * semisimple.dim)
+        candidates = _coefficient_candidates(cartan.dim, semisimple.dim)
     for cand in candidates:
         ad = np.tensordot(cand, ads, axes=1)
         split = _split_spectrum(ad, target, cartan.dim, eig_tol)

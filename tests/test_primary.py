@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from dynlie import (
+    analyze_system,
     cartan_subalgebra,
+    control_system,
     empty_basis,
     extend_basis,
     generate_closure,
@@ -13,7 +17,8 @@ from dynlie.errors import SplittingSearchError
 from dynlie.primary import _coefficient_candidates
 
 from conftest import SX, SY, SZ, AD_DRIVE_1, AD_DRIVE_2, su2_triple
-from helpers import commutator, member_coords, random_skew, spans_equal, staged
+from helpers import (commutator, member_coords, random_skew, site,
+                     spans_equal, staged)
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
@@ -27,7 +32,7 @@ def two_spin_cartan(two_spin_els):
 
 class TestCoefficientCandidates:
     def test_integer_sweep_order(self):
-        gen = _coefficient_candidates(2, 4)
+        gen = _coefficient_candidates(2, 6)
         first = [next(gen) for _ in range(4)]
         np.testing.assert_allclose(first[0], [1.0, 1.0])
         np.testing.assert_allclose(first[1], [1.0, 2.0])
@@ -35,7 +40,7 @@ class TestCoefficientCandidates:
         np.testing.assert_allclose(first[3], [1.0, 4.0])
 
     def test_gcd_filter(self):
-        cands = list(_coefficient_candidates(2, 2))
+        cands = list(_coefficient_candidates(2, 6))
         integer_part = [tuple(c) for c in cands if np.allclose(
             c, np.round(c))]
         assert (2.0, 2.0) not in integer_part
@@ -45,13 +50,35 @@ class TestCoefficientCandidates:
         gen = _coefficient_candidates(1, 3)
         np.testing.assert_allclose(next(gen), [1.0])
 
-    def test_integer_candidates_then_stop(self):
-        # The gcd-1 integer vectors are the whole search.
+    def test_no_root_pairs_no_curve(self):
+        # dim = m leaves no root pair to separate: the gcd-1 integer
+        # vectors are the whole search, with no randomized phase after.
         cands = [tuple(c) for c in _coefficient_candidates(2, 2)]
-        assert cands == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
+        assert cands == [(a, b) for a in range(1, 5) for b in range(1, 5)
+                         if math.gcd(a, b) == 1]
+
+    def test_capped_sweep_then_moment_curve(self):
+        # su(2)^5: the capped sweep never moves the first coordinates off
+        # 1; the (5 - 1) * 5^2 moment-curve points t = 2..101 follow it.
+        cands = list(_coefficient_candidates(5, 15))
+        assert all(c[0] == c[1] == 1.0 for c in cands[:-100])
+        curve = np.arange(2.0, 102.0)[:, None] ** np.arange(5)
+        assert np.array_equal(np.array(cands[-100:]), curve)
 
 
 class TestFindSplittingElement:
+    def test_aligned_pivots_on_five_qubits(self):
+        # Decoupled qubits with pivots iZ_1..iZ_5 give a Cartan basis
+        # along the copies of su(2)^5, where every integer candidate
+        # repeats a coefficient; the moment curve's (1, 2, 4, 8, 16) splits.
+        k = 5
+        system = control_system(sum(site("z", i, k) for i in range(k)),
+                                [site("x", i, k) for i in range(k)])
+        result = analyze_system(
+            system, pivots=[1j * site("z", i, k) for i in range(k)])
+        assert result.primary.splitting.coeffs.tolist() == [1, 2, 4, 8, 16]
+        assert len(result.primary.components) == k
+
     def test_two_spin_first_accepted_pair(self, two_spin_els,
                                            two_spin_basis):
         cartan = two_spin_cartan(two_spin_els)
