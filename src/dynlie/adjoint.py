@@ -76,7 +76,9 @@ def is_semisimple(c, tol=TOL_KILLING):
 
     True when every singular value of the Killing Gram is significant at
     ``tol`` (``linalg._significant``).  The empty algebra reports False:
-    there is nothing to decompose there.
+    there is nothing to decompose there.  The pipeline does not call it:
+    the Levi split alone decides semisimplicity.  It stays as an
+    independent check.
     """
     if len(c) == 0:
         return False

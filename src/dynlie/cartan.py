@@ -1,11 +1,12 @@
-"""Cartan subalgebra of a compact semisimple subalgebra of u(n).
+"""Cartan subalgebra of a compact subalgebra of u(n).
 
 The construction peels the algebra iteratively: pick a nonzero element
 X, form its centralizer D, split D into derived part plus center, bank
 the center into the growing Abelian algebra and recurse on the derived
 part.  Each pass strictly shrinks the working algebra, so at most dim S
 iterations run.  The result is Abelian, self-normalizing, and has even
-codimension in S.
+codimension in S.  Semisimplicity is decided once, by the Levi split,
+not here: the first pass banks the center of an input that has one.
 
 Everything runs on coordinate rows over the basis of S and on its
 structure constants c: a centralizer is the nullspace of ad_X restricted
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import adjoint, bracket_coords, is_semisimple, restrict
+from .adjoint import adjoint, bracket_coords, restrict
 from .errors import NotInSpanError, NotSemisimpleError
 from .levi import levi_split
 from .linalg import LieBasis, TOL_RANK, nullspace, span_coords
@@ -60,10 +61,12 @@ class CartanResult:
 
 
 def cartan_subalgebra(semisimple, c, pivots=None, tol=TOL_RANK):
-    """Cartan subalgebra of a semisimple algebra by iterated centralizers.
+    """Cartan subalgebra of a compact algebra by iterated centralizers.
 
-    ``c`` holds the structure constants of ``semisimple``, whose Killing
-    form must be nondegenerate (NotSemisimpleError otherwise).
+    ``c`` holds the structure constants of ``semisimple``, which is not
+    re-tested: a center, if any, joins a Cartan subalgebra of the derived
+    part.  An empty algebra raises ValueError, and NotSemisimpleError
+    comes only from the guard on an iteration that fails to terminate.
     ``pivots`` optionally supplies explicit pivot elements, consumed in
     order before falling back to the default rule (first basis element
     of the current working algebra).  Explicit pivots must be nonzero
@@ -71,9 +74,8 @@ def cartan_subalgebra(semisimple, c, pivots=None, tol=TOL_RANK):
     ``tol`` times their norm (NotInSpanError); this is how a caller
     reproduces a particular textbook choice exactly.
     """
-    if not is_semisimple(c):
-        raise NotSemisimpleError(
-            "Cartan construction needs a semisimple algebra")
+    if semisimple.dim == 0:
+        raise ValueError("Cartan construction needs a nonempty algebra")
     queue = list(pivots) if pivots is not None else []
     centers = []
     current = np.eye(semisimple.dim)

@@ -11,8 +11,8 @@ eigenvector for a_j.  Each V_j is invariant under all of A, and every
 Cartan element acts on it as a plain 2x2 rotation generator.  The
 adjoint matrices are read from the structure constants of S.
 
-The search for X has no randomized fallback: integer vectors, then
-moment-curve points, over the Cartan basis (_coefficient_candidates).
+The search for X has no randomized fallback: it walks the moment curve
+over the Cartan basis (_coefficient_candidates).
 """
 
 import itertools
@@ -24,11 +24,6 @@ import numpy as np
 from .adjoint import adjoint
 from .errors import SplittingSearchError
 from .linalg import LieBasis, TOL_EIG, TOL_RANK, _cluster_bounds, _gate
-
-# The lexicographic integer sweep is astronomically large for Cartan
-# dimension above ~4, so cap the number of candidates examined.  In
-# practice one of the first three integer vectors already splits.
-MAX_INTEGER_CANDIDATES = 20000
 
 
 @dataclass(frozen=True)
@@ -57,18 +52,13 @@ class PrimaryResult:
 def _coefficient_candidates(m, dim):
     """Deterministic splitting-coefficient candidates, m = dim A.
 
-    Integer vectors in {1..2*dim}^m, lexicographic, gcd 1, among the
-    first ``MAX_INTEGER_CANDIDATES`` of the sweep; then the moment curve
-    (1, t, ..., t^(m-1)), t = 2 .. (m-1) p^2 + 1, p = (dim - m) // 2.
-    Each of the p^2 functionals a_j, a_j -/+ a_k that must not vanish at
-    X has at most m - 1 zeros on the curve, so one of its first
-    (m-1) p^2 + 1 points (t = 1 opens the sweep) splits a semisimple S.
+    The moment curve (1, t, ..., t^(m-1)), t = 1 .. (m-1) p^2 + 1, with
+    p = (dim - m) // 2 root pairs.  Each of the p^2 functionals a_j,
+    a_j -/+ a_k that must not vanish at X is a nonzero polynomial of
+    degree below m in t, so it has at most m - 1 zeros on the curve, and
+    one of these points splits a semisimple S.
     """
-    sweep = itertools.product(range(1, 2 * dim + 1), repeat=m)
-    for c in itertools.islice(sweep, MAX_INTEGER_CANDIDATES):
-        if math.gcd(*c) == 1:
-            yield np.array(c, dtype=float)
-    for t in range(2, (m - 1) * ((dim - m) // 2) ** 2 + 2):
+    for t in range(1, (m - 1) * ((dim - m) // 2) ** 2 + 2):
         yield float(t) ** np.arange(m)
 
 
@@ -117,9 +107,10 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     ``linalg._gate``) is stored on the result.  ``coeffs`` restricts the
     search to explicit coefficient vectors over the Cartan basis, which
     is how tests and the CLI pin a particular choice; if none of them
-    splits, SplittingSearchError.  Otherwise SplittingSearchError means
-    that S, which is not re-tested here, is not semisimple or that its
-    spectrum is degenerate at ``eig_tol`` (see _coefficient_candidates).
+    splits, SplittingSearchError.  Otherwise one point of the moment
+    curve (_coefficient_candidates) splits a semisimple S, so the error
+    means that S, not re-tested here, is not semisimple or that its
+    spectrum is degenerate at ``eig_tol``.
     """
     if cartan.dim == 0:
         raise ValueError("Cartan subalgebra is empty")

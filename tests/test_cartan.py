@@ -11,7 +11,7 @@ from dynlie import (
     kron,
     levi_decompose,
 )
-from dynlie.errors import NotInSpanError, NotSemisimpleError
+from dynlie.errors import NotInSpanError
 
 from conftest import SX, SY, SZ, I2, AD_DRIVE_1
 from helpers import (
@@ -167,10 +167,17 @@ class TestCartanSubalgebra:
         assert result.cartan.dim == 2
         assert result.iterations == 2
 
-    def test_rejects_non_semisimple(self):
+    def test_center_is_banked(self):
+        # Semisimplicity is decided by the Levi split alone: u(2) gets its
+        # center i*I plus a Cartan subalgebra of su(2).
         u2 = extend_basis(empty_basis(2), [1j * np.eye(2), IX, IY, IZ])
-        with pytest.raises(NotSemisimpleError):
-            staged(cartan_subalgebra, u2)
+        cartan = staged(cartan_subalgebra, u2).cartan
+        assert cartan.dim == 2
+        assert member_coords(cartan, 1j * np.eye(2), tol=1e-12) is not None
+
+    def test_empty_algebra_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            cartan_subalgebra(empty_basis(2), np.zeros((0, 0, 0)))
 
     def test_rejects_outside_pivot(self, two_spin_basis):
         with pytest.raises(NotInSpanError):

@@ -134,6 +134,29 @@ class TestAnalyzeSystem:
         _, analysis = two_spin_decomp
         assert analysis.ideals.su2 == (True, True)
 
+    def test_spin_half_plus_spin_100(self):
+        # su(2) + su(2) whose second copy acts on spin 100: its Killing
+        # form is about 10^6 times the first one's, a spread that a cut on
+        # the Killing Gram misread as degenerate.
+        j = 100
+        m = np.arange(j, -j - 1, -1.0)
+        jz = np.diag(m)
+        jx = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)) / 2, 1)
+        jx = jx + jx.T
+        pad = np.zeros((2 * j + 1, 2 * j + 1))
+        spin_half = np.zeros((2, 2))
+
+        def block(a, b):
+            out = np.zeros((2 * j + 3, 2 * j + 3), dtype=complex)
+            out[:2, :2], out[2:, 2:] = a, b
+            return out
+
+        system = control_system(block(SZ / 2, jz),
+                                [block(SX / 2, pad), block(spin_half, jx)])
+        analysis = analyze_system(system)
+        assert [ideal.dim for ideal in analysis.ideals.ideals] == [3, 3]
+        assert analysis.ideals.su2 == (True, True)
+
 
 class TestProjectGenerator:
     def test_pieces_sum_to_generator(self, two_spin_decomp, rng):

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from dynlie import (
     primary_decompose,
 )
 from dynlie.errors import SplittingSearchError
+from dynlie import primary
 from dynlie.primary import _coefficient_candidates
 
 from conftest import SX, SY, SZ, AD_DRIVE_1, AD_DRIVE_2, su2_triple
@@ -39,43 +39,43 @@ class TestCoefficientCandidates:
         np.testing.assert_allclose(first[2], [1.0, 3.0])
         np.testing.assert_allclose(first[3], [1.0, 4.0])
 
-    def test_gcd_filter(self):
-        cands = list(_coefficient_candidates(2, 6))
-        integer_part = [tuple(c) for c in cands if np.allclose(
-            c, np.round(c))]
-        assert (2.0, 2.0) not in integer_part
-        assert (1.0, 2.0) in integer_part
-
     def test_single_coefficient(self):
         gen = _coefficient_candidates(1, 3)
         np.testing.assert_allclose(next(gen), [1.0])
 
-    def test_no_root_pairs_no_curve(self):
-        # dim = m leaves no root pair to separate: the gcd-1 integer
-        # vectors are the whole search, with no randomized phase after.
-        cands = [tuple(c) for c in _coefficient_candidates(2, 2)]
-        assert cands == [(a, b) for a in range(1, 5) for b in range(1, 5)
-                         if math.gcd(a, b) == 1]
-
-    def test_capped_sweep_then_moment_curve(self):
-        # su(2)^5: the capped sweep never moves the first coordinates off
-        # 1; the (5 - 1) * 5^2 moment-curve points t = 2..101 follow it.
-        cands = list(_coefficient_candidates(5, 15))
-        assert all(c[0] == c[1] == 1.0 for c in cands[:-100])
-        curve = np.arange(2.0, 102.0)[:, None] ** np.arange(5)
-        assert np.array_equal(np.array(cands[-100:]), curve)
+    @pytest.mark.parametrize("m, dim, points", [
+        (1, 3, 1),    # su(2): m = 1 has one point whatever p is
+        (2, 2, 1),    # dim = m: no root pair to separate
+        (2, 6, 5),    # su(3): (2 - 1) * 2^2 + 1
+        (5, 15, 101),  # su(2)^5: (5 - 1) * 5^2 + 1
+    ])
+    def test_moment_curve_points(self, m, dim, points):
+        cands = np.array(list(_coefficient_candidates(m, dim)))
+        curve = [[float(t) ** i for i in range(m)]
+                 for t in range(1, points + 1)]
+        assert np.array_equal(cands, curve)
 
 
 class TestFindSplittingElement:
-    def test_aligned_pivots_on_five_qubits(self):
+    def test_aligned_pivots_on_five_qubits(self, monkeypatch):
         # Decoupled qubits with pivots iZ_1..iZ_5 give a Cartan basis
-        # along the copies of su(2)^5, where every integer candidate
-        # repeats a coefficient; the moment curve's (1, 2, 4, 8, 16) splits.
+        # along the copies of su(2)^5: (1, ..., 1) gives every copy the
+        # same frequency, and the curve's second point (1, 2, 4, 8, 16)
+        # splits.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return split_spectrum(*args)
+
+        split_spectrum = primary._split_spectrum
+        monkeypatch.setattr(primary, "_split_spectrum", spy)
         k = 5
         system = control_system(sum(site("z", i, k) for i in range(k)),
                                 [site("x", i, k) for i in range(k)])
         result = analyze_system(
             system, pivots=[1j * site("z", i, k) for i in range(k)])
+        assert len(calls) == 2
         assert result.primary.splitting.coeffs.tolist() == [1, 2, 4, 8, 16]
         assert len(result.primary.components) == k
 
@@ -217,8 +217,8 @@ class TestPrimaryDecompose:
     def test_non_semisimple_input_has_no_splitting_element(self, su2):
         # u(2) with a one-dimensional "Cartan" algebra: the central
         # direction keeps a second zero eigenvalue in every ad_X, so no
-        # candidate splits.  Semisimplicity itself is checked only by
-        # cartan_subalgebra.
+        # candidate splits.  Semisimplicity itself is decided only by
+        # the Levi split.
         u2 = extend_basis(su2, [1j * np.eye(2)])
         cartan = extend_basis(empty_basis(2), [IZ])
         with pytest.raises(SplittingSearchError):
