@@ -135,16 +135,15 @@ class TestAnalyzeSystem:
         assert analysis.ideals.su2 == (True, True)
 
     def test_spin_half_plus_spin_100(self):
-        # su(2) + su(2) whose second copy acts on spin 100: its Killing
-        # form is about 10^6 times the first one's, a spread that a cut on
-        # the Killing Gram misread as degenerate.
+        # su(2) + su(2), the second copy on spin 100: in the
+        # Hilbert-Schmidt basis its Killing form is about 7e-7 times the
+        # first copy's, below a 1e-6 cut on the Killing Gram, while the
+        # Levi split's cut on the singular values of c is 1e-8.
         j = 100
         m = np.arange(j, -j - 1, -1.0)
         jz = np.diag(m)
         jx = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)) / 2, 1)
         jx = jx + jx.T
-        pad = np.zeros((2 * j + 1, 2 * j + 1))
-        spin_half = np.zeros((2, 2))
 
         def block(a, b):
             out = np.zeros((2 * j + 3, 2 * j + 3), dtype=complex)
@@ -152,7 +151,7 @@ class TestAnalyzeSystem:
             return out
 
         system = control_system(block(SZ / 2, jz),
-                                [block(SX / 2, pad), block(spin_half, jx)])
+                                [block(SX / 2, 0 * jx), block(0 * SX, jx)])
         analysis = analyze_system(system)
         assert [ideal.dim for ideal in analysis.ideals.ideals] == [3, 3]
         assert analysis.ideals.su2 == (True, True)

@@ -1,4 +1,3 @@
-
 import numpy as np
 import pytest
 
@@ -12,8 +11,8 @@ from dynlie import (
     levi_decompose,
     primary_decompose,
 )
-from dynlie.errors import SplittingSearchError
 from dynlie import primary
+from dynlie.errors import SplittingSearchError
 from dynlie.primary import _coefficient_candidates
 
 from conftest import SX, SY, SZ, AD_DRIVE_1, AD_DRIVE_2, su2_triple
@@ -44,7 +43,7 @@ class TestCoefficientCandidates:
         np.testing.assert_allclose(next(gen), [1.0])
 
     @pytest.mark.parametrize("m, dim, points", [
-        (1, 3, 1),    # su(2): m = 1 has one point whatever p is
+        (1, 7, 1),    # m = 1 has one point whatever p is
         (2, 2, 1),    # dim = m: no root pair to separate
         (2, 6, 5),    # su(3): (2 - 1) * 2^2 + 1
         (5, 15, 101),  # su(2)^5: (5 - 1) * 5^2 + 1
@@ -63,12 +62,12 @@ class TestFindSplittingElement:
         # same frequency, and the curve's second point (1, 2, 4, 8, 16)
         # splits.
         calls = []
+        split_spectrum = primary._split_spectrum
 
         def spy(*args):
             calls.append(args)
             return split_spectrum(*args)
 
-        split_spectrum = primary._split_spectrum
         monkeypatch.setattr(primary, "_split_spectrum", spy)
         k = 5
         system = control_system(sum(site("z", i, k) for i in range(k)),
