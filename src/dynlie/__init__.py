@@ -6,8 +6,8 @@ Levi, Cartan, and primary decompositions), and propagate the system as
 a commuting product of decoupled factors.
 """
 
-from .adjoint import _brackets_and_coords as structure_constants
-from .adjoint import adjoint, is_semisimple, killing_gram, killing_orthonormalize
+from .adjoint import (adjoint, is_semisimple, killing_gram,
+                      killing_orthonormalize, structure_constants)
 from .cartan import CartanResult, cartan_subalgebra, centralizer
 from .closure import (
     CONTROLLABLE_SU,

@@ -4,8 +4,8 @@ A bracket-closed subspace of u(n) with HS-orthonormal basis {e_i} is
 known completely by its structure constants c[i, j, k] = <e_k, [e_i,
 e_j]> (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1).
 Every stage after the closure works on real coordinate rows and this
-one tensor, built once by :func:`_brackets_and_coords`, which is also
-the package's one bracket-closure check.  The pairing is ad-invariant,
+one tensor, projected by the closure's last pass, whose worst residual
+is the package's one bracket-closure check.  The pairing is ad-invariant,
 so ad_x is antisymmetric in these coordinates, and the Killing form
 K(y, z) = tr(ad_y ad_z), one contraction of c with itself, is negative
 definite precisely on the semisimple subalgebras.
@@ -18,29 +18,33 @@ from .linalg import (TOL_KILLING, TOL_RANK, _significant, bracket_blocks,
                      span_coords)
 
 
-def _brackets_and_coords(basis, tol=TOL_RANK):
-    """Structure constants c[i, j, k] = <e_k, [e_i, e_j]> of ``basis``.
-
-    Takes the pairwise brackets one row block at a time
-    (:func:`linalg.bracket_blocks`) and projects each block at once,
-    filling its rows of c and the worst relative residual so far, so the
-    pass holds one block of brackets besides c's d^3 floats.  Raises
-    NotClosedError when some bracket leaves the span (relative residual
-    above ``tol``): this is the bracket-closure check of the package.
-    """
-    d = basis.dim
+def projected_brackets(basis, c):
+    """The brackets of ``basis`` with itself, one row block at a time
+    (:func:`linalg.bracket_blocks`): writes each block's coordinate rows
+    into c (d, d, d) and yields the block with its worst relative
+    residual, so a pass holds one block besides c's d^3 floats."""
     m = basis.mats
-    coords = np.empty((d, d, d))
-    worst = 0.0
     for start, br in bracket_blocks(m, m):
         rows, resid = span_coords(basis, br)
-        coords[start : start + len(br)] = rows
+        c[start : start + len(br)] = rows
         scale = np.maximum(1.0, np.linalg.norm(br, axis=(2, 3)))
-        worst = max(worst, (resid / scale).max())
+        yield br, (resid / scale).max()
+
+
+def closed(c, worst, tol):
+    """``c``, or NotClosedError if its worst relative residual is > tol."""
     if worst > tol:
         raise NotClosedError(
             f"basis is not bracket-closed, worst relative residual {worst:.3e}")
-    return coords
+    return c
+
+
+def structure_constants(basis, tol=TOL_RANK):
+    """Structure constants c[i, j, k] = <e_k, [e_i, e_j]> of ``basis``,
+    from one pass of :func:`projected_brackets`, checked by :func:`closed`."""
+    c = np.empty((basis.dim,) * 3)
+    worst = max((w for _, w in projected_brackets(basis, c)), default=0.0)
+    return closed(c, worst, tol)
 
 
 def bracket_coords(c, a, b):

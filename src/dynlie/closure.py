@@ -6,7 +6,8 @@ generators are enough to span it, so the schedule only brackets each new
 layer of basis elements against the original generators; depth counts
 productive layers, and it stops once the span is all of u(n) or su(n).
 A final all-pairs sweep guards the schedule against borderline rank
-rejections and guarantees the returned basis really is a subalgebra.
+rejections and guarantees the returned basis really is a subalgebra;
+its last pass gives the structure constants and the closure check.
 Both take their brackets in row blocks of bounded size, so a closure
 never holds all d^2 brackets of its basis at once.
 """
@@ -15,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    LieBasis,
-    TOL_RANK,
-    bracket_blocks,
-    empty_basis,
-    extend_basis,
-    skew_hermitian,
-)
+from .adjoint import closed, projected_brackets
+from .linalg import (LieBasis, TOL_RANK, bracket_blocks, empty_basis,
+                     extend_basis, skew_hermitian)
 
 CONTROLLABLE_U = "controllable-U"
 CONTROLLABLE_SU = "controllable-SU"
@@ -57,7 +53,8 @@ def generate_closure(generators, tol=TOL_RANK):
     elements against the original generators.  The loop stops when a
     layer adds nothing or the span is all of u(n) or su(n), where no
     bracket can add a direction.  All-zero input yields the empty basis
-    at depth 0.
+    at depth 0.  Returns the ClosureResult and the structure constants
+    c[i, j, k] = <e_k, [e_i, e_j]> of its basis (see :func:`_closure_sweep`).
     """
     gens = [skew_hermitian(g) for g in generators]
     if not gens:
@@ -83,8 +80,8 @@ def generate_closure(generators, tol=TOL_RANK):
         new = basis.mats[before:]
         depth += len(new) > 0
 
-    basis = _closure_sweep(basis, tol)
-    return ClosureResult(basis, depth, len(normalized))
+    basis, c = _closure_sweep(basis, tol)
+    return ClosureResult(basis, depth, len(normalized)), c
 
 
 def _closure_sweep(basis, tol):
@@ -92,19 +89,21 @@ def _closure_sweep(basis, tol):
     genuine subalgebra even if the layered schedule lost a direction to a
     borderline rank decision (a drift that mixes scales can do that).
 
-    Each pass brackets the stack it started from against itself, one row
-    block at a time (:func:`linalg.bracket_blocks`), and hands each block
-    to ``extend_basis`` in turn: the candidates and their order are those
-    of one call over all d^2 brackets, while the pass holds one block.
+    Each pass projects its stack's brackets onto its span, one row block
+    at a time (:func:`adjoint.projected_brackets`), and hands each block
+    to ``extend_basis``: the candidates and their order are those of one
+    call over all d^2 brackets.  The pass that adds nothing returns its
+    basis and c, once :func:`adjoint.closed` accepts them.
     """
     n = basis.n
     while True:
-        before = basis.dim
-        m = basis.mats
-        for _, block in bracket_blocks(m, m):
-            basis = extend_basis(basis, block.reshape(-1, n, n), tol)
-        if basis.dim == before:
-            return basis
+        c, worst, grown = np.empty((basis.dim,) * 3), 0.0, basis
+        for block, resid in projected_brackets(basis, c):
+            worst = max(worst, resid)
+            grown = extend_basis(grown, block.reshape(-1, n, n), tol)
+        if grown.dim == basis.dim:
+            return basis, closed(c, worst, tol)
+        basis = grown
 
 
 def _whole_algebra(basis):

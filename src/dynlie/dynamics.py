@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import _brackets_and_coords, restrict
+from .adjoint import restrict
 from .cartan import CartanResult, cartan_subalgebra
 from .closure import ClosureResult, generate_closure, is_controllable
 from .errors import (
@@ -153,19 +153,18 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
     """Run the full pipeline: closure, Levi split, Cartan subalgebra,
     primary decomposition, simple ideals, component assembly.
 
-    The closure basis's structure constants are built once, with the one
-    bracket-closure check, and not kept: the later stages are linear
-    algebra on them, the semisimple stages on their restriction to the
-    semisimple part.  ``pivots`` and ``splitting_coeffs`` thread through
-    to the Cartan and splitting searches so a specific construction can
-    be reproduced.  Numerical failures surface as StageFailure naming the
-    stage.
+    The closure basis's structure constants come from the closure's last
+    pass, with the one bracket-closure check, and are not kept: the later
+    stages are linear algebra on them, the semisimple stages on their
+    restriction to the semisimple part.  ``pivots`` and
+    ``splitting_coeffs`` thread through to the Cartan and splitting
+    searches so a specific construction can be reproduced.  Numerical
+    failures surface as StageFailure naming the stage.
     """
     gens = [1j * system.drift] + [1j * h for h in system.controls]
-    closure = _stage("closure", generate_closure, gens, tol)
+    closure, c = _stage("closure", generate_closure, gens, tol)
     verdict = is_controllable(closure)
     basis = closure.basis
-    c = _stage("closure", _brackets_and_coords, basis, tol)
     levi = _stage("levi", levi_decompose, basis, c, tol)
     cartan = primary = ideal_set = None
     simple_bases = ()

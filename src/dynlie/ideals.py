@@ -19,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (
-    _brackets_and_coords,
-    bracket_coords,
-    killing_orthonormalize,
-)
+from .adjoint import (bracket_coords, killing_orthonormalize,
+                      structure_constants)
 from .errors import DecompositionError, NotSemisimpleError
 from .linalg import TOL_RANK, _class_firsts, _gate, _significant
 
@@ -119,5 +116,5 @@ def recognize_su2(ideal, tol=TOL_RANK):
     its structure constants and the frame are checked at ``tol``."""
     if ideal.dim != 3:
         return None
-    frame = _su2_frame(_brackets_and_coords(ideal, tol), tol)
+    frame = _su2_frame(structure_constants(ideal, tol), tol)
     return None if frame is None else tuple(np.tensordot(frame, ideal.mats, 1))

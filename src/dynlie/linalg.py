@@ -147,7 +147,7 @@ class LieBasis:
         m.flags.writeable = False
         if len(m):
             v = _vec(m)
-            if np.abs(v @ v.T - np.eye(len(m))).max() > 1e-9:
+            if not np.abs(v @ v.T - np.eye(len(m))).max() <= 1e-9:  # NaN
                 raise ValueError("basis elements are not orthonormal")
         for name, value in zip(self.__slots__, (n, m, None)):
             object.__setattr__(self, name, value)
@@ -226,13 +226,13 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     """Grow ``basis`` by the candidates that stick out of its span.
 
     ``candidates`` is a (k, n, n) stack or a list of n x n matrices (not a
-    generator), validated and vectorized once; an empty one adds nothing.
-    Modified Gram-Schmidt with one re-orthogonalization pass.  A candidate
-    is accepted when its orthogonal residual exceeds
-    ``tol * max(1, ||candidate||_F)``; dependent candidates are dropped
-    silently and acceptance order follows candidate order.  An accepted
-    residual R is replaced by its exact skew part (R - R^H)/2, so noise
-    amplified in a small residual cannot leave u(n).  Returns a new
+    generator), checked as skew-Hermitian but used as given, and vectorized
+    once; an empty one adds nothing.  Modified Gram-Schmidt with one
+    re-orthogonalization pass.  A candidate is accepted when its residual
+    exceeds ``tol * max(1, ||candidate||_F)``; dependent candidates are
+    dropped silently and acceptance order follows candidate order.  An
+    accepted residual R is replaced by its exact skew part (R - R^H)/2, so
+    noise amplified in a small residual cannot leave u(n).  Returns a new
     basis, or the input itself when it holds its own stack and no
     candidate sticks out; the input is never mutated.
     """
@@ -243,6 +243,7 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     elif cands.ndim != 3 or cands.shape[1:] != (n, n):
         raise ValueError(
             f"candidates of shape {cands.shape} do not match ambient {(n, n)}")
+    hermitian_part(cands, what="candidate", skew=True)
     rows = list(basis.vecs)
     for v in _vec(cands):
         scale = max(1.0, math.sqrt(v @ v))

@@ -84,7 +84,7 @@ def random_closures():
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, 4))
         gens = [random_skew(rng, n) for _ in range(k)]
-        closure = generate_closure(gens)
+        closure, _ = generate_closure(gens)
         if closure.dim == 0:
             continue
         cases.append((closure.basis, staged(levi_decompose, closure.basis)))
@@ -95,7 +95,7 @@ def test_two_spin_closure_dimension_and_members():
     sx_els = two_spin_elements()
     l1, l2, l3, l4, l5, l6 = sx_els
     # Generator order: both couplings first, then the local drive.
-    closure = generate_closure([l3, l4, l1])
+    closure, _ = generate_closure([l3, l4, l1])
     assert closure.dim == 6
     basis = closure.basis
     for el in sx_els:
@@ -106,7 +106,7 @@ def test_two_spin_closure_dimension_and_members():
 
 def test_two_spin_uncontrollable_verdict():
     els = two_spin_elements()
-    closure = generate_closure([els[2], els[3], els[0]])
+    closure, _ = generate_closure([els[2], els[3], els[0]])
     assert closure.dim == 6 < 15
     assert is_controllable(closure) == UNCONTROLLABLE
     _pass("two-spin system judged uncontrollable (dim 6 of 15)")

@@ -89,7 +89,7 @@ class TestAdjointMatrix:
         # Coordinates against n x n commutators and least squares.
         for _ in range(5):
             basis = generate_closure([random_skew(rng, 3)
-                                      for _ in range(2)]).basis
+                                      for _ in range(2)])[0].basis
             x = from_coords(basis, rng.standard_normal(basis.dim))[0]
             np.testing.assert_allclose(ad_of(basis, x),
                                        adjoint_in_span(basis, x), atol=1e-10)
@@ -135,7 +135,7 @@ class TestStructureTensor:
 
     def test_library_matches_oracle(self, two_spin_basis, rng):
         bases = [two_spin_basis] + [
-            generate_closure([random_skew(rng, n) for _ in range(2)]).basis
+            generate_closure([random_skew(rng, n) for _ in range(2)])[0].basis
             for n in (2, 3, 4)]
         for basis in bases:
             np.testing.assert_allclose(structure_constants(basis),

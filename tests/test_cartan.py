@@ -193,7 +193,7 @@ class TestCartanSubalgebra:
         for _ in range(10):
             n = int(rng.integers(2, 5))
             gens = [random_skew(rng, n) for _ in range(2)]
-            basis = generate_closure(gens).basis
+            basis = generate_closure(gens)[0].basis
             semi = staged(levi_decompose, basis).semisimple
             if semi.dim == 0:
                 continue

@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from dynlie import (
     two_spin_system,
 )
 from dynlie import closure
-from dynlie.adjoint import _brackets_and_coords
+from dynlie.adjoint import structure_constants
 from dynlie.closure import ClosureResult, _closure_sweep
 from dynlie.linalg import LieBasis, TOL_RANK, bracket_blocks, span_coords
 
@@ -49,41 +51,41 @@ def pauli_su4_system():
 
 class TestGenerateClosure:
     def test_two_spin(self, two_spin_els):
-        result = generate_closure(two_spin_els[:3])
+        result, _ = generate_closure(two_spin_els[:3])
         assert result.dim == 6
         assert result.depth_reached == 2
         for el in two_spin_els:
             assert member_coords(result.basis, el) is not None
 
     def test_single_generator(self):
-        result = generate_closure([IX])
+        result, _ = generate_closure([IX])
         assert result.dim == 1
         assert result.depth_reached == 0
         assert result.generators_used == 1
 
     def test_two_half_spins_close_to_su2(self):
-        result = generate_closure([IX, IY])
+        result, _ = generate_closure([IX, IY])
         assert result.dim == 3
         assert result.depth_reached == 1
         assert member_coords(result.basis, IZ) is not None
 
     def test_u2(self):
-        result = generate_closure([1j * np.eye(2), IX, IY])
+        result, _ = generate_closure([1j * np.eye(2), IX, IY])
         assert result.dim == 4
 
     def test_all_zero_generators(self):
-        result = generate_closure([np.zeros((3, 3))])
+        result, _ = generate_closure([np.zeros((3, 3))])
         assert result.dim == 0
         assert result.depth_reached == 0
         assert result.generators_used == 0
 
     def test_zero_generators_dropped(self):
-        result = generate_closure([np.zeros((2, 2)), IX])
+        result, _ = generate_closure([np.zeros((2, 2)), IX])
         assert result.dim == 1
         assert result.generators_used == 1
 
     def test_scaling_invariance(self):
-        small = generate_closure([1e-4 * IX, 1e-4 * IY])
+        small, _ = generate_closure([1e-4 * IX, 1e-4 * IY])
         assert small.dim == 3
 
     @pytest.mark.parametrize("scale", [1e-9, 1e9])
@@ -106,10 +108,10 @@ class TestGenerateClosure:
         # The cut is ``tol`` (1e-8) times the largest generator norm: a
         # generator 1e-9 times the other is dropped, while two equally
         # tiny ones are both kept.
-        result = generate_closure([IX, 1e-9 * IY])
+        result, _ = generate_closure([IX, 1e-9 * IY])
         assert result.dim == 1
         assert result.generators_used == 1
-        result = generate_closure([1e-12 * IX, 1e-12 * IY])
+        result, _ = generate_closure([1e-12 * IX, 1e-12 * IY])
         assert result.dim == 3
         assert result.generators_used == 2
 
@@ -126,14 +128,14 @@ class TestGenerateClosure:
             n = int(rng.integers(2, 5))
             k = int(rng.integers(1, 4))
             gens = [random_skew(rng, n) for _ in range(k)]
-            result = generate_closure(gens)
+            result, _ = generate_closure(gens)
             assert result.dim == naive_closure_dim(gens)
 
     def test_closure_is_bracket_closed(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 4))
             gens = [random_skew(rng, n) for _ in range(2)]
-            basis = generate_closure(gens).basis
+            basis = generate_closure(gens)[0].basis
             for i in range(basis.dim):
                 for j in range(i + 1, basis.dim):
                     br = commutator(basis.mats[i], basis.mats[j])
@@ -142,18 +144,18 @@ class TestGenerateClosure:
 
     def test_idempotent(self, rng):
         gens = [random_skew(rng, 3) for _ in range(2)]
-        basis = generate_closure(gens).basis
-        again = generate_closure(list(basis.mats))
+        basis = generate_closure(gens)[0].basis
+        again, _ = generate_closure(list(basis.mats))
         assert again.dim == basis.dim
 
     def test_invariant_under_generator_recombination(self, rng):
         gens = [random_skew(rng, 3) for _ in range(3)]
-        base = generate_closure(gens)
+        base, _ = generate_closure(gens)
         mix = rng.standard_normal((3, 3))
         while abs(np.linalg.det(mix)) < 0.1:
             mix = rng.standard_normal((3, 3))
         mixed = [sum(mix[i, j] * gens[j] for j in range(3)) for i in range(3)]
-        remixed = generate_closure(mixed)
+        remixed, _ = generate_closure(mixed)
         assert remixed.dim == base.dim
         for el in base.basis.mats:
             assert member_coords(remixed.basis, el) is not None
@@ -161,7 +163,7 @@ class TestGenerateClosure:
     def test_dim_capped_by_ambient(self, rng):
         for n in (2, 3):
             gens = [random_skew(rng, n) for _ in range(3)]
-            assert generate_closure(gens).dim <= n * n
+            assert generate_closure(gens)[0].dim <= n * n
 
     def test_layers_stop_at_su_n(self, monkeypatch):
         # Traceless terms that generate su(4): once the span has dimension
@@ -182,14 +184,14 @@ class TestGenerateClosure:
 
         monkeypatch.setattr(closure, "extend_basis", spy_extend)
         monkeypatch.setattr(closure, "bracket_blocks", spy_blocks)
-        result = generate_closure(gens)
+        result, _ = generate_closure(gens)
         assert result.dim == 15 and max(layered) < 15
         assert len(layered) == result.depth_reached
         # The same closure with the layered loop forced on to the end.
         with monkeypatch.context() as m:
             m.setattr(closure, "_whole_algebra", lambda basis: None)
             layered.clear()
-            forced = generate_closure(gens)
+            forced, _ = generate_closure(gens)
         assert max(layered) == 15
         assert np.array_equal(forced.basis.stack, result.basis.stack)
         assert forced.depth_reached == result.depth_reached
@@ -199,26 +201,26 @@ class TestGenerateClosure:
 
 class TestIsControllable:
     def test_full_unitary_algebra(self):
-        result = generate_closure([1j * np.eye(2), IX, IY])
+        result, _ = generate_closure([1j * np.eye(2), IX, IY])
         assert is_controllable(result) == CONTROLLABLE_U
 
     def test_traceless_full_algebra(self):
-        result = generate_closure([IX, IY])
+        result, _ = generate_closure([IX, IY])
         assert is_controllable(result) == CONTROLLABLE_SU
 
     def test_two_spin_uncontrollable(self, two_spin_els):
-        result = generate_closure(two_spin_els[:3])
+        result, _ = generate_closure(two_spin_els[:3])
         assert is_controllable(result) == UNCONTROLLABLE
 
     def test_empty_algebra(self):
-        result = generate_closure([np.zeros((2, 2))])
+        result, _ = generate_closure([np.zeros((2, 2))])
         assert is_controllable(result) == UNCONTROLLABLE
 
     def test_one_dimensional_system(self):
         # At n = 1 the empty algebra is all of su(1).
-        one = generate_closure([1j * np.eye(1)])
+        one, _ = generate_closure([1j * np.eye(1)])
         assert is_controllable(one) == CONTROLLABLE_U
-        empty = generate_closure([np.zeros((1, 1))])
+        empty, _ = generate_closure([np.zeros((1, 1))])
         assert is_controllable(empty) == CONTROLLABLE_SU
 
     def test_su_n_dimension_with_a_trace_is_proper(self):
@@ -265,9 +267,8 @@ class TestRowBlocks:
                             [g / np.linalg.norm(g) for g in gens])
 
         def passes():
-            swept = _closure_sweep(seed, TOL_RANK)
-            return (swept, generate_closure(gens).basis,
-                    _brackets_and_coords(swept))
+            swept, c = _closure_sweep(seed, TOL_RANK)
+            return swept, generate_closure(gens)[0].basis, c
 
         monkeypatch.setattr(linalg, "BRACKET_BLOCK_BYTES", ONE_BLOCK)
         swept, closed, c = passes()
@@ -281,9 +282,9 @@ class TestRowBlocks:
         # The check passes at the one-block worst residual and fails just
         # below it, so the blocks give that worst residual to the bit.
         worst = worst_residual(swept)
-        _brackets_and_coords(swept, tol=worst)
+        assert np.array_equal(structure_constants(swept, tol=worst), c)
         with pytest.raises(NotClosedError):
-            _brackets_and_coords(swept, tol=np.nextafter(worst, -1.0))
+            structure_constants(swept, tol=np.nextafter(worst, -1.0))
 
     @pytest.mark.parametrize("budget", [ONE_ROW, None])
     @pytest.mark.parametrize("coupling", [1e-6, 1e-7, 1e-8, 1e-9])
@@ -294,7 +295,7 @@ class TestRowBlocks:
         if budget is not None:
             monkeypatch.setattr(linalg, "BRACKET_BLOCK_BYTES", budget)
         assert generate_closure(
-            generators(coupled_sectors(coupling))).dim == 16
+            generators(coupled_sectors(coupling)))[0].dim == 16
 
     def test_analysis_peak_below_one_bracket_tensor(self):
         # Ising-x k=5 (n = 32, d = 25): all d^2 brackets at once take
@@ -310,3 +311,53 @@ class TestRowBlocks:
         d, n = analysis.closure.dim, system.dim
         assert d == 25
         assert peak < d * d * n * n * 16, peak
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """(name, system) of the benchmark's analysis ladder."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, "perfbench"))
+    workloads = pytest.importorskip("workloads")
+    return [(name, control_system(terms[0], terms[1:]))
+            for name, terms in workloads.AnalyzeLadder.ladder()]
+
+
+@pytest.fixture
+def all_pairs_passes(monkeypatch):
+    """The basis dimension of each call bracket_blocks(m, m), from any
+    dynlie module."""
+    calls = []
+    original = linalg.bracket_blocks
+
+    def spy(a, b):
+        if a is b:
+            calls.append(len(a))
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dynlie.")
+                and getattr(module, "bracket_blocks", None) is original):
+            monkeypatch.setattr(module, "bracket_blocks", spy)
+    return calls
+
+
+class TestOnePass:
+    """The closure's sweep passes are the only all-pairs bracket passes of
+    an analysis, and the pass that adds nothing gives c."""
+
+    def test_one_all_pairs_pass_per_analysis(self, ladder, all_pairs_passes):
+        for name, system in ladder:
+            all_pairs_passes.clear()
+            d = analyze_system(system).closure.dim
+            assert all_pairs_passes == [d], name
+
+    def test_closure_c_is_structure_constants(self, ladder, all_pairs_passes):
+        # The weakly coupled sectors take more than one sweep pass.
+        sectors = ("coupled sectors 1e-8", coupled_sectors(1e-8))
+        for name, system in ladder + [sectors]:
+            all_pairs_passes.clear()
+            result, c = generate_closure(generators(system))
+            passes = len(all_pairs_passes)
+            assert (passes > 1) if name == sectors[0] else (passes == 1), name
+            assert np.array_equal(c, structure_constants(result.basis)), name

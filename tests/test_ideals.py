@@ -125,7 +125,7 @@ class TestSimpleDecompose:
 
         top = [embed_top(s) for s in (SX, SY, SZ)]
         bottom = [embed_bottom(s) for s in (SX, SY, SZ)]
-        closure = generate_closure([top[0], top[1], bottom[0], bottom[1]])
+        closure, _ = generate_closure([top[0], top[1], bottom[0], bottom[1]])
         assert closure.dim == 6
         semi = staged(levi_decompose, closure.basis).semisimple
         assert semi.dim == 6
@@ -144,7 +144,7 @@ class TestSimpleDecompose:
         while True:
             gens = [random_skew(rng, 3) for _ in range(2)]
             gens = [g - np.trace(g) * np.eye(3) / 3 for g in gens]
-            closure = generate_closure(gens)
+            closure, _ = generate_closure(gens)
             if closure.dim == 8:
                 break
         semi = staged(levi_decompose, closure.basis).semisimple

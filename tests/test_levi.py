@@ -122,7 +122,7 @@ class TestLeviDecompose:
             n = int(rng.integers(2, 5))
             k = int(rng.integers(1, 4))
             gens = [random_skew(rng, n) for _ in range(k)]
-            basis = generate_closure(gens).basis
+            basis = generate_closure(gens)[0].basis
             if basis.dim == 0:
                 continue
             split = staged(levi_decompose, basis)

@@ -245,6 +245,14 @@ class TestExtendBasis:
         with pytest.raises(ValueError, match="do not match ambient"):
             extend_basis(empty_basis(2), np.ones(shape))
 
+    @pytest.mark.parametrize("cand", [np.eye(2), IX + SZ,
+                                      np.full((2, 2), np.nan)])
+    def test_non_skew_candidates_rejected(self, cand):
+        # The identity used to come back as an all-NaN element (0/0 in the
+        # normalization), and iX + Z as iX alone.
+        with pytest.raises(ValueError, match="candidate"):
+            extend_basis(empty_basis(2), [IY, cand])
+
     def test_list_equals_stack(self, rng):
         base = extend_basis(empty_basis(3), [random_skew(rng, 3)])
         cands = [random_skew(rng, 3) for _ in range(6)]
@@ -305,6 +313,11 @@ class TestLieBasis:
         unit = IX / np.sqrt(0.5)
         with pytest.raises(ValueError):
             LieBasis(2, np.stack([unit, unit]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            LieBasis(2, [np.full((2, 2), bad)])
 
     def test_arrays_read_only(self, su2):
         with pytest.raises(ValueError):

@@ -137,4 +137,4 @@ class TestHamiltonianAndGenerator:
     def test_closure_integration(self):
         sys = two_spin_system()
         gens = [1j * sys.drift] + [1j * c for c in sys.controls]
-        assert generate_closure(gens).dim == 6
+        assert generate_closure(gens)[0].dim == 6

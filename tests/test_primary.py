@@ -137,7 +137,8 @@ class TestFindSplittingElement:
     def test_frequencies_strictly_decreasing(self, rng):
         for _ in range(5):
             gens = [random_skew(rng, 3) for _ in range(2)]
-            semi = staged(levi_decompose, generate_closure(gens).basis).semisimple
+            closure, _ = generate_closure(gens)
+            semi = staged(levi_decompose, closure.basis).semisimple
             if semi.dim == 0:
                 continue
             cartan = staged(cartan_subalgebra, semi).cartan
@@ -227,7 +228,8 @@ class TestPrimaryDecompose:
         for _ in range(8):
             n = int(rng.integers(2, 5))
             gens = [random_skew(rng, n) for _ in range(2)]
-            semi = staged(levi_decompose, generate_closure(gens).basis).semisimple
+            closure, _ = generate_closure(gens)
+            semi = staged(levi_decompose, closure.basis).semisimple
             if semi.dim == 0:
                 continue
             cartan = staged(cartan_subalgebra, semi).cartan

@@ -40,3 +40,33 @@ def test_subset_writes_and_compares(tmp_path, capsys):
         after.write_text("".join(json.dumps(d) + "\n" for d in body))
         assert report_bytes.main(["--compare", str(before), str(after)]) == 1
         assert message in capsys.readouterr().out
+
+    # A report whose numbers moved names its largest difference; one that
+    # is not JSON on one side names none.
+    report = json.loads(lines[3]["stdout"])
+    report["final_time"] += 0.25
+    report["total"][0][0][0] += 0.5
+    moved = dict(lines[3], stdout=json.dumps(report))
+    broken = dict(lines[5], stdout="not json")
+    after.write_text("".join(json.dumps(d) + "\n" for d in
+                             lines[:3] + [moved, lines[4], broken] + lines[6:]))
+    assert report_bytes.main(["--compare", str(before), str(after)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == [
+        "pauli #1 simulate: stdout differ",
+        "  largest difference 5.000e-01 at total[0][0][0]",
+        "two-spin decompose: stdout differ",
+        "8 runs before, 8 after, 2 differ"]
+
+
+def test_largest_difference():
+    largest = report_bytes.largest_difference
+    before = {"a": [1.0, 2.0, {"b": 3}], "c": "x", "d": True, "e": 1.0}
+    assert largest(before, before) is None
+    after = {"a": [1.5, 2.0, {"b": 1}, 9.0], "c": "y", "d": False}
+    assert largest(before, after) == (2, "a[2].b")
+    # Strings, booleans and paths held on one side only are not numbers
+    # the two hold at one path.
+    assert largest({"c": "x", "d": True, "e": 1.0},
+                   {"c": "y", "d": False, "f": 2.0}) is None
+    assert largest([1.0], {"a": 1.0}) is None

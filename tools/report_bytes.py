@@ -16,6 +16,9 @@ Run from the repository root:
 
 ``--compare`` names every run that is missing on one side or whose exit
 code, output or error differs, and exits 1 when there is any; else 0.
+For a run whose output differs and parses as JSON on both sides it also
+prints the largest absolute difference of a number the two reports hold
+at the same key path, and that path.
 ``--limit N`` takes only the first N systems of the table.
 """
 
@@ -74,6 +77,38 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def largest_difference(before, after, path=""):
+    """(|a - b|, key path) of the numbers two JSON values hold at the same
+    path that differ most, or None when no such numbers differ."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        pairs = [(f"{path}.{k}" if path else k, before[k], after[k])
+                 for k in before.keys() & after.keys()]
+    elif isinstance(before, list) and isinstance(after, list):
+        pairs = [(f"{path}[{i}]", b, a)
+                 for i, (b, a) in enumerate(zip(before, after))]
+    else:
+        numbers = [isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (before, after)]
+        if all(numbers) and before != after:
+            return abs(after - before), path
+        return None
+    found = [d for d in (largest_difference(b, a, p) for p, b, a in pairs)
+             if d is not None]
+    return max(found, default=None)
+
+
+def print_largest_difference(before, after):
+    """Print :func:`largest_difference` of two outputs that both parse as
+    JSON; print nothing otherwise."""
+    try:
+        reports = json.loads(before), json.loads(after)
+    except ValueError:
+        return
+    found = largest_difference(*reports)
+    print("  no number differs" if found is None else
+          f"  largest difference {found[0]:.3e} at {found[1]}")
+
+
 def compare(before_path, after_path):
     """Print the runs that differ; True when none does."""
     def load(path):
@@ -88,6 +123,8 @@ def compare(before_path, after_path):
         elif b != a:
             keys = [k for k in ("exit", "stdout", "stderr") if b[k] != a[k]]
             print(f"{name}: {', '.join(keys)} differ")
+            if "stdout" in keys:
+                print_largest_difference(b["stdout"], a["stdout"])
         else:
             continue
         differ += 1
