@@ -46,23 +46,28 @@ def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
     """Validate ``mat`` as Hermitian and return its exact Hermitian part.
 
     Round-off up to ``tol * max(1, ||mat||_F)`` is forgiven and projected
-    away via (M + M^H)/2; anything further off raises ValueError, as do
-    non-square shapes, non-finite entries and a squared norm that
-    overflows.  With ``skew`` the same test runs for skew-Hermiticity and
-    returns (M - M^H)/2.  A stack of shape (..., n, n) is validated
-    matrix by matrix, each against its own norm; the error names the
-    index of the first one that fails.
+    away via (M + M^H)/2, or (M - M^H)/2 with ``skew``; anything further
+    off raises ValueError, as do non-square shapes, non-finite entries and
+    an overflowing squared norm.  A stack (..., n, n) is tested matrix by
+    matrix, each against its own norm; the error names the first to fail.
     """
+    a = _hermitian_checked(mat, tol, what, skew)
+    adj = a.conj().swapaxes(-1, -2)
+    return (a - adj if skew else a + adj) / 2.0
+
+
+def _hermitian_checked(mat, tol, what, skew):
+    """``mat`` as a complex array, once it passes :func:`hermitian_part`'s
+    test, which holds one temporary of its size (the defect M^H -+ M)."""
     a = np.asarray(mat, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} has non-finite entries")
     sq = _sq_norms(a)
     if not np.isfinite(sq).all():
-        raise ValueError(f"{what} is too large: its squared norm overflows")
-    adj = a.conj().swapaxes(-1, -2)
-    part, off = (a - adj, a + adj) if skew else (a + adj, a - adj)
+        raise ValueError(f"{what} has non-finite entries" if not np.isfinite(
+            a).all() else f"{what} is too large: its squared norm overflows")
+    off = np.conjugate(a.swapaxes(-1, -2), order="C")
+    off = (np.add if skew else np.subtract)(a, off, out=off)
     defect = np.sqrt(_sq_norms(off))
     over = defect > tol * np.maximum(1.0, np.sqrt(sq))
     if over.any():
@@ -70,16 +75,11 @@ def hermitian_part(mat, tol=TOL_HERM, what="matrix", skew=False):
         where = f"{what} {list(map(int, idx))}" if idx else what
         raise ValueError(f"{where} is not {'skew-' if skew else ''}Hermitian "
                          f"at tolerance {tol:g}: defect {defect[idx]:.3e}")
-    return part / 2.0
+    return a
 
 
 def skew_hermitian(mat, tol=TOL_HERM):
-    """Validate ``mat`` as skew-Hermitian and return its exact skew part.
-
-    Round-off up to ``tol * max(1, ||mat||_F)`` is forgiven and projected
-    away via (M - M^H)/2; anything further off raises ValueError.  Takes
-    stacks (..., n, n) like :func:`hermitian_part`.
-    """
+    """:func:`hermitian_part` with ``skew``: the exact skew part of ``mat``."""
     return hermitian_part(mat, tol, skew=True)
 
 
@@ -243,7 +243,7 @@ def extend_basis(basis, candidates, tol=TOL_RANK):
     elif cands.ndim != 3 or cands.shape[1:] != (n, n):
         raise ValueError(
             f"candidates of shape {cands.shape} do not match ambient {(n, n)}")
-    hermitian_part(cands, what="candidate", skew=True)
+    _hermitian_checked(cands, TOL_HERM, "candidate", skew=True)
     rows = list(basis.vecs)
     for v in _vec(cands):
         scale = max(1.0, math.sqrt(v @ v))
