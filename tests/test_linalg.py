@@ -101,9 +101,10 @@ class TestSkewHermitian:
             skew_hermitian(np.zeros((2, 3)))
 
     def test_rejects_nan(self):
-        bad = np.array([[0, np.nan], [np.nan, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            skew_hermitian(bad)
+        for x in (np.nan, np.inf):
+            bad = np.array([[0, x], [x, 0]], dtype=complex)
+            with pytest.raises(ValueError, match="has non-finite entries"):
+                skew_hermitian(bad)
 
 
 class TestHermitianPart:
