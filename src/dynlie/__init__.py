@@ -6,8 +6,7 @@ Levi, Cartan, and primary decompositions), and propagate the system as
 a commuting product of decoupled factors.
 """
 
-from .adjoint import (adjoint, is_semisimple, killing_gram,
-                      killing_orthonormalize, structure_constants)
+from .adjoint import adjoint, structure_constants
 from .cartan import CartanResult, cartan_subalgebra, centralizer
 from .closure import (
     CONTROLLABLE_SU,
@@ -40,7 +39,6 @@ from .linalg import (
     LieBasis,
     TOL_EIG,
     TOL_HERM,
-    TOL_KILLING,
     TOL_RANK,
     empty_basis,
     extend_basis,

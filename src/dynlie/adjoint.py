@@ -1,4 +1,4 @@
-"""Structure constants, adjoint matrices and the Killing form.
+"""Structure constants and adjoint matrices.
 
 A bracket-closed subspace of u(n) with HS-orthonormal basis {e_i} is
 known completely by its structure constants c[i, j, k] = <e_k, [e_i,
@@ -6,16 +6,13 @@ e_j]> (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1).
 Every stage after the closure works on real coordinate rows and this
 one tensor, projected by the closure's last pass, whose worst residual
 is the package's one bracket-closure check.  The pairing is ad-invariant,
-so ad_x is antisymmetric in these coordinates, and the Killing form
-K(y, z) = tr(ad_y ad_z), one contraction of c with itself, is negative
-definite precisely on the semisimple subalgebras.
+so ad_x is antisymmetric in these coordinates.
 """
 
 import numpy as np
 
-from .errors import NotClosedError, NotSemisimpleError
-from .linalg import (TOL_KILLING, TOL_RANK, _significant, bracket_blocks,
-                     span_coords)
+from .errors import NotClosedError
+from .linalg import TOL_RANK, bracket_blocks, span_coords
 
 
 def projected_brackets(basis, c):
@@ -68,42 +65,3 @@ def adjoint(c, x):
     """
     return np.swapaxes(np.tensordot(x, c, axes=1), -1, -2)
 
-
-def killing_gram(c):
-    """Killing Gram matrix K[i, j] = tr(ad_{e_i} ad_{e_j}), one
-    contraction of the structure constants."""
-    return np.tensordot(c, c, axes=([1, 2], [2, 1]))
-
-
-def is_semisimple(c, tol=TOL_KILLING):
-    """Cartan's criterion: the Killing form is nondegenerate.
-
-    True when every singular value of the Killing Gram is significant at
-    ``tol`` (``linalg._significant``).  The empty algebra reports False:
-    there is nothing to decompose there.  The pipeline does not call it:
-    the Levi split alone decides semisimplicity.  It stays as an
-    independent check.
-    """
-    if len(c) == 0:
-        return False
-    s = np.linalg.svd(killing_gram(c), compute_uv=False)
-    return bool(_significant(s, tol).all())
-
-
-def killing_orthonormalize(c, tol=TOL_KILLING):
-    """Coordinate rows of a basis of the same span whose Killing Gram is
-    minus the identity.
-
-    The rows are (-K)^{-1/2}, through the symmetric eigendecomposition of
-    the Gram matrix, which leaves an already Killing-orthonormal basis
-    untouched.  The basis is HS-orthogonal but carries per-ideal scale
-    factors.  The same eigendecomposition decides semisimplicity: an
-    input whose -K has an eigenvalue that is not significant at ``tol``
-    (degenerate or indefinite Killing form, or an empty span) raises
-    NotSemisimpleError.
-    """
-    w, q = np.linalg.eigh(-killing_gram(c))
-    if not w.size or not _significant(w, tol).all():
-        raise NotSemisimpleError(
-            "Killing form is not negative definite; input is not semisimple")
-    return (q / np.sqrt(w)) @ q.T

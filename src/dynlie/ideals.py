@@ -14,14 +14,13 @@ of c with coordinate rows.  Three-dimensional factors are copies of
 su(2) and can be put into a standard cyclic frame.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (bracket_coords, killing_orthonormalize,
-                      structure_constants)
-from .errors import DecompositionError, NotSemisimpleError
+from .adjoint import bracket_coords, structure_constants
+from .errors import DecompositionError
+from .levi import levi_split
 from .linalg import TOL_RANK, _class_firsts, _gate, _significant
 
 
@@ -93,17 +92,17 @@ def _su2_frame(c, tol):
     3-dimensional algebra with structure constants ``c``, or None when it
     is not a copy of su(2).
 
-    Killing-orthonormalizes, rescales by sqrt(2) and fixes orientation so
-    that [E1, E2] = E3 cyclically, with residuals at ``tol``.
+    The algebra is su(2) exactly when it is semisimple, which the Levi
+    split decides (:func:`levi.levi_split` at ``tol``).  Over an
+    HS-orthonormal basis c is totally antisymmetric, so c = k eps with
+    k = c[0, 1, 2], and the frame is diag(1, 1, sign k) / |k|.  Its
+    cyclic brackets are checked at ``tol``.
     """
-    try:
-        frame = math.sqrt(2.0) * killing_orthonormalize(c)
-    except NotSemisimpleError:
+    if levi_split(c, tol)[1] != 3:
         return None
+    k = c[0, 1, 2]
+    frame = np.diag([1.0, 1.0, np.sign(k)]) / abs(k)
     br = bracket_coords(c, frame, frame)
-    if br[0, 1] @ frame[2] < 0.0:
-        frame[2] = -frame[2]
-        br = bracket_coords(c, frame, frame)
     if max(np.linalg.norm(br[i, (i + 1) % 3] - frame[(i + 2) % 3])
            for i in range(3)) > tol:
         return None
@@ -112,8 +111,12 @@ def _su2_frame(c, tol):
 
 def recognize_su2(ideal, tol=TOL_RANK):
     """Standard cyclic frame (E1, E2, E3), [E1, E2] = E3 cyclically, of a
-    3-dimensional simple ideal, or None when it is not a copy of su(2);
-    its structure constants and the frame are checked at ``tol``."""
+    3-dimensional simple ideal, or None when it is not a copy of su(2).
+
+    Its structure constants are checked at ``tol``; the Levi split at
+    ``tol`` decides su(2), and the frame is read off c = k eps
+    (:func:`_su2_frame`).
+    """
     if ideal.dim != 3:
         return None
     frame = _su2_frame(structure_constants(ideal, tol), tol)

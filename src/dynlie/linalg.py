@@ -34,7 +34,6 @@ from .errors import DecompositionError, NotInSpanError
 
 TOL_HERM = 1e-10
 TOL_RANK = 1e-8
-TOL_KILLING = 1e-6
 TOL_EIG = 1e-6
 TOL_FRAME = 1e-12
 TOL_RESIDUAL = 1e-8

@@ -235,6 +235,14 @@ def killing_gram_of(basis, tol=1e-8):
     return np.array([[np.sum(a * b.T) for b in ads] for a in ads])
 
 
+def negative_definite(gram, tol=1e-8):
+    """Every eigenvalue of the symmetric ``gram`` is below -tol times the
+    largest magnitude (at least 1); Cartan's criterion on a Killing Gram.
+    An empty Gram is not negative definite."""
+    w = np.linalg.eigvalsh(gram)
+    return w.size > 0 and w.max() < -tol * max(np.abs(w).max(), 1.0)
+
+
 def bracket_residual(a, b, span=None):
     """Worst ||[x, e]||_F over x in ``a`` and e in ``b``; with ``span``,
     the worst norm of the part of [x, e] outside span(``span``)."""

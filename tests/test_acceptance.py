@@ -4,8 +4,8 @@ One test per contract item, in order: the golden two-spin facts first
 (closure, verdict, Levi, Cartan, adjoint literals, splitting element,
 primary components, simple ideals, generator pieces, factorized
 propagation), then the randomized structural suites (Levi invariants,
-Killing-frame antisymmetry, primary decomposition conditions).  Each
-test finishes by printing a single PASS line naming what was verified.
+primary decomposition conditions).  Each test finishes by printing a
+single PASS line naming what was verified.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from dynlie import (
     generate_closure,
     generator,
     is_controllable,
-    killing_orthonormalize,
     levi_decompose,
     primary_decompose,
     propagate,
@@ -42,7 +41,6 @@ from conftest import (
     two_spin_elements,
 )
 from helpers import (
-    adjoint_in_span,
     commutator,
     from_coords,
     hs_inner,
@@ -52,7 +50,6 @@ from helpers import (
     span_contains,
     spans_equal,
     staged,
-    structure_tensor,
 )
 
 
@@ -298,25 +295,6 @@ def test_random_subalgebra_levi_invariants(random_closures):
                 assert np.linalg.norm(commutator(r, s)) <= 1e-8
     _pass("50 random closed subalgebras split into an Abelian radical "
           "commuting with the whole algebra, dims adding up")
-
-
-def test_random_subalgebra_killing_frame_antisymmetry(random_closures):
-    rng = np.random.default_rng(716)
-    checked = 0
-    for _, split in random_closures:
-        semi = split.semisimple
-        if semi.dim == 0:
-            continue
-        frame = from_coords(
-            semi, killing_orthonormalize(structure_tensor(semi)))
-        for _ in range(5):
-            x = np.einsum("i,ijk->jk", rng.standard_normal(semi.dim), frame)
-            ad = adjoint_in_span(frame, x)
-            assert np.linalg.norm(ad + ad.T) <= 1e-8
-        checked += 1
-    assert checked > 0
-    _pass(f"Killing frames of {checked} semisimple parts make every "
-          "sampled adjoint antisymmetric (<= 1e-8)")
 
 
 def test_random_subalgebra_primary_conditions(random_closures):

@@ -6,12 +6,10 @@ from dynlie import (
     empty_basis,
     extend_basis,
     generate_closure,
-    is_semisimple,
-    killing_gram,
-    killing_orthonormalize,
     structure_constants,
 )
-from dynlie.errors import NotClosedError, NotInSpanError, NotSemisimpleError
+from dynlie.errors import NotClosedError, NotInSpanError
+from dynlie.levi import levi_split
 
 from conftest import SX, SY, SZ, I2, AD_DRIVE_1, AD_DRIVE_2, su2_triple
 from helpers import (
@@ -146,6 +144,12 @@ def u2_basis():
     return extend_basis(empty_basis(2), [1j * np.eye(2), IX, IY, IZ])
 
 
+def trace_form(c):
+    """tr(ad_i ad_j) of the adjoint matrices of the basis elements."""
+    ads = adjoint(c, np.eye(len(c)))
+    return np.einsum("iab,jba->ij", ads, ads)
+
+
 class TestKillingGram:
     def test_su2_unnormalized_stack(self):
         # Oracle: the hand-derived adjoint matrices of the half-spin
@@ -156,19 +160,19 @@ class TestKillingGram:
 
     def test_su2_normalized_basis(self):
         # Scaling each element by sqrt(2) scales the bilinear form by 2.
-        gram = killing_gram(structure_tensor(su2_ordered_basis()))
+        gram = trace_form(structure_tensor(su2_ordered_basis()))
         np.testing.assert_allclose(gram, -4.0 * np.eye(3), atol=1e-10)
 
     def test_u2_degenerate_direction(self):
         basis = u2_basis()
-        gram = killing_gram(structure_tensor(basis))
+        gram = trace_form(structure_tensor(basis))
         assert basis.dim == 4
         np.testing.assert_allclose(gram[0], 0, atol=1e-12)
         np.testing.assert_allclose(gram[:, 0], 0, atol=1e-12)
         np.testing.assert_allclose(gram[1:, 1:], -4.0 * np.eye(3), atol=1e-10)
 
     def test_symmetric(self, two_spin_basis):
-        gram = killing_gram(structure_tensor(two_spin_basis))
+        gram = trace_form(structure_tensor(two_spin_basis))
         np.testing.assert_allclose(gram, gram.T, atol=1e-12)
 
     def test_invariance_under_bracket(self, two_spin_basis, rng):
@@ -187,62 +191,31 @@ class TestKillingGram:
     def test_matches_stack_oracle(self, two_spin_basis):
         for basis in (two_spin_basis, u2_basis(), su2_ordered_basis()):
             np.testing.assert_allclose(
-                killing_gram(structure_constants(basis)),
+                trace_form(structure_constants(basis)),
                 killing_gram_of(basis), atol=1e-10)
 
 
 class TestIsSemisimple:
+    """The Levi split is the one semisimplicity decision: the algebra is
+    semisimple when its semisimple part is all of it."""
+
+    @staticmethod
+    def semisimple(basis):
+        c = structure_tensor(basis)
+        return len(c) > 0 and levi_split(c)[1] == len(c)
+
     def test_su2_true(self, su2):
-        assert is_semisimple(structure_tensor(su2))
+        assert self.semisimple(su2)
 
     def test_two_spin_true(self, two_spin_basis):
-        assert is_semisimple(structure_tensor(two_spin_basis))
+        assert self.semisimple(two_spin_basis)
 
     def test_u2_false(self):
-        assert not is_semisimple(structure_tensor(u2_basis()))
+        assert not self.semisimple(u2_basis())
 
     def test_abelian_false(self):
         basis = extend_basis(empty_basis(2), [IZ])
-        assert not is_semisimple(structure_tensor(basis))
+        assert not self.semisimple(basis)
 
     def test_empty_false(self):
-        assert not is_semisimple(structure_tensor(empty_basis(2)))
-
-
-def killing_frame(basis):
-    """The Killing-orthonormal frame of ``basis`` as a stack."""
-    return from_coords(basis, killing_orthonormalize(structure_tensor(basis)))
-
-
-class TestKillingOrthonormalize:
-    def test_su2_scale(self):
-        # With gram -4I the frame shrinks each normalized element by 2,
-        # landing on i s_k / sqrt(2).
-        frame = killing_frame(su2_ordered_basis())
-        expected = np.stack([IX, IY, IZ]) / np.sqrt(2.0)
-        np.testing.assert_allclose(frame, expected, atol=1e-12)
-
-    def test_frame_gram_is_minus_identity(self, two_spin_basis):
-        gram = killing_gram_of(killing_frame(two_spin_basis))
-        np.testing.assert_allclose(gram, -np.eye(6), atol=1e-8)
-
-    def test_idempotent_up_to_tolerance(self, su2):
-        # Over the frame itself (not HS-orthonormal) the rows are the
-        # identity.
-        frame = killing_frame(su2)
-        again = killing_orthonormalize(structure_tensor(frame))
-        np.testing.assert_allclose(again, np.eye(3), atol=1e-8)
-        np.testing.assert_allclose(np.einsum("ij,jkl->ikl", again, frame),
-                                   frame, atol=1e-8)
-
-    def test_rejects_non_semisimple(self):
-        with pytest.raises(NotSemisimpleError):
-            killing_orthonormalize(structure_tensor(u2_basis()))
-
-    def test_frame_adjoints_antisymmetric(self, two_spin_basis, rng):
-        frame = killing_frame(two_spin_basis)
-        for _ in range(5):
-            coeff = rng.standard_normal(6)
-            x = np.einsum("i,ijk->jk", coeff, frame)
-            ad = adjoint_in_span(frame, x)
-            assert np.linalg.norm(ad + ad.T) < 1e-8
+        assert not self.semisimple(empty_basis(2))

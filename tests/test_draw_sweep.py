@@ -4,6 +4,8 @@ hand-written sweeps."""
 import importlib.util
 import json
 import os
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -78,3 +80,18 @@ def test_real_terms():
     assert draw_sweep.real_terms([h, h + 0j])
     assert draw_sweep.real_terms([h, h + 1e-13 * y])
     assert not draw_sweep.real_terms([h, h + 1e-9 * y])
+
+
+def test_main_pins_blas_threads(tmp_path, monkeypatch):
+    # Run as a script, the tool fixes one BLAS thread before numpy loads.
+    path = tmp_path / "sweep.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in BEFORE))
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        monkeypatch.setenv(var, "4")
+    monkeypatch.setattr(sys, "argv",
+                        [TOOL, "--compare", str(path), str(path)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(TOOL, run_name="__main__")
+    assert exit_.value.code == 0
+    assert [os.environ[var] for var in variables] == ["1"] * 3

@@ -137,8 +137,8 @@ class TestAnalyzeSystem:
     def test_spin_half_plus_spin_100(self):
         # su(2) + su(2), the second copy on spin 100: in the
         # Hilbert-Schmidt basis its Killing form is about 7e-7 times the
-        # first copy's, below a 1e-6 cut on the Killing Gram, while the
-        # Levi split's cut on the singular values of c is 1e-8.
+        # first copy's, while the Levi split cuts the singular values of
+        # c, about the square root of that, at 1e-8.
         j = 100
         m = np.arange(j, -j - 1, -1.0)
         jz = np.diag(m)

@@ -1,14 +1,15 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from dynlie import (
     analyze_system,
     cartan_subalgebra,
+    control_system,
     empty_basis,
     extend_basis,
     generate_closure,
-    is_semisimple,
     levi_decompose,
     primary_decompose,
     recognize_su2,
@@ -22,14 +23,21 @@ from helpers import (
     commutator,
     killing_gram_of,
     member_coords,
+    negative_definite,
     random_skew,
     span_contains,
     spans_equal,
     staged,
-    structure_tensor,
 )
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
+
+
+def spin_xy(j):
+    """Sx and Sy of the spin-j irrep, dimension 2j + 1."""
+    m = np.arange(j, -j - 1, -1.0)
+    raise_ = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    return (raise_ + raise_.T) / 2, (raise_ - raise_.T) / 2j
 
 
 def two_spin_pipeline(two_spin_basis, two_spin_els):
@@ -110,7 +118,7 @@ class TestSimpleDecompose:
         primary = two_spin_pipeline(two_spin_basis, two_spin_els)
         ideal_set = staged(simple_decompose, two_spin_basis, primary)
         for ideal in ideal_set.ideals:
-            assert is_semisimple(structure_tensor(ideal))
+            assert negative_definite(killing_gram_of(ideal))
 
     def test_block_pair_recovers_blocks(self):
         def embed_top(s):
@@ -187,6 +195,21 @@ class TestRecognizeSu2:
             # standard frame is -2 on the diagonal.
             gram = killing_gram_of(np.stack(frame))
             np.testing.assert_allclose(gram, -2.0 * np.eye(3), atol=1e-8)
+
+    @pytest.mark.parametrize("j", [100, 150, 200])
+    def test_large_spin_irrep(self, j):
+        # The frame entries grow as 1/|k| with c = k eps, about 2,300 at
+        # j = 200, and the Killing form shrinks as k^2; the frame comes
+        # from the Levi split's cut on c, as the su2 flag does.
+        sx, sy = spin_xy(j)
+        analysis = analyze_system(control_system(sx, [sy]))
+        assert analysis.ideals.su2 == (True,)
+        frame = recognize_su2(analysis.ideals.ideals[0])
+        assert frame is not None
+        scale = max(np.linalg.norm(e) for e in frame)
+        e1, e2, e3 = frame
+        for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+            assert np.linalg.norm(commutator(a, b) - c) <= 1e-9 * scale
 
     def test_su2_itself(self, su2):
         frame = recognize_su2(su2)

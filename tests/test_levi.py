@@ -5,7 +5,6 @@ from dynlie import (
     empty_basis,
     extend_basis,
     generate_closure,
-    is_semisimple,
     levi_decompose,
 )
 
@@ -13,12 +12,13 @@ from conftest import SX, SY, SZ
 from helpers import (
     commutator,
     hs_inner,
+    killing_gram_of,
     member_coords,
+    negative_definite,
     random_skew,
     span_contains,
     spans_equal,
     staged,
-    structure_tensor,
 )
 
 IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
@@ -140,7 +140,7 @@ class TestLeviDecompose:
                     br = commutator(rad.mats[i], rad.mats[j])
                     assert np.linalg.norm(br) < 1e-8
             if semi.dim:
-                assert is_semisimple(structure_tensor(semi))
+                assert negative_definite(killing_gram_of(semi))
             # The two halves recombine to the original span.
             combined = extend_basis(semi, rad.mats)
             assert combined.dim == basis.dim

@@ -62,8 +62,9 @@ def transform(terms, how, seed):
 def structure(terms):
     a = analyze_system(control_system(terms[0], terms[1:]))
     ideals = a.ideals.ideals if a.ideals is not None else ()
-    # The flag is read from the dimension; a Killing frame fit confirms
-    # that each 3-dimensional ideal is a copy of su(2).
+    # The flag is read from the dimension; recognize_su2, from the Levi
+    # split and c = k eps, confirms that each 3-dimensional ideal is a
+    # copy of su(2).
     for ideal, su2 in zip(ideals, a.ideals.su2 if ideals else ()):
         assert su2 == (ideal.dim == 3)
         assert (recognize_su2(ideal) is not None) == su2

@@ -35,9 +35,17 @@ when a draw mismatches in propagation after but not before; else 0.
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
+
+if __name__ == "__main__":
+    # One BLAS thread, set before numpy loads, so equal inputs give equal
+    # bytes whatever the core count.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 PAULI_DRAWS = range(1500)
