@@ -52,11 +52,15 @@ from .primary import PrimaryResult, primary_decompose
 KIND_SIMPLE = "simple"
 KIND_RADICAL = "radical-line"
 
-# Segments per stacked exponential in ``propagate``, whose workspace holds
-# (CHUNK, count, z, z) stacks per block size z.  On the three 10^4-segment
-# benchmark schedules (2-core VM, one BLAS thread) 128 ran about 7% faster
-# than 64 and 256 another 3%, for twice the memory again.
-CHUNK = 128
+# Bytes of one chunk's workspace in ``propagate``: a chunk's block
+# coordinates and every temporary of its exponentials (:func:`_scratch`).
+# The segments per chunk follow from the call's blocks: Ising-x k=4 (blocks
+# 4, 4, 6, 6; 1,072 floats per segment) gets 128, two-spin (four 2 x 2
+# blocks; 224 floats) 612, and larger blocks fewer, at least one.  On the
+# three 10^4-segment benchmark schedules (2-core VM, one BLAS thread) half
+# this budget ran a round 15% slower and twice it 8% faster, but twice it
+# puts each of the three calls past 2.5 MB of traced memory (2.7-3.3 MB).
+CHUNK_BYTES = 128 * 1072 * 8
 
 
 @dataclass(frozen=True)
@@ -337,16 +341,20 @@ def _exponentials(blocks, slots, t, work):
     the real form of ``linalg._complex_form``.  Row i of ``blocks`` holds
     one vectorized block per slot, as :func:`_block_operator` lays them
     out.  A run of size 3 or more whose real part is exactly zero takes
-    ``linalg._cos_sin``, any other ``linalg._expm_skew``; both write into
-    views of ``work``, :func:`_scratch` floats."""
+    ``linalg._cos_sin``, any other ``linalg._expm_skew``.  ``work`` holds
+    :func:`_scratch` floats for the rows of ``blocks``; each run slices
+    its views of it once, in order: the real forms, 4 floats per block
+    entry, the cos/sin input, 1, and the kernels' and product's rest."""
     out, at, rows = [], 0, len(blocks)
     for size, run in itertools.groupby(s[1] for s in slots):
         width = len(list(run)) * 2 * size * size
         mats = blocks[:, at : at + width].view(complex).reshape(
             rows, -1, size, size)
         at += width
-        form, x, rest = np.split(work, [4 * mats.size, 5 * mats.size])
-        form = form.reshape(mats.shape[:2] + (2 * size, 2 * size))
+        entries = mats.size
+        form = work[: 4 * entries].reshape(mats.shape[:2]
+                                           + (2 * size, 2 * size))
+        x, rest = work[4 * entries : 5 * entries], work[5 * entries :]
         if size >= 3 and not mats.real.any():
             # h = i * block = -block.imag is real symmetric, and
             # exp(-i t h) = C - i S has the real form [[C, S], [-S, C]].
@@ -385,14 +393,18 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     (:func:`_block_operator`) but the blocks it acts on as zero and those
     it transports: B_k = Q A_k Q^H, or Q conj(A_k) Q^H, for a checked
     unitary Q and every matrix k of the owner (:func:`_equivalent_blocks`)
-    gives B's product from A's.  Segments run in chunks of ``CHUNK``, each
-    run of blocks of one size taking one stacked exponential and pairwise
-    product (:func:`_exponentials`); radical lines and 1 x 1 blocks
-    commute, so theirs are exponentiated once, from the duration-weighted
-    sum of the rows.  One workspace per call holds a chunk's block
-    coordinates and all temporaries of its exponentials: chunks allocate
-    nothing of their size, so none faults in pages the allocator gave
-    back.  Blocks return to complex, and factors to n x n, at the end.
+    gives B's product from A's.  Segments run in chunks, each run of
+    blocks of one size taking one stacked exponential and pairwise product
+    (:func:`_exponentials`); radical lines and 1 x 1 blocks commute, so
+    theirs are exponentiated once, from the duration-weighted sum of the
+    rows.  One workspace per call holds a chunk's block coordinates and
+    all temporaries of its exponentials: chunks allocate nothing of their
+    size, so none faults in pages the allocator gave back.  A chunk holds
+    as many segments as keep that workspace within ``CHUNK_BYTES``, at
+    least one, so its length follows from the call's blocks: small blocks
+    share each chunk's fixed numpy overhead among more segments, and
+    large ones keep the working set bounded.  Blocks return to complex,
+    and factors to n x n, at the end.
     """
     n = system.dim
     comps = decomp.components
@@ -450,16 +462,20 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     cut = sum(2 * z * z for _, z, _, _ in per_segment)
     ops, line_op = to_blocks[:, :cut], to_blocks[:, cut:]
     summed = slots[len(per_segment) :]
-    chunk = min(CHUNK, len(durs))
-    head, work = np.split(np.empty(chunk * cut + max(
-        _scratch(chunk, per_segment), _scratch(1, summed))), [chunk * cut])
-    head = head.reshape(chunk, cut)
+    # As many segments per chunk as keep its workspace within CHUNK_BYTES,
+    # at least one; a call with no per-segment block takes one chunk.
+    per_row = 8 * (cut + _scratch(1, per_segment))
+    chunk = max(1, min(len(durs), CHUNK_BYTES // max(per_row, 1)))
+    space = np.empty(chunk * cut + max(_scratch(chunk, per_segment),
+                                       _scratch(1, summed)))
+    head = space[: chunk * cut].reshape(chunk, cut)
+    work = space[chunk * cut :]
     running = []
-    for start in range(0, len(durs), CHUNK):
-        part = rows[start : start + CHUNK]
+    for start in range(0, len(durs), chunk):
+        part = rows[start : start + chunk]
         coords = np.matmul(part, ops, out=head[: len(part)])
         steps = _exponentials(coords, per_segment,
-                              durs[start : start + CHUNK], work)
+                              durs[start : start + chunk], work)
         running = ([step @ prev for step, prev in zip(steps, running)]
                    if start else steps)
     back = np.eye(n, dtype=complex)[None].repeat(len(owners), axis=0)

@@ -404,8 +404,8 @@ def _cos_sin_series(x, angle, out, work):
     x = x.reshape(-1, z, z)
     squarings = max(int(np.frexp(angle.max(initial=0.0))[1]), 0)
     xs, y3 = out.reshape((4,) + x.shape)[:2]
-    powers, acc, term = np.split(
-        work[: 7 * x.size].reshape((7,) + x.shape), [3, 5])
+    scratch = work[: 7 * x.size].reshape((7,) + x.shape)
+    powers, acc, term = scratch[:3], scratch[3:5], scratch[5:]
     np.multiply(x, math.ldexp(1.0, -squarings), out=xs)
     powers[0] = np.eye(z)
     y = np.matmul(xs, xs, out=powers[1])

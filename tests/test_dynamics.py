@@ -442,6 +442,31 @@ class TestRealForm:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+def chunk_length(sizes):
+    """Segments per chunk of ``propagate`` for per-segment blocks of
+    ``sizes``, ascending: as many as fit ``dynamics.CHUNK_BYTES`` at 8
+    bytes per float, where a segment holds 2 z^2 floats of coordinates per
+    block and 12 z^2 per block of its largest run of one size z."""
+    floats = (sum(2 * z * z for z in sizes)
+              + max(12 * sizes.count(z) * z * z for z in sizes))
+    return max(1, dynamics.CHUNK_BYTES // (8 * floats))
+
+
+def spy_exponentials(calls):
+    """A stand-in for ``dynamics._exponentials`` that records each call's
+    slot sizes and row count in ``calls``."""
+    real = dynamics._exponentials
+
+    def spy(blocks, slots, t, work):
+        calls.append(([z for _, z, _, _ in slots], len(blocks)))
+        return real(blocks, slots, t, work)
+    return mock.patch.object(dynamics, "_exponentials", spy)
+
+
+# The per-segment blocks of two-spin: one 2 x 2 block per owner and half.
+TWO_SPIN_BLOCKS = [2, 2, 2, 2]
+
+
 class TestBatchedPropagate:
     """propagate runs segments in stacked chunks; it must agree with the
     one-segment-at-a-time loop."""
@@ -457,6 +482,32 @@ class TestBatchedPropagate:
         sched = random_schedule(np.random.default_rng(count),
                                 sys.n_controls, count)
         assert_matches_loop(decomp, sys, sched, 1e-12)
+
+    @pytest.mark.parametrize("count", [lambda L: L - 1, lambda L: L,
+                                       lambda L: L + 1, lambda L: 2 * L + 1],
+                             ids=["L-1", "L", "L+1", "2L+1"])
+    def test_budget_chunk_edges(self, count):
+        # Two-spin's chunk length L from the workspace budget, about 600.
+        sys, decomp = analysed(two_spin_system)
+        count = count(chunk_length(TWO_SPIN_BLOCKS))
+        sched = random_schedule(np.random.default_rng(count),
+                                sys.n_controls, count)
+        assert_matches_loop(decomp, sys, sched, 1e-12)
+
+    def test_chunks_sized_by_workspace(self):
+        # 2 x 2 blocks need 224 floats a segment, so 10^4 segments take
+        # ceil(10^4 / L) per-segment calls, not 79 of 128 segments.
+        sys, decomp = analysed(two_spin_system)
+        sched = random_schedule(np.random.default_rng(10), sys.n_controls,
+                                10_000)
+        calls = []
+        with spy_exponentials(calls):
+            propagate(decomp, sys, sched)
+        length = chunk_length(TWO_SPIN_BLOCKS)
+        assert 8 * length * 224 <= dynamics.CHUNK_BYTES
+        assert [rows for sizes, rows in calls if sizes] == (
+            [length] * (10_000 // length) + [10_000 % length])
+        assert all(sizes == TWO_SPIN_BLOCKS for sizes, _ in calls if sizes)
 
     @pytest.mark.parametrize("make", [three_qubit, lambda: ising_x(3),
                                       lambda: ising_x(4)],
@@ -475,17 +526,13 @@ class TestBatchedPropagate:
         sys = ising_x(4)
         decomp = analyze_system(sys).decomposition
         sched = random_schedule(np.random.default_rng(7), 1, 300)
-        real, calls = dynamics._exponentials, []
-
-        def spy(blocks, slots, t, work):
-            calls.append([z for _, z, _, _ in slots])
-            return real(blocks, slots, t, work)
-
-        with mock.patch.object(dynamics, "_exponentials", spy):
+        calls = []
+        with spy_exponentials(calls):
             assert_matches_loop(decomp, sys, sched, 1e-12)
-        *per_segment, once = calls
-        assert len(per_segment) == -(-len(sched.durations) // dynamics.CHUNK)
-        assert all(1 not in sizes for sizes in per_segment)
+        *per_segment, (once, _) = calls
+        length = chunk_length(per_segment[0][0])
+        assert len(per_segment) == -(-len(sched.durations) // length)
+        assert all(1 not in sizes for sizes, _ in per_segment)
         assert 1 in once
 
     @pytest.mark.parametrize("make, kernels", [
@@ -512,7 +559,7 @@ class TestBatchedPropagate:
                 mock.patch.object(dynamics, "_expm_skew", spy("_expm_skew")):
             assert_matches_loop(decomp, sys, random_schedule(
                 np.random.default_rng(5), sys.n_controls, 200), 1e-12)
-        # Chunk rows 128 and 72; the once-only call has one row.
+        # Every chunk has more than one row; the once-only call has one.
         assert sorted({c[:2] for c in calls if c[2] > 1}) == kernels
 
     @pytest.mark.parametrize("make", [two_spin_system, three_qubit,
@@ -577,6 +624,22 @@ class TestWorkspace:
         sched = ControlSchedule(tuple(zip(
             rng.uniform(0.05, 1.0, 10_000).tolist(),
             rng.uniform(-2, 2, (10_000, 1)))))
+        tracemalloc.start()
+        try:
+            propagate(decomp, sys, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak
+
+    @pytest.mark.parametrize("make", [two_spin_system, three_qubit],
+                             ids=["two-spin", "three-qubit"])
+    def test_long_call_working_set_small_blocks(self, make):
+        # Blocks of 2 x 2 take several times Ising-x k=4's segments per
+        # chunk; the workspace budget keeps them under the same bound.
+        sys, decomp = analysed(make)
+        sched = random_schedule(np.random.default_rng(4), sys.n_controls,
+                                10_000)
         tracemalloc.start()
         try:
             propagate(decomp, sys, sched)
