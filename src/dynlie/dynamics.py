@@ -464,8 +464,8 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     summed = slots[len(per_segment) :]
     # As many segments per chunk as keep its workspace within CHUNK_BYTES,
     # at least one; a call with no per-segment block takes one chunk.
-    per_row = 8 * (cut + _scratch(1, per_segment))
-    chunk = max(1, min(len(durs), CHUNK_BYTES // max(per_row, 1)))
+    row_bytes = 8 * (cut + _scratch(1, per_segment))
+    chunk = max(1, min(len(durs), CHUNK_BYTES // max(row_bytes, 1)))
     space = np.empty(chunk * cut + max(_scratch(chunk, per_segment),
                                        _scratch(1, summed)))
     head = space[: chunk * cut].reshape(chunk, cut)

@@ -95,3 +95,11 @@ def test_main_pins_blas_threads(tmp_path, monkeypatch):
         runpy.run_path(TOOL, run_name="__main__")
     assert exit_.value.code == 0
     assert [os.environ[var] for var in variables] == ["1"] * 3
+
+
+def test_limit_sweeps_first_draws(capsys):
+    # The first draws, analyzed and propagated against scipy.
+    assert draw_sweep.main(["--limit", "2"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [d["draw"] for d in lines] == ["pauli 0", "pauli 1"]
+    assert all(d["propagation_problems"] == [] for d in lines)

@@ -611,6 +611,16 @@ class TestBatchedPropagate:
             project_generator(analysis.decomposition, sys, (1.0,))
 
 
+def traced_peak(decomp, sys, sched):
+    """Peak traced memory, in bytes, of one ``propagate`` call."""
+    tracemalloc.start()
+    try:
+        propagate(decomp, sys, sched)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWorkspace:
     """Each propagate call runs its chunks in one workspace of its own."""
 
@@ -624,12 +634,7 @@ class TestWorkspace:
         sched = ControlSchedule(tuple(zip(
             rng.uniform(0.05, 1.0, 10_000).tolist(),
             rng.uniform(-2, 2, (10_000, 1)))))
-        tracemalloc.start()
-        try:
-            propagate(decomp, sys, sched)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(decomp, sys, sched)
         assert peak < 2.5e6, peak
 
     @pytest.mark.parametrize("make", [two_spin_system, three_qubit],
@@ -640,12 +645,7 @@ class TestWorkspace:
         sys, decomp = analysed(make)
         sched = random_schedule(np.random.default_rng(4), sys.n_controls,
                                 10_000)
-        tracemalloc.start()
-        try:
-            propagate(decomp, sys, sched)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(decomp, sys, sched)
         assert peak < 2.5e6, peak
 
     def test_concurrent_calls_match_sequential(self):

@@ -30,9 +30,11 @@ many draws on each side have real terms (sweeps written before the key was
 recorded count as not recorded).  It exits 1 when the after sweep has more
 failures than the before sweep, when the structure differs on any draw, or
 when a draw mismatches in propagation after but not before; else 0.
+``--limit N`` takes only the first N draws.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -191,11 +193,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two sweep files instead of sweeping")
+    parser.add_argument("--limit", type=int, metavar="N",
+                        help="take only the first N draws")
     args = parser.parse_args(argv)
     if args.compare:
         return 0 if compare(*args.compare) else 1
     count = failed = mismatched = 0
-    for name, terms in draws():
+    for name, terms in itertools.islice(draws(), args.limit):
         line = record(name, terms)
         print(json.dumps(line), flush=True)
         count += 1
