@@ -40,17 +40,14 @@ from .linalg import (
     TOL_EIG,
     TOL_HERM,
     TOL_RANK,
-    empty_basis,
     extend_basis,
     nullspace,
-    skew_hermitian,
 )
 from .models import (
     ControlSystem,
     control_system,
     generator,
     hamiltonian,
-    kron,
     pauli,
     two_spin_system,
 )

@@ -25,15 +25,14 @@ from .fileio import (
     load_schedule,
     load_system_spec,
 )
+from .linalg import TOL_RANK
 from .models import MODELS
 
 
 def _add_common_flags(p):
-    p.add_argument("--tol-rank", type=float, default=1e-8, metavar="T",
-                   help="relative rank/membership tolerance (default 1e-8)")
-    p.add_argument("--tol-eig", type=float, default=1e-6, metavar="T",
-                   help="relative eigenvalue clustering tolerance "
-                        "(default 1e-6)")
+    p.add_argument("--tol-rank", type=float, default=TOL_RANK, metavar="T",
+                   help="relative rank/membership tolerance "
+                        "(default %(default)g)")
     p.add_argument("--pivot", metavar="C1,C2,...",
                    help="first Cartan pivot as coefficients over "
                         "[drift, controls...]; X = i*(sum c_k H_k)")
@@ -80,17 +79,15 @@ def _write(text, out):
 
 
 def _analyze(system, args):
-    for flag, value in (("--tol-rank", args.tol_rank),
-                        ("--tol-eig", args.tol_eig)):
-        if not 0.0 < value < 1.0:
-            raise SpecError(f"{flag} is relative and must lie in (0, 1), "
-                            f"got {value}")
+    if not 0.0 < args.tol_rank < 1.0:
+        raise SpecError(f"--tol-rank is relative and must lie in (0, 1), "
+                        f"got {args.tol_rank}")
     pivots = _pivot_matrices(system, args.pivot)
     coeffs = (None if args.splitting_coeffs is None
               else _parse_floats(args.splitting_coeffs, "--splitting-coeffs"))
     try:
-        return analyze_system(system, tol=args.tol_rank, eig_tol=args.tol_eig,
-                              pivots=pivots, splitting_coeffs=coeffs)
+        return analyze_system(system, tol=args.tol_rank, pivots=pivots,
+                              splitting_coeffs=coeffs)
     except np.linalg.LinAlgError:
         raise
     except ValueError as err:  # a flag that does not fit the algebra

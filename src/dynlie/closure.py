@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import closed, projected_brackets
-from .linalg import (LieBasis, TOL_RANK, bracket_blocks, empty_basis,
-                     extend_basis, skew_hermitian)
+from .linalg import (LieBasis, TOL_RANK, bracket_blocks, extend_basis,
+                     hermitian_part)
 
 CONTROLLABLE_U = "controllable-U"
 CONTROLLABLE_SU = "controllable-SU"
@@ -56,7 +56,7 @@ def generate_closure(generators, tol=TOL_RANK):
     at depth 0.  Returns the ClosureResult and the structure constants
     c[i, j, k] = <e_k, [e_i, e_j]> of its basis (see :func:`_closure_sweep`).
     """
-    gens = [skew_hermitian(g) for g in generators]
+    gens = [hermitian_part(g, skew=True) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
@@ -70,7 +70,7 @@ def generate_closure(generators, tol=TOL_RANK):
     normalized = [g / norm for g, norm in zip(gens, norms)
                   if norm > tol * top]
 
-    basis = extend_basis(empty_basis(n), normalized, tol)
+    basis = extend_basis(LieBasis(n), normalized, tol)
     new = basis.mats
     depth = 0
     while len(new) and _whole_algebra(basis) is None:

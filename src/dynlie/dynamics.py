@@ -44,8 +44,8 @@ from .linalg import (
     _sq_norms,
     _unvec,
     _vec,
+    hermitian_part,
     invariant_frame,
-    skew_hermitian,
 )
 from .primary import PrimaryResult, primary_decompose
 
@@ -152,8 +152,7 @@ def _stage(name, fn, *args, **kwargs):
         raise StageFailure(name, err) from err
 
 
-def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
-                   splitting_coeffs=None):
+def analyze_system(system, tol=TOL_RANK, pivots=None, splitting_coeffs=None):
     """Run the full pipeline: closure, Levi split, Cartan subalgebra,
     primary decomposition, simple ideals, component assembly.
 
@@ -178,16 +177,15 @@ def analyze_system(system, tol=TOL_RANK, eig_tol=TOL_EIG, pivots=None,
         c = restrict(c, semi.rows)
         cartan = _stage("cartan", cartan_subalgebra, semi, c, pivots=pivots,
                         tol=tol)
-        coeffs = None if splitting_coeffs is None else [splitting_coeffs]
         primary = _stage("primary", primary_decompose, semi, c, cartan.cartan,
-                         tol=tol, eig_tol=eig_tol, coeffs=coeffs)
+                         tol=tol, coeffs=splitting_coeffs)
         ideal_set = _stage("ideals", simple_decompose, semi, c, primary, tol)
         simple_bases = ideal_set.ideals
     # The adapted rows A over the closure basis: ideals, which cover the
     # semisimple part, then radical lines, its complement.  A is square, so
     # A^T A - I measures its orthonormality and each element's rebuild.
-    rows = np.concatenate([_stage("assembly", basis.coords, b, tol)
-                           for b in simple_bases] + [levi.radical.rows])
+    rows = np.concatenate([b.rows for b in simple_bases]
+                          + [levi.radical.rows])
     defect = rows.T @ rows - np.eye(basis.dim)
     worst = np.abs(defect).max(initial=0.0)
     if worst > 1e-9:
@@ -456,7 +454,7 @@ def propagate(decomp, system, schedule, tol=TOL_RANK):
     if (sq[..., ::2].sum(axis=-1) <= TOL_FRAME ** 2 * norms).all():
         owners = 1j * owners.imag
     frame, sizes = invariant_frame(owners.reshape(-1, n, n))
-    rotated = skew_hermitian(frame.conj().T @ owners @ frame)
+    rotated = hermitian_part(frame.conj().T @ owners @ frame, skew=True)
     slots, to_blocks, copies = _block_operator(rotated, sizes, once)
     per_segment = [slot for slot in slots if not slot[0]]
     cut = sum(2 * z * z for _, z, _, _ in per_segment)

@@ -116,6 +116,17 @@ def _number(value, what):
         raise SpecError(f"{what} is out of range") from err
 
 
+def _read_json(path, what):
+    """The JSON document of the ``what`` file at ``path``, else SpecError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise SpecError(f"cannot read {what} file: {err}") from err
+    except json.JSONDecodeError as err:
+        raise SpecError(f"{what} file is not valid JSON: {err}") from err
+
+
 def load_system_spec(path):
     """Read a control-system spec file.
 
@@ -124,14 +135,7 @@ def load_system_spec(path):
     nested [re, im] pairs.  Hamiltonians are validated as Hermitian at
     1e-8 and symmetrized.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise SpecError(f"cannot read spec file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SpecError(f"spec file is not valid JSON: {err}") from err
-    return system_from_doc(doc)
+    return system_from_doc(_read_json(path, "spec"))
 
 
 def system_from_doc(doc):
@@ -178,13 +182,7 @@ def system_from_doc(doc):
 
 def load_schedule(path, n_controls):
     """Read a schedule file: {"segments": [{"duration", "u"}, ...]}."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise SpecError(f"cannot read schedule file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SpecError(f"schedule file is not valid JSON: {err}") from err
+    doc = _read_json(path, "schedule")
     if not isinstance(doc, dict) or type(doc.get("segments")) is not list:
         raise SpecError("schedule must be an object with a 'segments' list")
     segments = []

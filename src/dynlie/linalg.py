@@ -18,10 +18,11 @@ LieBasis keeps a single array, its matrix stack or its coordinate rows.
 Tolerance conventions: rank/membership decisions are relative at
 ``TOL_RANK``, skew-Hermiticity is enforced at ``TOL_HERM``, and both are
 always scaled by max(1, norm) so tiny matrices are not over-trusted.
-``TOL_FRAME`` is the round-off level, relative to each matrix's norm, below
-which an entry of a rotated matrix counts as zero.  ``TOL_RESIDUAL`` is
-the absolute bound of :func:`_gate`, the structure stages' one residual
-check.
+``TOL_EIG`` is the relative gap between the eigenvalue clusters of the
+splitting test and the frame.  ``TOL_FRAME`` is the round-off level,
+relative to each matrix's norm, below which an entry of a rotated matrix
+counts as zero.  ``TOL_RESIDUAL`` is the absolute bound of :func:`_gate`,
+the structure stages' one residual check.
 """
 
 import functools
@@ -75,11 +76,6 @@ def _hermitian_checked(mat, tol, what, skew):
         raise ValueError(f"{where} is not {'skew-' if skew else ''}Hermitian "
                          f"at tolerance {tol:g}: defect {defect[idx]:.3e}")
     return a
-
-
-def skew_hermitian(mat, tol=TOL_HERM):
-    """:func:`hermitian_part` with ``skew``: the exact skew part of ``mat``."""
-    return hermitian_part(mat, tol, skew=True)
 
 
 def _vec(mats):
@@ -176,16 +172,20 @@ class LieBasis:
         return out
 
     def coords(self, other, tol=TOL_RANK):
-        """Coordinate rows of the elements of ``other``: over one stack a
-        product of rows, ``other`` taken to lie in this span; else each is
-        projected, and NotInSpanError raised when its part outside the
-        span exceeds ``tol * max(1, norm)``."""
-        if other.stack is self.stack:
-            rows = np.eye(other.dim) if other.rows is None else other.rows
-            return rows if self.rows is None else rows @ self.rows.T
-        mats = other.mats
-        coords, resid = span_coords(self, mats)
-        if np.any(resid > tol * np.maximum(1.0, np.sqrt(_sq_norms(mats)))):
+        """Coordinate rows of the elements of ``other``, each projected onto
+        this span (over one stack, as a product of rows); NotInSpanError
+        when an element's part outside the span exceeds
+        ``tol * max(1, norm)``."""
+        if other.stack is not self.stack:
+            v, w = _vec(other.mats), self.vecs
+        else:
+            v = np.eye(other.dim) if other.rows is None else other.rows
+            if self.rows is None:
+                return v
+            w = self.rows
+        coords = v @ w.T
+        resid = np.linalg.norm(v - coords @ w, axis=-1)
+        if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(v, axis=-1))):
             raise NotInSpanError(f"basis is not inside the span (tol={tol:g})")
         return coords
 
@@ -215,10 +215,6 @@ class LieBasis:
 
     def __repr__(self):
         return f"LieBasis(n={self.n}, dim={self.dim})"
-
-
-def empty_basis(n):
-    return LieBasis(n)
 
 
 def extend_basis(basis, candidates, tol=TOL_RANK):

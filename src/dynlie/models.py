@@ -5,6 +5,7 @@ Spin operators follow the spin-1/2 convention: each Pauli is scaled by
 i s_z come out cyclically positive, i.e. s_y = [[0, i/2], [-i/2, 0]].
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +27,13 @@ def pauli(axis):
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def kron(a, b):
-    """Tensor (Kronecker) product; row-major block convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 @dataclass(frozen=True)
 class ControlSystem:
     """Bilinear control system i dX/dt = (H0 + sum_k u_k Hk) X.
 
-    drift and controls are validated as Hermitian (tolerance 1e-10
-    relative) and symmetrized on construction; stored arrays are
-    read-only.
+    dim must be an integer, not a bool; drift and controls are validated
+    as Hermitian (tolerance 1e-10 relative) and symmetrized on
+    construction; stored arrays are read-only.
     """
 
     dim: int
@@ -46,7 +42,10 @@ class ControlSystem:
     labels: tuple
 
     def __post_init__(self):
-        n = int(self.dim)
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        n = int(dim)
         drift = hermitian_part(self.drift, what="drift")
         if drift.shape != (n, n):
             raise ValueError(f"drift shape {drift.shape} does not match dim {n}")
@@ -107,8 +106,9 @@ def two_spin_system():
     6-dimensional and splits into two commuting su(2) copies.
     """
     eye = np.eye(2, dtype=complex)
-    drift = kron(pauli("x"), eye)
-    controls = (kron(pauli("z"), pauli("z")), kron(pauli("y"), pauli("y")))
+    drift = np.kron(pauli("x"), eye)
+    controls = (np.kron(pauli("z"), pauli("z")),
+                np.kron(pauli("y"), pauli("y")))
     return ControlSystem(dim=4, drift=drift, controls=controls,
                          labels=("u1", "u2"))
 

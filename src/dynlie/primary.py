@@ -62,24 +62,25 @@ def _coefficient_candidates(m, dim):
         yield float(t) ** np.arange(m)
 
 
-def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
+def _split_spectrum(ad, target_distinct, cartan_dim):
     """Cluster the spectrum of ad and test the splitting condition.
 
     One ``eigh`` of i times the antisymmetric part of ad gives the real
     eigenvalues -/+ a and orthonormal eigenvectors.  When ad has exactly
-    ``target_distinct`` eigenvalue clusters (zero with multiplicity
-    cartan_dim, the rest simple conjugate pairs), returns the decreasing
-    array of distinct positive frequencies a_j and the coordinate rows
-    of their planes, rows 2j and 2j + 1 for a_j; else None.  The plane
-    of a_j is sqrt(2) (Re v, Im v) for its eigenvector v: v is
-    orthogonal to its conjugate, the eigenvector for -a_j, so the two
-    rows are orthonormal and span an ad-invariant plane.
+    ``target_distinct`` eigenvalue clusters at gaps of ``TOL_EIG`` times
+    its spectral radius (zero with multiplicity cartan_dim, the rest
+    simple conjugate pairs), returns the decreasing array of distinct
+    positive frequencies a_j and the coordinate rows of their planes,
+    rows 2j and 2j + 1 for a_j; else None.  The plane of a_j is sqrt(2)
+    (Re v, Im v) for its eigenvector v: v is orthogonal to its
+    conjugate, the eigenvector for -a_j, so the two rows are orthonormal
+    and span an ad-invariant plane.
     """
     w, v = np.linalg.eigh(0.5j * (ad - ad.T))
     radius = float(np.abs(w).max()) if w.size else 0.0
     if radius <= 0.0:
         return None
-    gap = eig_tol * radius
+    gap = TOL_EIG * radius
     bounds = _cluster_bounds(w, gap)
     means = np.array([w[s:e].mean() for s, e in itertools.pairwise(bounds)])
     zero = np.flatnonzero(np.abs(means) <= gap)
@@ -94,8 +95,7 @@ def _split_spectrum(ad, target_distinct, cartan_dim, eig_tol):
     return means[pos], rows.reshape(-1, len(w))
 
 
-def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
-                      coeffs=None):
+def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, coeffs=None):
     """Split S into the Cartan algebra plus 2-dimensional components.
 
     ``c`` holds the structure constants of ``semisimple``.  The first
@@ -104,29 +104,27 @@ def primary_decompose(semisimple, c, cartan, tol=TOL_RANK, eig_tol=TOL_EIG,
     per frequency a_j, ordered by strictly decreasing a_j.  ``cartan``
     enters by its coordinates (:meth:`LieBasis.coords`).  The
     Cartan-invariance residual of the components (checked by
-    ``linalg._gate``) is stored on the result.  ``coeffs`` restricts the
-    search to explicit coefficient vectors over the Cartan basis, which
-    is how tests and the CLI pin a particular choice; if none of them
-    splits, SplittingSearchError.  Otherwise one point of the moment
+    ``linalg._gate``) is stored on the result.  ``coeffs``, one
+    coefficient vector over the Cartan basis, replaces the search, which
+    is how tests and the CLI pin a particular choice; if it does not
+    split, SplittingSearchError.  Otherwise one point of the moment
     curve (_coefficient_candidates) splits a semisimple S, so the error
     means that S, not re-tested here, is not semisimple or that its
-    spectrum is degenerate at ``eig_tol``.
+    spectrum is degenerate at ``TOL_EIG``.
     """
     if cartan.dim == 0:
         raise ValueError("Cartan subalgebra is empty")
     ads = adjoint(c, semisimple.coords(cartan, tol))
     target = semisimple.dim - cartan.dim + 1
     if coeffs is not None:
-        candidates = [np.asarray(v, dtype=float) for v in coeffs]
-        for cand in candidates:
-            if cand.shape != (cartan.dim,):
-                raise ValueError(
-                    f"splitting coefficients need length {cartan.dim}")
+        candidates = [np.asarray(coeffs, dtype=float)]
+        if candidates[0].shape != (cartan.dim,):
+            raise ValueError(f"splitting coefficients need length {cartan.dim}")
     else:
         candidates = _coefficient_candidates(cartan.dim, semisimple.dim)
     for cand in candidates:
         ad = np.tensordot(cand, ads, axes=1)
-        split = _split_spectrum(ad, target, cartan.dim, eig_tol)
+        split = _split_spectrum(ad, target, cartan.dim)
         if split is not None:
             break
     else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynlie import LieBasis, extend_basis, empty_basis, kron, pauli
+from dynlie import LieBasis, extend_basis, pauli
 
 SX = pauli("x")
 SY = pauli("y")
@@ -14,17 +14,17 @@ def two_spin_elements():
     order used throughout the tests: the two local drives first, then the
     four coupling directions."""
     return [
-        1j * kron(SX, I2),
-        1j * kron(I2, SX),
-        1j * kron(SZ, SZ),
-        1j * kron(SY, SY),
-        1j * kron(SZ, SY),
-        1j * kron(SY, SZ),
+        1j * np.kron(SX, I2),
+        1j * np.kron(I2, SX),
+        1j * np.kron(SZ, SZ),
+        1j * np.kron(SY, SY),
+        1j * np.kron(SZ, SY),
+        1j * np.kron(SY, SZ),
     ]
 
 
 def ordered_two_spin_basis():
-    basis = empty_basis(4)
+    basis = LieBasis(4)
     for el in two_spin_elements():
         basis = extend_basis(basis, [el])
     assert basis.dim == 6
@@ -36,7 +36,7 @@ def su2_triple(scale=1.0):
 
 
 def su2_basis():
-    basis = empty_basis(2)
+    basis = LieBasis(2)
     for el in su2_triple():
         basis = extend_basis(basis, [el])
     return basis
@@ -46,14 +46,14 @@ def su2_basis():
 # kron products they resolve to.
 def ab_triples():
     a = [
-        0.5j * (kron(SX, I2) + kron(I2, SX)),
-        0.5j * (kron(SZ, SY) + kron(SY, SZ)),
-        0.5j * (kron(SZ, SZ) - kron(SY, SY)),
+        0.5j * (np.kron(SX, I2) + np.kron(I2, SX)),
+        0.5j * (np.kron(SZ, SY) + np.kron(SY, SZ)),
+        0.5j * (np.kron(SZ, SZ) - np.kron(SY, SY)),
     ]
     b = [
-        0.5j * (-kron(SX, I2) + kron(I2, SX)),
-        0.5j * (kron(SZ, SY) - kron(SY, SZ)),
-        0.5j * (kron(SZ, SZ) + kron(SY, SY)),
+        0.5j * (-np.kron(SX, I2) + np.kron(I2, SX)),
+        0.5j * (np.kron(SZ, SY) - np.kron(SY, SZ)),
+        0.5j * (np.kron(SZ, SZ) + np.kron(SY, SY)),
     ]
     return a, b
 

@@ -13,11 +13,11 @@ import pytest
 
 from dynlie import (
     ControlSchedule,
+    LieBasis,
     UNCONTROLLABLE,
     adjoint,
     analyze_system,
     cartan_subalgebra,
-    empty_basis,
     extend_basis,
     generate_closure,
     generator,
@@ -126,7 +126,7 @@ def test_two_spin_cartan_from_drive_pivot():
     assert cartan.dim == 2
     for el in els[:2]:
         assert _membership_residual(cartan, el) <= 1e-9
-    drives = extend_basis(empty_basis(4), els[:2])
+    drives = extend_basis(LieBasis(4), els[:2])
     for m in cartan.mats:
         assert _membership_residual(drives, m) <= 1e-9
     _pass("Cartan algebra from the local-drive pivot is the span of the "
@@ -148,8 +148,9 @@ def test_two_spin_adjoint_matrices_entrywise():
 def test_two_spin_splitting_element_selection():
     els = two_spin_elements()
     basis = ordered_two_spin_basis()
-    cartan = extend_basis(empty_basis(4), els[:2])
-    found = staged(primary_decompose, basis, cartan, coeffs=[[1.0, 2.0]]).splitting
+    cartan = extend_basis(LieBasis(4), els[:2])
+    found = staged(primary_decompose, basis, cartan,
+                   coeffs=[1.0, 2.0]).splitting
     np.testing.assert_allclose(found.coeffs, [1.0, 2.0])
     ad = adjoint(structure_constants(basis),
                  member_coords(basis, found.element))
@@ -161,7 +162,7 @@ def test_two_spin_splitting_element_selection():
     assert len({round(v, 6) for v in eigs.imag}) == 6 - 2 + 1
     for bad in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
         with pytest.raises(SplittingSearchError):
-            staged(primary_decompose, basis, cartan, coeffs=[bad])
+            staged(primary_decompose, basis, cartan, coeffs=bad)
     _pass("coefficients (1,2) accepted with spectrum {0, +-i, +-3i}; "
           "(1,0), (0,1), (1,1) rejected")
 
@@ -170,7 +171,7 @@ def test_two_spin_primary_component_spans():
     els = two_spin_elements()
     l1, l2, l3, l4, l5, l6 = els
     basis = ordered_two_spin_basis()
-    cartan = extend_basis(empty_basis(4), els[:2])
+    cartan = extend_basis(LieBasis(4), els[:2])
     result = staged(primary_decompose, basis, cartan)
     (f_fast, fast), (f_slow, slow) = result.components
     assert fast.dim == 2 and slow.dim == 2
@@ -178,8 +179,8 @@ def test_two_spin_primary_component_spans():
         assert _membership_residual(fast, el) <= 1e-8 * np.linalg.norm(el)
     for el in (l5 - l6, l3 + l4):
         assert _membership_residual(slow, el) <= 1e-8 * np.linalg.norm(el)
-    expected_fast = extend_basis(empty_basis(4), [l5 + l6, l3 - l4])
-    expected_slow = extend_basis(empty_basis(4), [l5 - l6, l3 + l4])
+    expected_fast = extend_basis(LieBasis(4), [l5 + l6, l3 - l4])
+    expected_slow = extend_basis(LieBasis(4), [l5 - l6, l3 + l4])
     for m in fast.mats:
         assert _membership_residual(expected_fast, m) <= 1e-8
     for m in slow.mats:
@@ -191,7 +192,7 @@ def test_two_spin_primary_component_spans():
 def test_two_spin_simple_ideals_and_su2_frames():
     els = two_spin_elements()
     basis = ordered_two_spin_basis()
-    cartan = extend_basis(empty_basis(4), els[:2])
+    cartan = extend_basis(LieBasis(4), els[:2])
     primary = staged(primary_decompose, basis, cartan)
     ideal_set = staged(simple_decompose, basis, primary)
     assert len(ideal_set.ideals) == 2

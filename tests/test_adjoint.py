@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dynlie import (
+    LieBasis,
     adjoint,
-    empty_basis,
     extend_basis,
     generate_closure,
     structure_constants,
@@ -33,7 +33,7 @@ AD_SU2_X = np.array([
 
 
 def su2_ordered_basis():
-    basis = empty_basis(2)
+    basis = LieBasis(2)
     for el in su2_triple():
         basis = extend_basis(basis, [el])
     return basis
@@ -63,11 +63,11 @@ class TestAdjointMatrix:
     def test_bracket_outside_span_raises(self):
         # [iZ, iX] leaves span{iZ, iX}: the structure constants, and so
         # every adjoint matrix, are refused.
-        basis = extend_basis(empty_basis(2), [IZ, IX])
+        basis = extend_basis(LieBasis(2), [IZ, IX])
         with pytest.raises(NotClosedError):
             structure_constants(basis)
         with pytest.raises(NotInSpanError):
-            adjoint_in_span(extend_basis(empty_basis(2), [IZ]), IX)
+            adjoint_in_span(extend_basis(LieBasis(2), [IZ]), IX)
 
     def test_antisymmetric_in_orthonormal_basis(self, two_spin_basis, rng):
         # HS-orthonormal bases of skew-Hermitian algebras make every
@@ -125,7 +125,7 @@ class TestStructureTensor:
             np.testing.assert_allclose(c, expected, atol=1e-12)
 
     def test_unclosed_span_raises(self):
-        basis = extend_basis(empty_basis(2), [IX, IY])
+        basis = extend_basis(LieBasis(2), [IX, IY])
         with pytest.raises(NotClosedError):
             structure_tensor(basis)
         with pytest.raises(NotClosedError):
@@ -141,7 +141,7 @@ class TestStructureTensor:
 
 
 def u2_basis():
-    return extend_basis(empty_basis(2), [1j * np.eye(2), IX, IY, IZ])
+    return extend_basis(LieBasis(2), [1j * np.eye(2), IX, IY, IZ])
 
 
 def trace_form(c):
@@ -214,8 +214,8 @@ class TestIsSemisimple:
         assert not self.semisimple(u2_basis())
 
     def test_abelian_false(self):
-        basis = extend_basis(empty_basis(2), [IZ])
+        basis = extend_basis(LieBasis(2), [IZ])
         assert not self.semisimple(basis)
 
     def test_empty_false(self):
-        assert not self.semisimple(empty_basis(2))
+        assert not self.semisimple(LieBasis(2))

@@ -194,7 +194,7 @@ class TestDecompose:
                                            monkeypatch):
         # An ideal that overlaps a radical line cannot join the adapted
         # basis; assembling it used to raise a bare ValueError and end in
-        # a traceback.
+        # a traceback.  Like every ideal, it is rows over the closure stack.
         sx = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
         sy = np.array([[0, -0.5j], [0.5j, 0]])
         spec = tmp_path / "spec.json"
@@ -205,8 +205,9 @@ class TestDecompose:
 
         def overlapping(semisimple, c, primary, tol):
             found = real(semisimple, c, primary, tol)
-            ideal = extend_basis(LieBasis(2, found.ideals[0].mats[:2]),
-                                 [1j * np.eye(2)])
+            full = LieBasis(2, semisimple.stack)
+            line = full.coords(extend_basis(LieBasis(2), [1j * np.eye(2)]))
+            ideal = full.span(np.concatenate([found.ideals[0].rows[:2], line]))
             return dataclasses.replace(found, ideals=(ideal,))
 
         monkeypatch.setattr(dynamics, "simple_decompose", overlapping)
@@ -434,9 +435,6 @@ class TestFlagValues:
         ["--tol-rank", "inf"],
         ["--tol-rank", "1e300"],
         ["--tol-rank", "1"],
-        ["--tol-eig=-1e-6"],
-        ["--tol-eig", "nan"],
-        ["--tol-eig", "1"],
         ["--splitting-coeffs", "1e308,1e308"],
     ])
     def test_bad_value_exits_2(self, capsys, flags):
@@ -447,6 +445,14 @@ class TestFlagValues:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert "error:" in captured.err
+
+    def test_tol_eig_is_unrecognized(self, tmp_path, capsys):
+        # The eigenvalue gap is the fixed linalg.TOL_EIG, not a flag.
+        spec = write_two_spin_spec(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["decompose", spec, "--tol-eig", "1e-6"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol-eig" in capsys.readouterr().err
 
     def test_tiny_pivot_is_not_zero(self, capsys):
         # The pivot's zero test is relative: a rescaled pivot names the

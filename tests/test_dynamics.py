@@ -17,7 +17,6 @@ from dynlie import (
     control_system,
     generator,
     hamiltonian,
-    kron,
     pauli,
     propagate,
     two_spin_system,
@@ -54,7 +53,7 @@ def pauli_terms(*terms):
     """One two-qubit Hamiltonian per argument, each a sum of Pauli strings
     given as (label, coefficient); "i" in a label is the identity."""
     one = {"i": np.eye(2), "x": SX, "y": SY, "z": SZ}
-    return [sum(c * kron(one[a], one[b]) for (a, b), c in term)
+    return [sum(c * np.kron(one[a], one[b]) for (a, b), c in term)
             for term in terms]
 
 
@@ -155,6 +154,19 @@ class TestAnalyzeSystem:
         analysis = analyze_system(system)
         assert [ideal.dim for ideal in analysis.ideals.ideals] == [3, 3]
         assert analysis.ideals.su2 == (True, True)
+
+    def test_radical_is_not_in_the_semisimple_span(self):
+        # su(2) on the first spin plus the line i 1(x)sz: the radical's
+        # coordinates over the semisimple rows used to come back as
+        # round-off, while a copy of it over its own stack raised.
+        sys = control_system(
+            np.kron(SZ, np.eye(2)) + 0.7 * np.kron(np.eye(2), SZ),
+            [np.kron(SX, np.eye(2))])
+        levi = analyze_system(sys).levi
+        assert (levi.semisimple.dim, levi.radical.dim) == (3, 1)
+        for radical in (levi.radical, LieBasis(4, levi.radical.mats)):
+            with pytest.raises(NotInSpanError):
+                levi.semisimple.coords(radical)
 
 
 class TestProjectGenerator:
@@ -748,10 +760,11 @@ class TestInvariantFrame:
         # [3, 1], coarser than A's pieces; a frame of B's terms alone
         # dropped the pieces' off-block parts, and the factors were wrong
         # (factorization error 0.1 to 0.3) with no error raised.
-        ctrl = kron(SX, np.eye(2)) + kron(np.eye(2), SX)
-        a = control_system(kron(SZ, np.eye(2)) + 0.7 * kron(np.eye(2), SZ),
-                           [ctrl])
-        b = control_system(kron(SZ, np.eye(2)) + kron(np.eye(2), SZ), [ctrl])
+        ctrl = np.kron(SX, np.eye(2)) + np.kron(np.eye(2), SX)
+        a = control_system(
+            np.kron(SZ, np.eye(2)) + 0.7 * np.kron(np.eye(2), SZ), [ctrl])
+        b = control_system(
+            np.kron(SZ, np.eye(2)) + np.kron(np.eye(2), SZ), [ctrl])
         sched = ControlSchedule(((0.4, (0.3,)), (0.9, (-1.2,))))
         assert_matches_loop(analyze_system(a).decomposition, b, sched, 1e-12)
 
@@ -884,7 +897,7 @@ class TestRandomDrawRegressions:
         # Components already inside a found ideal used to grow it again,
         # which ended in "simple ideals cover dim 31 of 15".
         def strings(*terms):
-            return sum(c * kron(pauli(a), pauli(b)) for (a, b), c in terms)
+            return sum(c * np.kron(pauli(a), pauli(b)) for (a, b), c in terms)
         drift = strings(("zy", 0.8626653406413143), ("xz", -0.5813716229468491),
                         ("zz", -1.443886285802562))
         ctrl = strings(("yx", 0.7929463596782029), ("zx", -1.0415569247493681))

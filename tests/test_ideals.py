@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dynlie import (
+    LieBasis,
     analyze_system,
     cartan_subalgebra,
     control_system,
-    empty_basis,
     extend_basis,
     generate_closure,
     levi_decompose,
@@ -41,7 +41,7 @@ def spin_xy(j):
 
 
 def two_spin_pipeline(two_spin_basis, two_spin_els):
-    cartan = empty_basis(4)
+    cartan = LieBasis(4)
     for el in two_spin_els[:2]:
         cartan = extend_basis(cartan, [el])
     primary = staged(primary_decompose, two_spin_basis, cartan)
@@ -69,7 +69,7 @@ class TestMinimalIdeal:
 
     def test_su2_seed_grows_to_whole(self, su2):
         # One root plane plus its coroot [x, y] is all of su(2).
-        cartan = extend_basis(empty_basis(2), [IZ])
+        cartan = extend_basis(LieBasis(2), [IZ])
         primary = staged(primary_decompose, su2, cartan)
         ideal_set = staged(simple_decompose, su2, primary)
         assert [i.dim for i in ideal_set.ideals] == [3]
@@ -224,14 +224,14 @@ class TestRecognizeSu2:
         diag = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
         for k in range(3):
             diag[k][k, k] = 1j
-        basis = extend_basis(empty_basis(3), diag)
+        basis = extend_basis(LieBasis(3), diag)
         assert basis.dim == 3
         assert recognize_su2(basis) is None
 
     def test_orientation_fixed_for_flipped_input(self, su2):
         # Feed a left-handed ordering; the recognizer must still come
         # back with a right-handed cyclic frame.
-        flipped = extend_basis(empty_basis(2), [IY, IX, IZ])
+        flipped = extend_basis(LieBasis(2), [IY, IX, IZ])
         frame = recognize_su2(flipped)
         assert frame is not None
         e1, e2, e3 = frame

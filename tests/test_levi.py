@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynlie import (
-    empty_basis,
+    LieBasis,
     extend_basis,
     generate_closure,
     levi_decompose,
@@ -25,7 +25,7 @@ IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
 
 def u2_basis():
-    return extend_basis(empty_basis(2), [1j * np.eye(2), IX, IY, IZ])
+    return extend_basis(LieBasis(2), [1j * np.eye(2), IX, IY, IZ])
 
 
 class TestCenter:
@@ -33,7 +33,7 @@ class TestCenter:
         assert staged(levi_decompose, two_spin_basis).radical.dim == 0
 
     def test_abelian_center_is_everything(self, two_spin_els):
-        basis = extend_basis(empty_basis(4), two_spin_els[:2])
+        basis = extend_basis(LieBasis(4), two_spin_els[:2])
         assert staged(levi_decompose, basis).radical.dim == 2
 
     def test_u2_center_is_identity_line(self):
@@ -61,7 +61,7 @@ class TestCenter:
         assert kernel.shape[1] == staged(levi_decompose, basis).radical.dim
 
     def test_empty(self):
-        assert staged(levi_decompose, empty_basis(2)).radical.dim == 0
+        assert staged(levi_decompose, LieBasis(2)).radical.dim == 0
 
 
 class TestDerivedAlgebra:
@@ -72,7 +72,7 @@ class TestDerivedAlgebra:
             assert member_coords(der, el) is not None
 
     def test_abelian_derived_is_zero(self, two_spin_els):
-        basis = extend_basis(empty_basis(4), two_spin_els[:2])
+        basis = extend_basis(LieBasis(4), two_spin_els[:2])
         assert staged(levi_decompose, basis).semisimple.dim == 0
 
     def test_u2_derived_is_traceless_part(self):
@@ -99,14 +99,14 @@ class TestLeviDecompose:
         assert spans_equal(split.semisimple.mats, [IX, IY, IZ])
 
     def test_abelian(self, two_spin_els):
-        basis = extend_basis(empty_basis(4), two_spin_els[:2])
+        basis = extend_basis(LieBasis(4), two_spin_els[:2])
         split = staged(levi_decompose, basis)
         assert split.radical.dim == 2
         assert split.semisimple.dim == 0
         assert len(split.radical_lines) == 2
 
     def test_empty(self):
-        split = staged(levi_decompose, empty_basis(3))
+        split = staged(levi_decompose, LieBasis(3))
         assert split.radical.dim == 0
         assert split.semisimple.dim == 0
 

@@ -7,7 +7,6 @@ from dynlie import (
     generate_closure,
     generator,
     hamiltonian,
-    kron,
     pauli,
     two_spin_system,
 )
@@ -41,17 +40,17 @@ class TestPauli:
 
 class TestKron:
     def test_shape(self):
-        assert kron(pauli("x"), np.eye(2)).shape == (4, 4)
+        assert np.kron(pauli("x"), np.eye(2)).shape == (4, 4)
 
     def test_mixed_product(self, rng):
         a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         c, d = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         np.testing.assert_allclose(
-            kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
+            np.kron(a, b) @ np.kron(c, d), np.kron(a @ c, b @ d), atol=1e-12)
 
     def test_identity_factor(self):
         np.testing.assert_allclose(
-            kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
+            np.kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
 
 
 class TestControlSystem:
@@ -60,12 +59,12 @@ class TestControlSystem:
         assert sys.dim == 4
         assert sys.n_controls == 2
         assert sys.labels == ("u1", "u2")
-        np.testing.assert_allclose(sys.drift, kron(pauli("x"), np.eye(2)),
+        np.testing.assert_allclose(sys.drift, np.kron(pauli("x"), np.eye(2)),
                                    atol=0)
         np.testing.assert_allclose(sys.controls[0],
-                                   kron(pauli("z"), pauli("z")), atol=0)
+                                   np.kron(pauli("z"), pauli("z")), atol=0)
         np.testing.assert_allclose(sys.controls[1],
-                                   kron(pauli("y"), pauli("y")), atol=0)
+                                   np.kron(pauli("y"), pauli("y")), atol=0)
 
     def test_terms_hermitian(self):
         sys = two_spin_system()
@@ -94,6 +93,14 @@ class TestControlSystem:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             control_system(np.eye(2), [np.eye(3)])
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "2", True, None])
+    def test_rejects_non_integer_dim(self, dim):
+        # int() used to truncate 2.7 to a 2-level system and parse "2".
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            ControlSystem(dim=dim, drift=pauli("z"), controls=(), labels=())
+        assert ControlSystem(dim=np.int64(2), drift=pauli("z"), controls=(),
+                             labels=()).dim == 2
 
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError):

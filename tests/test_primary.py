@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from dynlie import (
+    LieBasis,
     analyze_system,
     cartan_subalgebra,
     control_system,
-    empty_basis,
     extend_basis,
     generate_closure,
     levi_decompose,
@@ -23,7 +23,7 @@ IX, IY, IZ = 1j * SX, 1j * SY, 1j * SZ
 
 
 def two_spin_cartan(two_spin_els):
-    basis = empty_basis(4)
+    basis = LieBasis(4)
     for el in two_spin_els[:2]:
         basis = extend_basis(basis, [el])
     return basis
@@ -103,7 +103,8 @@ class TestFindSplittingElement:
         cartan = two_spin_cartan(two_spin_els)
         for coeffs in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
             with pytest.raises(SplittingSearchError):
-                staged(primary_decompose, two_spin_basis, cartan, coeffs=[coeffs])
+                staged(primary_decompose, two_spin_basis, cartan,
+                       coeffs=coeffs)
 
     def test_two_spin_nearly_equal_weights(self, two_spin_els,
                                            two_spin_basis):
@@ -111,7 +112,7 @@ class TestFindSplittingElement:
         # ad^2 + a^2 used to halve below the rank tolerance.
         cartan = two_spin_cartan(two_spin_els)
         result = staged(primary_decompose, two_spin_basis, cartan,
-                                   coeffs=[[1.0, 1.0001]])
+                        coeffs=[1.0, 1.0001])
         np.testing.assert_allclose(result.splitting.frequencies,
                                    [2.0001, 1e-4], rtol=1e-8)
         assert result.invariance_residual < 1e-8
@@ -126,7 +127,7 @@ class TestFindSplittingElement:
         np.testing.assert_allclose(imag, [-2, 0, 0, 0, 0, 2], atol=1e-12)
 
     def test_su2(self, su2):
-        cartan = extend_basis(empty_basis(2), [IZ])
+        cartan = extend_basis(LieBasis(2), [IZ])
         found = staged(primary_decompose, su2, cartan).splitting
         np.testing.assert_allclose(found.coeffs, [1.0])
         # The normalized Cartan element is sqrt(2) i sz, whose adjoint
@@ -179,7 +180,7 @@ class TestPrimaryDecompose:
         assert total == two_spin_basis.dim
 
     def test_su2_component(self, su2):
-        cartan = extend_basis(empty_basis(2), [IZ])
+        cartan = extend_basis(LieBasis(2), [IZ])
         result = staged(primary_decompose, su2, cartan)
         assert len(result.components) == 1
         freq, comp = result.components[0]
@@ -220,7 +221,7 @@ class TestPrimaryDecompose:
         # candidate splits.  Semisimplicity itself is decided only by
         # the Levi split.
         u2 = extend_basis(su2, [1j * np.eye(2)])
-        cartan = extend_basis(empty_basis(2), [IZ])
+        cartan = extend_basis(LieBasis(2), [IZ])
         with pytest.raises(SplittingSearchError):
             staged(primary_decompose, u2, cartan)
 
