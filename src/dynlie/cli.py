@@ -80,7 +80,7 @@ def _write(text, out):
 
 def _analyze(system, args):
     if not 0.0 < args.tol_rank < 1.0:
-        raise SpecError(f"--tol-rank is relative and must lie in (0, 1), "
+        raise SpecError("--tol-rank is relative and must lie in (0, 1), "
                         f"got {args.tol_rank}")
     pivots = _pivot_matrices(system, args.pivot)
     coeffs = (None if args.splitting_coeffs is None
