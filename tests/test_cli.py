@@ -435,6 +435,9 @@ class TestFlagValues:
         ["--tol-rank", "inf"],
         ["--tol-rank", "1e300"],
         ["--tol-rank", "1"],
+        ["--tol-rank=-inf"],
+        ["--pivot", "1,0"],
+        ["--pivot", "1,x,0"],
         ["--splitting-coeffs", "1e308,1e308"],
     ])
     def test_bad_value_exits_2(self, capsys, flags):
